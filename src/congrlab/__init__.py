@@ -21,7 +21,6 @@ from .congruences import (
     binom_exact,
     binom_rational_exact,
     central_binomial_identity,
-    get_context,
     p7_residual,
     reduction_coefficients,
     signed_central_binomial,
@@ -37,25 +36,18 @@ from .harmonic import (
     check_reflection_identity,
     harmonic_numbers_exact,
     harmonic_table,
-    power_sum,
     power_sum_exact,
     power_sum_table,
     run_lemma_suites,
 )
 from .residues import (
     CongrlabError,
-    ModulusMismatch,
-    NonUnit,
     NotPInteger,
     PrimePowerModulus,
     Residue,
     Valuation,
     is_prime,
     parse_rational,
-    q_add,
-    q_div,
-    q_mul,
-    q_neg,
     rational_valuation,
     residue_of_rational,
     valuation_of_difference,

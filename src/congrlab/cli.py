@@ -6,9 +6,10 @@ Three subcommands share the report machinery:
   scan    -- sweep a prime range over selected cases and the alpha set
   lemmas  -- run the harmonic/power-sum/Bernoulli verdict suites
 
-Exit status is 0 when nothing failed, 1 when any congruence failed, and 2
-for usage or I/O errors.  CONGRLAB_WORKERS in the environment overrides
-the worker count, including an explicit --workers flag.
+Exit status is 0 when nothing failed, 1 when any congruence failed, 2 for
+usage or I/O errors, and 3 for an internal error.  CONGRLAB_WORKERS in the
+environment overrides the worker count, including an explicit --workers
+flag; either is clamped to the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from typing import Mapping, Optional, Sequence
 
 from .congruences import CATALOG
-from .residues import is_prime, parse_rational
+from .residues import CongrlabError, is_prime, parse_rational
 from .scanner import (
     DEFAULT_ALPHA_SWEEP,
     DEFAULT_PRIME_MAX,
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            help="parallel worker processes (default: available parallelism)",
+            help="parallel worker processes, at most the CPUs this process "
+            "may run on (default: that many); CONGRLAB_WORKERS overrides it",
         )
         p.add_argument(
             "--tightness",
@@ -162,17 +164,31 @@ def _parse_cases(values) -> tuple:
     return tuple(cid for cid in CATALOG if cid in wanted)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _resolve_workers(flag_value: Optional[int], env: Mapping[str, str]) -> int:
+    """The worker count from the environment, the flag or the CPUs, clamped.
+
+    Each worker is a forked process, so a count above the available CPUs
+    only adds processes.
+    """
+    cpus = _available_cpus()
     raw = env.get("CONGRLAB_WORKERS")
     if raw is not None:
         try:
             workers = int(raw)
         except ValueError:
             raise UsageError(f"CONGRLAB_WORKERS must be an integer, got {raw!r}")
-        return workers
-    if flag_value is not None:
-        return flag_value
-    return os.cpu_count() or 1
+    elif flag_value is not None:
+        workers = flag_value
+    else:
+        workers = cpus
+    return min(workers, cpus)
 
 
 def parse_config(argv: Sequence[str], env: Mapping[str, str]) -> ScanConfig:
@@ -233,6 +249,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"congrlab: {exc}", file=sys.stderr)
         return 2
+    except CongrlabError as exc:
+        print(f"congrlab: internal error: {exc}", file=sys.stderr)
+        return 3
     try:
         if config.output:
             with open(config.output, "wb") as handle:

@@ -7,11 +7,13 @@ B_{p-3}.  The binomial side is computed entirely inside Z/p^m as the
 product prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), with an
 exact-rational product formula kept alongside as the independent oracle.
 
-A `PrimeContext` caches the per-prime ingredients (harmonic table, power
-sums, binomials per alpha, 4^(p-1), B_{p-3}) at one working exponent;
-each case then reduces to its own modulus.  Contexts are built per prime
-and never mutated after their lazy fields fill in, so sharing one across
-the cases and alpha values of a single prime is safe.
+Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
+by one interpreter against a `PrimeContext`.  The context caches the
+per-prime ingredients (harmonic table, power sums, binomials per alpha,
+4^(p-1), B_{p-3}) at one working exponent; each case then reduces to its
+own modulus.  Contexts are built per prime and never mutated after their
+lazy fields fill in, so sharing one across the cases and alpha values of a
+single prime is safe.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod
 from .harmonic import HarmonicTable, harmonic_numbers_exact, harmonic_table, power_sum_table
@@ -39,12 +41,12 @@ __all__ = [
     "P7Residual",
     "PrimeContext",
     "ReductionCoefficients",
+    "Term",
     "binom_alpha_expansion",
     "binom_alpha_mod",
     "binom_exact",
     "binom_rational_exact",
     "central_binomial_identity",
-    "get_context",
     "p7_residual",
     "reduction_coefficients",
     "signed_central_binomial",
@@ -126,31 +128,6 @@ def central_binomial_identity(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _coef_a(alpha: Fraction) -> Fraction:
-    return alpha * (alpha - 1) * (alpha * alpha - alpha - 1)
-
-
-def _coef_b(alpha: Fraction) -> Fraction:
-    return alpha * alpha * (alpha - 1) ** 2
-
-
-def thm1_rhs(
-    alpha, modulus: PrimePowerModulus, table: Optional[HarmonicTable] = None
-) -> Residue:
-    """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m."""
-    alpha = Fraction(alpha)
-    p, pm = modulus.p, modulus.pm
-    if table is None:
-        table = harmonic_table(modulus)
-    elif table.modulus != modulus:
-        raise ValueError("harmonic table built for a different modulus")
-    t1 = residue_of_rational(_coef_a(alpha), modulus).value * p % pm
-    t1 = t1 * table.value(1) % pm
-    t2 = residue_of_rational(_coef_b(alpha), modulus).value * (p * p % pm) % pm
-    t2 = t2 * table.value(2) % pm
-    return Residue(1 - t1 + t2, modulus)
-
-
 @dataclass(frozen=True)
 class ReductionCoefficients:
     """Coefficient schedule that collapses the degree-4 harmonic expansion.
@@ -209,7 +186,9 @@ def p7_residual(alpha) -> P7Residual:
     if alpha.denominator % 7 == 0:
         raise NotPInteger(f"{alpha} is not a 7-integer")
     h = harmonic_numbers_exact(7)
-    rhs = 1 - _coef_a(alpha) * 7 * h[1] + _coef_b(alpha) * 49 * h[2]
+    a1 = -alpha * (alpha - 1) * (alpha * alpha - alpha - 1)
+    a2 = alpha * alpha * (alpha - 1) ** 2
+    rhs = 1 + a1 * 7 * h[1] + a2 * 49 * h[2]
     difference = binom_exact(alpha, 7) - rhs
     expected = alpha**3 * (alpha - 1) ** 3 * Fraction(7**6, 720)
     v = rational_valuation(difference, 7)
@@ -227,6 +206,8 @@ def p7_residual(alpha) -> P7Residual:
 # per-prime evaluation context
 # ---------------------------------------------------------------------------
 
+_TWO = Fraction(2)
+
 
 class PrimeContext:
     """Lazily computed per-prime ingredients at one working exponent."""
@@ -237,6 +218,8 @@ class PrimeContext:
         self.exponent = exponent
         self.pm = self.modulus.pm
         self._powers = {0: 1, exponent: self.pm}
+        self._moduli = {exponent: self.modulus}
+        self._inverses: dict = {}
         self._table: Optional[HarmonicTable] = None
         self._sums = None
         self._binoms: dict = {}
@@ -248,6 +231,12 @@ class PrimeContext:
         if e not in self._powers:
             self._powers[e] = self.p**e
         return self._powers[e]
+
+    def modulus_at(self, m: int) -> PrimePowerModulus:
+        """The ring Z/p^m, built once per context."""
+        if m not in self._moduli:
+            self._moduli[m] = PrimePowerModulus(self.p, m)
+        return self._moduli[m]
 
     @property
     def table(self) -> HarmonicTable:
@@ -261,7 +250,13 @@ class PrimeContext:
         return self._sums.value(exponent)
 
     def rat(self, q) -> int:
-        return residue_of_rational(q, self.modulus).value
+        """Residue of a p-integral int or Fraction; builds no Fraction."""
+        d = q.denominator
+        if d not in self._inverses:
+            if d % self.p == 0:
+                raise NotPInteger(f"{q} is not a {self.p}-integer")
+            self._inverses[d] = pow(d, -1, self.pm)
+        return q.numerator * self._inverses[d] % self.pm
 
     def binom_w(self, alpha: Fraction) -> int:
         if alpha not in self._binoms:
@@ -296,17 +291,27 @@ class PrimeContext:
             self._bern = bernoulli_mod(self.p, self.p - 3, self.exponent).value
         return self._bern
 
-
-_CONTEXT_CACHE: dict = {}
-
-
-def get_context(p: int, exponent: int) -> PrimeContext:
-    """Process-local context cache; reuses a context of equal or larger exponent."""
-    ctx = _CONTEXT_CACHE.get(p)
-    if ctx is None or ctx.exponent < exponent:
-        ctx = PrimeContext(p, exponent)
-        _CONTEXT_CACHE[p] = ctx
-    return ctx
+    def ingredient(self, x: str, alpha: Optional[Fraction]) -> int:
+        """The residue a catalog term names (see `Term`)."""
+        if x == "one":
+            return 1
+        if x == "S1":
+            return self.sum_value(1)
+        if x == "S2":
+            return self.sum_value(2)
+        if x == "S3":
+            return self.sum_value(3)
+        if x == "H2":
+            return self.table.value(2)
+        if x == "B":
+            return self.bernoulli_pm3()
+        if x == "binom":
+            return self.binom_w(alpha)
+        if x == "binom2":
+            return self.binom_w(_TWO)
+        if x == "central":
+            return self.central_binomial()
+        raise ValueError(f"unknown catalog ingredient {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +319,51 @@ def get_context(p: int, exponent: int) -> PrimeContext:
 # ---------------------------------------------------------------------------
 
 
+class Term(NamedTuple):
+    """One summand c(alpha) * p^k * X of a catalog side, times 4^(p-1) if `four`.
+
+    `coef` is a polynomial in alpha, lowest degree first, with int or
+    Fraction coefficients.  `x` names the ingredient X: "one" (1), "S1",
+    "S2", "S3" (inverse power sums), "H2" (harmonic number), "B" (B_{p-3}),
+    "binom" (C(alpha*p - 1, p - 1)), "binom2" (C(2p - 1, p - 1)) or
+    "central" (the signed central binomial).
+    """
+
+    coef: tuple
+    k: int
+    x: str
+    four: bool = False
+
+
+def _evaluate(ctx: PrimeContext, side: tuple, alpha: Optional[Fraction]) -> int:
+    """Sum of a side's terms, as a residue at the context's working exponent.
+
+    Each coefficient polynomial is reduced by Horner's rule on alpha's
+    residue, which is sound because reduction mod p^e is a ring
+    homomorphism on p-integral rationals.
+    """
+    pm = ctx.pm
+    a = 0 if alpha is None else ctx.rat(alpha)
+    total = 0
+    for coef, k, x, four in side:
+        c = 0
+        for q in reversed(coef):
+            c = (c * a + ctx.rat(q)) % pm
+        term = c * ctx.power(k) % pm * ctx.ingredient(x, alpha) % pm
+        if four:
+            term = term * ctx.four_pow() % pm
+        total += term
+    return total % pm
+
+
 @dataclass(frozen=True)
 class CongruenceCase:
-    """One named congruence: applicability, modulus and the two evaluators.
+    """One named congruence lhs == rhs (mod p^m), each side a tuple of `Term`s.
 
-    `lhs` and `rhs` receive the context and (for parametric cases) alpha and
-    return working residues at the context exponent.  `min_p` is the range
-    the case verifiably holds on; where a source states a wider range that
-    fails in practice, the wider bound is kept in `claimed_min_p` so the
-    scanner can probe it on demand.
+    `min_p` is the range the case verifiably holds on; where a source states
+    a wider range that fails in practice, the wider bound is kept in
+    `claimed_min_p` so the scanner can probe it on demand.  With
+    `drops_at_seven` the modulus exponent is m - 1 at p = 7.
     """
 
     id: str
@@ -330,311 +371,258 @@ class CongruenceCase:
     min_p: int
     claimed_min_p: int
     alpha_mode: str  # "none" | "sweep" | "integer"
-    modulus_exponent: Callable[[int], int]
-    lhs: Callable[["PrimeContext", Optional[Fraction]], int]
-    rhs: Callable[["PrimeContext", Optional[Fraction]], int]
-    needs_bernoulli: bool = False
+    m: int
+    lhs: tuple
+    rhs: tuple
     note: str = ""
+    drops_at_seven: bool = False
+
+    def modulus_exponent(self, p: int) -> int:
+        return self.m - 1 if self.drops_at_seven and p == 7 else self.m
+
+    @property
+    def needs_bernoulli(self) -> bool:
+        return any(term.x == "B" for term in self.lhs + self.rhs)
 
 
-def _const(m: int) -> Callable[[int], int]:
-    return lambda p: m
+_ONE = (Term((1,), 0, "one"),)
+_ZERO = ()
+_FOUR = (Term((1,), 0, "one", True),)
+_BINOM = (Term((1,), 0, "binom"),)
+_BINOM2 = (Term((1,), 0, "binom2"),)
+_CENTRAL = (Term((1,), 0, "central"),)
+# -a(a-1)(a^2-a-1) and a^2(a-1)^2, the coefficients of Theorem 1
+_MINUS_A1 = (0, -1, 0, 2, -1)
+_A2 = (0, 0, 1, -2, 1)
+# -a(a-1)/3, the Bernoulli coefficient of Glaisher's congruence
+_GLAISHER_B = (0, Fraction(1, 3), Fraction(-1, 3))
 
-
-def _thm_exponent(p: int) -> int:
-    return 6 if p == 7 else 7
-
-
-def _w2_lhs(ctx, alpha):
-    return ctx.binom_w(Fraction(2))
-
-
-def _w_lhs(ctx, alpha):
-    return ctx.binom_w(alpha)
-
-
-def _central_lhs(ctx, alpha):
-    return ctx.central_binomial()
-
-
-def _one_rhs(ctx, alpha):
-    return 1
-
-
-def _series(ctx, terms) -> int:
-    """1 + sum of coef * p^k * (power sum or H_2) at the working exponent."""
-    pm = ctx.pm
-    total = 1
-    for coef, k, kind in terms:
-        base = ctx.table.value(2) if kind == "h2" else ctx.sum_value(kind)
-        total = (total + ctx.rat(coef) * ctx.power(k) % pm * base) % pm
-    return total
-
-
-def _series_rhs(*terms):
-    def rhs(ctx, alpha):
-        resolved = [
-            (c(alpha) if callable(c) else c, k, kind) for (c, k, kind) in terms
-        ]
-        return _series(ctx, resolved)
-
-    return rhs
-
-
-def _central_series_rhs(*terms):
-    plain = _series_rhs(*terms)
-
-    def rhs(ctx, alpha):
-        return ctx.four_pow() * plain(ctx, alpha) % ctx.pm
-
-    return rhs
-
-
-def _thm1_rhs_eval(ctx, alpha):
-    return thm1_rhs(alpha, ctx.modulus, ctx.table).value
-
-
-def _bern_rhs(coef):
-    """1 + coef(alpha) * p^3 * B_{p-3} at the working exponent."""
-
-    def rhs(ctx, alpha):
-        c = ctx.rat(coef(alpha) if callable(coef) else coef)
-        return (1 + c * ctx.power(3) % ctx.pm * ctx.bernoulli_pm3()) % ctx.pm
-
-    return rhs
-
-
-def _carlitz_rhs(ctx, alpha):
-    extra = ctx.rat(Fraction(1, 12)) * ctx.power(3) % ctx.pm * ctx.bernoulli_pm3()
-    return (ctx.four_pow() + extra) % ctx.pm
-
-
-def _pair_sum_lhs(ctx, alpha):
-    # 2 p S_1 + p^2 S_2
-    pm = ctx.pm
-    return (2 * ctx.power(1) * ctx.sum_value(1) + ctx.power(2) * ctx.sum_value(2)) % pm
-
-
-def _triple_sum_lhs(ctx, alpha):
-    # S_1 + (p/2) S_2 + (p^2/6) S_3
-    pm = ctx.pm
-    return (
-        ctx.sum_value(1)
-        + ctx.rat(Fraction(1, 2)) * ctx.power(1) % pm * ctx.sum_value(2)
-        + ctx.rat(Fraction(1, 6)) * ctx.power(2) % pm * ctx.sum_value(3)
-    ) % pm
-
-
-def _zero_rhs(ctx, alpha):
-    return 0
-
-
-def _build_catalog() -> dict:
-    f = Fraction
-    coef_a = _coef_a
-    coef_b = _coef_b
-    cases = [
-        # -- fixed central/binomial congruences, in historical order --------
-        CongruenceCase(
-            "babbage",
-            "C(2p-1, p-1) == 1 (mod p^2), p >= 3",
-            3, 3, "none", _const(2), _w2_lhs, _one_rhs,
+_CASES = (
+    # -- fixed central/binomial congruences, in historical order ------------
+    CongruenceCase(
+        "babbage",
+        "C(2p-1, p-1) == 1 (mod p^2), p >= 3",
+        3, 3, "none", 2, _BINOM2, _ONE,
+    ),
+    CongruenceCase(
+        "wolstenholme_rel70",
+        "C(2p-1, p-1) == 1 (mod p^3), p >= 5",
+        5, 5, "none", 3, _BINOM2, _ONE,
+    ),
+    CongruenceCase(
+        "morley",
+        "(-1)^((p-1)/2) C(p-1, (p-1)/2) == 4^(p-1) (mod p^3), p >= 5",
+        5, 5, "none", 3, _CENTRAL, _FOUR,
+    ),
+    CongruenceCase(
+        "glaisher_rel74",
+        "C(np-1, p-1) == 1 (mod p^3), p >= 5, integer n >= 1",
+        5, 5, "integer", 3, _BINOM, _ONE,
+    ),
+    CongruenceCase(
+        "glaisher_rel3",
+        "C(np-1, p-1) == 1 - n(n-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
+        5, 5, "integer", 4, _BINOM,
+        _ONE + (Term(_GLAISHER_B, 3, "B"),),
+    ),
+    CongruenceCase(
+        "glaisher1900_p4",
+        "C(2p-1, p-1) == 1 + 2p S_1 (mod p^4), p >= 3",
+        3, 3, "none", 4, _BINOM2,
+        _ONE + (Term((2,), 1, "S1"),),
+    ),
+    CongruenceCase(
+        "carlitz",
+        "central == 4^(p-1) + p^3 B_{p-3} / 12 (mod p^4), p >= 5",
+        5, 5, "none", 4, _CENTRAL,
+        _FOUR + (Term((Fraction(1, 12),), 3, "B"),),
+    ),
+    CongruenceCase(
+        "mcintosh",
+        "C(2p-1, p-1) == 1 - p^2 S_2 (mod p^5), p >= 7",
+        7, 7, "none", 5, _BINOM2,
+        _ONE + (Term((-1,), 2, "S2"),),
+    ),
+    CongruenceCase(
+        "zhao",
+        "C(2p-1, p-1) == 1 + 2p S_1 (mod p^5), p >= 7",
+        7, 7, "none", 5, _BINOM2,
+        _ONE + (Term((2,), 1, "S1"),),
+    ),
+    CongruenceCase(
+        "tauraso92",
+        "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 7",
+        7, 7, "none", 6, _BINOM2,
+        _ONE + (Term((2,), 1, "S1"), Term((Fraction(2, 3),), 3, "S3")),
+        note="stated from p >= 7; the p >= 11 reading is a sub-range",
+    ),
+    CongruenceCase(
+        "tauraso93",
+        "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6), p >= 7",
+        7, 7, "none", 6, _BINOM2,
+        _ONE + (Term((-2,), 1, "S1"), Term((-2,), 2, "S2")),
+        note="stated from p >= 7; the p >= 11 reading is a sub-range",
+    ),
+    CongruenceCase(
+        "mestrovic80",
+        "C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^7), p >= 11",
+        11, 11, "none", 7, _BINOM2,
+        _ONE + (Term((-2,), 1, "S1"), Term((4,), 2, "H2")),
+    ),
+    # -- the generalized congruence and its specializations -----------------
+    CongruenceCase(
+        "thm1",
+        "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 + a^2(a-1)^2 p^2 H_2 "
+        "(mod p^m), m = 7 except m = 6 at p = 7",
+        3, 3, "sweep", 7, _BINOM,
+        _ONE + (Term(_MINUS_A1, 1, "S1"), Term(_A2, 2, "H2")),
+        note="claimed for every odd prime; proof range is p = 7 and "
+        "p >= 11, so outcomes at p = 3, 5 are findings",
+        drops_at_seven=True,
+    ),
+    CongruenceCase(
+        "rel30",
+        "thm1 at alpha = 2: C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^m)",
+        3, 3, "none", 7, _BINOM2,
+        _ONE + (Term((-2,), 1, "S1"), Term((4,), 2, "H2")),
+        drops_at_seven=True,
+    ),
+    CongruenceCase(
+        "rel31",
+        "central == 4^(p-1) (1 - (5/16) p S_1 + (1/16) p^2 H_2) (mod p^m)",
+        3, 3, "none", 7, _CENTRAL,
+        _FOUR
+        + (
+            Term((Fraction(-5, 16),), 1, "S1", True),
+            Term((Fraction(1, 16),), 2, "H2", True),
         ),
-        CongruenceCase(
-            "wolstenholme_rel70",
-            "C(2p-1, p-1) == 1 (mod p^3), p >= 5",
-            5, 5, "none", _const(3), _w2_lhs, _one_rhs,
+        drops_at_seven=True,
+    ),
+    CongruenceCase(
+        "rel26",
+        "C(ap-1, p-1) == 1 (mod p^3), p >= 5, any p-integer a",
+        5, 5, "sweep", 3, _BINOM, _ONE,
+    ),
+    CongruenceCase(
+        "rel38",
+        "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 - (1/2) a^2(a-1)^2 p^2 S_2 "
+        "(mod p^6)",
+        5, 3, "sweep", 6, _BINOM,
+        _ONE
+        + (
+            Term(_MINUS_A1, 1, "S1"),
+            Term((0, 0, Fraction(-1, 2), 1, Fraction(-1, 2)), 2, "S2"),
         ),
-        CongruenceCase(
-            "morley",
-            "(-1)^((p-1)/2) C(p-1, (p-1)/2) == 4^(p-1) (mod p^3), p >= 5",
-            5, 5, "none", _const(3), _central_lhs,
-            lambda ctx, a: ctx.four_pow(),
+        note="stated for every odd prime but fails at p = 3 (difference "
+        "valuation 4); needs S_1 == 0 mod p^2, hence p >= 5",
+    ),
+    CongruenceCase(
+        "rel36",
+        "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6)",
+        5, 3, "none", 6, _BINOM2,
+        _ONE + (Term((-2,), 1, "S1"), Term((-2,), 2, "S2")),
+        note="alpha = 2 instance of rel38; same p = 3 caveat",
+    ),
+    CongruenceCase(
+        "rel37",
+        "central == 4^(p-1) (1 - (5/16) p S_1 - (1/32) p^2 S_2) (mod p^6)",
+        5, 3, "none", 6, _CENTRAL,
+        _FOUR
+        + (
+            Term((Fraction(-5, 16),), 1, "S1", True),
+            Term((Fraction(-1, 32),), 2, "S2", True),
         ),
-        CongruenceCase(
-            "glaisher_rel74",
-            "C(np-1, p-1) == 1 (mod p^3), p >= 5, integer n >= 1",
-            5, 5, "integer", _const(3), _w_lhs, _one_rhs,
+        note="alpha = 1/2 instance of rel38; same p = 3 caveat",
+    ),
+    CongruenceCase(
+        "coro_rel2",
+        "C(ap-1, p-1) == 1 - a(a-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
+        5, 5, "sweep", 4, _BINOM,
+        _ONE + (Term(_GLAISHER_B, 3, "B"),),
+    ),
+    CongruenceCase(
+        "rel34",
+        "2p S_1 + p^2 S_2 == 0 (mod p^5), p >= 7",
+        7, 7, "none", 5,
+        (Term((2,), 1, "S1"), Term((1,), 2, "S2")),
+        _ZERO,
+    ),
+    CongruenceCase(
+        "coro_rel5b",
+        "C(ap-1, p-1) == 1 + a(a-1) p S_1 (mod p^5), p >= 7",
+        7, 7, "sweep", 5, _BINOM,
+        _ONE + (Term((0, -1, 1), 1, "S1"),),
+    ),
+    CongruenceCase(
+        "coro_rel5",
+        "C(ap-1, p-1) == 1 - (1/2) a(a-1) p^2 S_2 (mod p^5), p >= 7",
+        7, 7, "sweep", 5, _BINOM,
+        _ONE + (Term((0, Fraction(1, 2), Fraction(-1, 2)), 2, "S2"),),
+    ),
+    CongruenceCase(
+        "coro_rel6b",
+        "central == 4^(p-1) (1 - (1/4) p S_1) (mod p^5), p >= 7",
+        7, 7, "none", 5, _CENTRAL,
+        _FOUR + (Term((Fraction(-1, 4),), 1, "S1", True),),
+    ),
+    CongruenceCase(
+        "coro_rel6",
+        "central == 4^(p-1) (1 + (1/8) p^2 S_2) (mod p^5), p >= 7",
+        7, 7, "none", 5, _CENTRAL,
+        _FOUR + (Term((Fraction(1, 8),), 2, "S2", True),),
+    ),
+    CongruenceCase(
+        "rel63",
+        "S_1 + (1/2) p S_2 + (1/6) p^2 S_3 == 0 (mod p^6), p >= 11",
+        11, 11, "none", 6,
+        (
+            Term((1,), 0, "S1"),
+            Term((Fraction(1, 2),), 1, "S2"),
+            Term((Fraction(1, 6),), 2, "S3"),
         ),
-        CongruenceCase(
-            "glaisher_rel3",
-            "C(np-1, p-1) == 1 - n(n-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
-            5, 5, "integer", _const(4), _w_lhs,
-            _bern_rhs(lambda a: -f(1, 3) * a * (a - 1)),
-            needs_bernoulli=True,
+        _ZERO,
+        note="also holds at p = 5, the only smaller prime where p-1 does "
+        "not divide 6; the lemma suite tests that reading",
+    ),
+    CongruenceCase(
+        "coro_63_alpha",
+        "C(ap-1, p-1) == 1 + a(a-1) p S_1 + (1/6) a^2(a-1)^2 p^3 S_3 "
+        "(mod p^6), p >= 11",
+        11, 11, "sweep", 6, _BINOM,
+        _ONE
+        + (
+            Term((0, -1, 1), 1, "S1"),
+            Term((0, 0, Fraction(1, 6), Fraction(-1, 3), Fraction(1, 6)), 3, "S3"),
         ),
-        CongruenceCase(
-            "glaisher1900_p4",
-            "C(2p-1, p-1) == 1 + 2p S_1 (mod p^4), p >= 3",
-            3, 3, "none", _const(4), _w2_lhs,
-            _series_rhs((f(2), 1, 1)),
+    ),
+    CongruenceCase(
+        "coro_63_alpha2",
+        "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 11",
+        11, 11, "none", 6, _BINOM2,
+        _ONE + (Term((2,), 1, "S1"), Term((Fraction(2, 3),), 3, "S3")),
+    ),
+    CongruenceCase(
+        "coro_63_half",
+        "central == 4^(p-1) (1 - (1/4) p S_1 + (1/96) p^3 S_3) (mod p^6), "
+        "p >= 11",
+        11, 11, "none", 6, _CENTRAL,
+        _FOUR
+        + (
+            Term((Fraction(-1, 4),), 1, "S1", True),
+            Term((Fraction(1, 96),), 3, "S3", True),
         ),
-        CongruenceCase(
-            "carlitz",
-            "central == 4^(p-1) + p^3 B_{p-3} / 12 (mod p^4), p >= 5",
-            5, 5, "none", _const(4), _central_lhs, _carlitz_rhs,
-            needs_bernoulli=True,
-        ),
-        CongruenceCase(
-            "mcintosh",
-            "C(2p-1, p-1) == 1 - p^2 S_2 (mod p^5), p >= 7",
-            7, 7, "none", _const(5), _w2_lhs,
-            _series_rhs((f(-1), 2, 2)),
-        ),
-        CongruenceCase(
-            "zhao",
-            "C(2p-1, p-1) == 1 + 2p S_1 (mod p^5), p >= 7",
-            7, 7, "none", _const(5), _w2_lhs,
-            _series_rhs((f(2), 1, 1)),
-        ),
-        CongruenceCase(
-            "tauraso92",
-            "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 7",
-            7, 7, "none", _const(6), _w2_lhs,
-            _series_rhs((f(2), 1, 1), (f(2, 3), 3, 3)),
-            note="stated from p >= 7; the p >= 11 reading is a sub-range",
-        ),
-        CongruenceCase(
-            "tauraso93",
-            "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6), p >= 7",
-            7, 7, "none", _const(6), _w2_lhs,
-            _series_rhs((f(-2), 1, 1), (f(-2), 2, 2)),
-            note="stated from p >= 7; the p >= 11 reading is a sub-range",
-        ),
-        CongruenceCase(
-            "mestrovic80",
-            "C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^7), p >= 11",
-            11, 11, "none", _const(7), _w2_lhs,
-            _series_rhs((f(-2), 1, 1), (f(4), 2, "h2")),
-        ),
-        # -- the generalized congruence and its specializations -------------
-        CongruenceCase(
-            "thm1",
-            "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 + a^2(a-1)^2 p^2 H_2 "
-            "(mod p^m), m = 7 except m = 6 at p = 7",
-            3, 3, "sweep", _thm_exponent, _w_lhs, _thm1_rhs_eval,
-            note="claimed for every odd prime; proof range is p = 7 and "
-            "p >= 11, so outcomes at p = 3, 5 are findings",
-        ),
-        CongruenceCase(
-            "rel30",
-            "thm1 at alpha = 2: C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^m)",
-            3, 3, "none", _thm_exponent, _w2_lhs,
-            _series_rhs((f(-2), 1, 1), (f(4), 2, "h2")),
-        ),
-        CongruenceCase(
-            "rel31",
-            "central == 4^(p-1) (1 - (5/16) p S_1 + (1/16) p^2 H_2) (mod p^m)",
-            3, 3, "none", _thm_exponent, _central_lhs,
-            _central_series_rhs((f(-5, 16), 1, 1), (f(1, 16), 2, "h2")),
-        ),
-        CongruenceCase(
-            "rel26",
-            "C(ap-1, p-1) == 1 (mod p^3), p >= 5, any p-integer a",
-            5, 5, "sweep", _const(3), _w_lhs, _one_rhs,
-        ),
-        CongruenceCase(
-            "rel38",
-            "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 - (1/2) a^2(a-1)^2 p^2 S_2 "
-            "(mod p^6)",
-            5, 3, "sweep", _const(6), _w_lhs,
-            _series_rhs(
-                (lambda a: -coef_a(a), 1, 1),
-                (lambda a: -f(1, 2) * coef_b(a), 2, 2),
-            ),
-            note="stated for every odd prime but fails at p = 3 (difference "
-            "valuation 4); needs S_1 == 0 mod p^2, hence p >= 5",
-        ),
-        CongruenceCase(
-            "rel36",
-            "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6)",
-            5, 3, "none", _const(6), _w2_lhs,
-            _series_rhs((f(-2), 1, 1), (f(-2), 2, 2)),
-            note="alpha = 2 instance of rel38; same p = 3 caveat",
-        ),
-        CongruenceCase(
-            "rel37",
-            "central == 4^(p-1) (1 - (5/16) p S_1 - (1/32) p^2 S_2) (mod p^6)",
-            5, 3, "none", _const(6), _central_lhs,
-            _central_series_rhs((f(-5, 16), 1, 1), (f(-1, 32), 2, 2)),
-            note="alpha = 1/2 instance of rel38; same p = 3 caveat",
-        ),
-        CongruenceCase(
-            "coro_rel2",
-            "C(ap-1, p-1) == 1 - a(a-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
-            5, 5, "sweep", _const(4), _w_lhs,
-            _bern_rhs(lambda a: -f(1, 3) * a * (a - 1)),
-            needs_bernoulli=True,
-        ),
-        CongruenceCase(
-            "rel34",
-            "2p S_1 + p^2 S_2 == 0 (mod p^5), p >= 7",
-            7, 7, "none", _const(5), _pair_sum_lhs, _zero_rhs,
-        ),
-        CongruenceCase(
-            "coro_rel5b",
-            "C(ap-1, p-1) == 1 + a(a-1) p S_1 (mod p^5), p >= 7",
-            7, 7, "sweep", _const(5), _w_lhs,
-            _series_rhs((lambda a: a * (a - 1), 1, 1)),
-        ),
-        CongruenceCase(
-            "coro_rel5",
-            "C(ap-1, p-1) == 1 - (1/2) a(a-1) p^2 S_2 (mod p^5), p >= 7",
-            7, 7, "sweep", _const(5), _w_lhs,
-            _series_rhs((lambda a: -f(1, 2) * a * (a - 1), 2, 2)),
-        ),
-        CongruenceCase(
-            "coro_rel6b",
-            "central == 4^(p-1) (1 - (1/4) p S_1) (mod p^5), p >= 7",
-            7, 7, "none", _const(5), _central_lhs,
-            _central_series_rhs((f(-1, 4), 1, 1)),
-        ),
-        CongruenceCase(
-            "coro_rel6",
-            "central == 4^(p-1) (1 + (1/8) p^2 S_2) (mod p^5), p >= 7",
-            7, 7, "none", _const(5), _central_lhs,
-            _central_series_rhs((f(1, 8), 2, 2)),
-        ),
-        CongruenceCase(
-            "rel63",
-            "S_1 + (1/2) p S_2 + (1/6) p^2 S_3 == 0 (mod p^6), p >= 11",
-            11, 11, "none", _const(6), _triple_sum_lhs, _zero_rhs,
-            note="also holds at p = 5, the only smaller prime where p-1 does "
-            "not divide 6; the lemma suite tests that reading",
-        ),
-        CongruenceCase(
-            "coro_63_alpha",
-            "C(ap-1, p-1) == 1 + a(a-1) p S_1 + (1/6) a^2(a-1)^2 p^3 S_3 "
-            "(mod p^6), p >= 11",
-            11, 11, "sweep", _const(6), _w_lhs,
-            _series_rhs(
-                (lambda a: a * (a - 1), 1, 1),
-                (lambda a: f(1, 6) * coef_b(a), 3, 3),
-            ),
-        ),
-        CongruenceCase(
-            "coro_63_alpha2",
-            "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 11",
-            11, 11, "none", _const(6), _w2_lhs,
-            _series_rhs((f(2), 1, 1), (f(2, 3), 3, 3)),
-        ),
-        CongruenceCase(
-            "coro_63_half",
-            "central == 4^(p-1) (1 - (1/4) p S_1 + (1/96) p^3 S_3) (mod p^6), "
-            "p >= 11",
-            11, 11, "none", _const(6), _central_lhs,
-            _central_series_rhs((f(-1, 4), 1, 1), (f(1, 96), 3, 3)),
-        ),
-    ]
-    catalog = {}
-    for case in cases:
-        if case.id in catalog:
-            raise ValueError(f"duplicate catalog id {case.id}")
-        catalog[case.id] = case
-    return catalog
+    ),
+)
+
+CATALOG = {case.id: case for case in _CASES}
+if len(CATALOG) != len(_CASES):
+    raise ValueError("duplicate catalog id")
 
 
-CATALOG = _build_catalog()
+def thm1_rhs(alpha, modulus: PrimePowerModulus) -> Residue:
+    """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
+    ctx = PrimeContext(modulus.p, modulus.m)
+    return Residue(_evaluate(ctx, CATALOG["thm1"].rhs, Fraction(alpha)), modulus)
 
 
 def verify_case(
@@ -651,7 +639,7 @@ def verify_case(
     case's range, alpha not a p-integer, alpha outside an integer-only
     case's domain).  With `tightness` the two sides are compared at exponent
     m + 1 so the recorded valuation can reveal a congruence that holds one
-    power higher than stated.
+    power higher than stated.  Without `ctx` a fresh context is built.
     """
     if isinstance(case, str):
         try:
@@ -664,7 +652,8 @@ def verify_case(
     else:
         if alpha is None:
             raise ValueError(f"case {case.id} requires an alpha parameter")
-        alpha = Fraction(alpha)
+        if not isinstance(alpha, Fraction):
+            alpha = Fraction(alpha)
 
     min_p = case.claimed_min_p if claimed_ranges else case.min_p
     if p < min_p:
@@ -678,12 +667,12 @@ def verify_case(
     m = case.modulus_exponent(p)
     m_eval = m + 1 if tightness else m
     if ctx is None:
-        ctx = get_context(p, m_eval)
+        ctx = PrimeContext(p, m_eval)
     if ctx.exponent < m_eval:
         raise ValueError(
             f"context exponent {ctx.exponent} below required {m_eval}"
         )
-    eval_modulus = PrimePowerModulus(p, m_eval)
-    lhs = case.lhs(ctx, alpha) % eval_modulus.pm
-    rhs = case.rhs(ctx, alpha) % eval_modulus.pm
+    eval_modulus = ctx.modulus_at(m_eval)
+    lhs = _evaluate(ctx, case.lhs, alpha) % eval_modulus.pm
+    rhs = _evaluate(ctx, case.rhs, alpha) % eval_modulus.pm
     return judge(case.id, p, alpha, m, lhs, rhs, eval_modulus)

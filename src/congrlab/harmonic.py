@@ -34,7 +34,6 @@ __all__ = [
     "harmonic_numbers_exact",
     "harmonic_table",
     "inverse_table",
-    "power_sum",
     "power_sum_exact",
     "power_sum_table",
 ]
@@ -74,9 +73,6 @@ class HarmonicTable:
             return 0
         return self.h[k]
 
-    def residue(self, k: int):
-        return self.modulus.residue(self.value(k))
-
 
 def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
     p, pm = modulus.p, modulus.pm
@@ -94,22 +90,15 @@ def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
 
 @dataclass(frozen=True)
 class PowerSumTable:
-    """Residues of S_m = sum_{k=1}^{p-1} 1/k^m for 1 <= m <= max_exponent."""
+    """Residues of S_m = sum_{k=1}^{p-1} 1/k^m for 1 <= m <= len(sums)."""
 
     modulus: PrimePowerModulus
     sums: tuple
-
-    @property
-    def max_exponent(self) -> int:
-        return len(self.sums)
 
     def value(self, exponent: int) -> int:
         if not 1 <= exponent <= len(self.sums):
             raise ValueError(f"exponent {exponent} outside table range")
         return self.sums[exponent - 1]
-
-    def residue(self, exponent: int):
-        return self.modulus.residue(self.value(exponent))
 
 
 def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTable:
@@ -123,18 +112,6 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
             w = w * ik % pm
             acc[e] += w
     return PowerSumTable(modulus, tuple(a % pm for a in acc))
-
-
-def power_sum(modulus: PrimePowerModulus, exponent: int):
-    """Residue of sum_{k=1}^{p-1} 1/k^exponent in Z/p^m."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    p, pm = modulus.p, modulus.pm
-    inv = inverse_table(p, pm)
-    total = 0
-    for k in range(1, p):
-        total += pow(inv[k], exponent, pm)
-    return modulus.residue(total)
 
 
 # ---------------------------------------------------------------------------

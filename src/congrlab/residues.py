@@ -15,19 +15,12 @@ from typing import NamedTuple
 
 __all__ = [
     "CongrlabError",
-    "ModulusMismatch",
-    "NonUnit",
     "NotPInteger",
     "PrimePowerModulus",
     "Residue",
     "Valuation",
-    "inverse_mod",
     "is_prime",
     "parse_rational",
-    "q_add",
-    "q_div",
-    "q_mul",
-    "q_neg",
     "residue_of_rational",
     "valuation_of_difference",
 ]
@@ -35,14 +28,6 @@ __all__ = [
 
 class CongrlabError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class ModulusMismatch(CongrlabError):
-    """Raised when combining residues that live in different rings."""
-
-
-class NonUnit(CongrlabError):
-    """Raised when inverting an element divisible by p."""
 
 
 class NotPInteger(CongrlabError):
@@ -107,14 +92,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def inverse_mod(x: int, modulus: int) -> int:
-    """Inverse of x modulo `modulus`, raising NonUnit when gcd(x, modulus) > 1."""
-    try:
-        return pow(x, -1, modulus)
-    except ValueError:
-        raise NonUnit(f"{x} is not invertible modulo {modulus}") from None
-
-
 @dataclass(frozen=True)
 class PrimePowerModulus:
     """The ring Z/p^m for an odd prime p and exponent m >= 1.
@@ -134,15 +111,6 @@ class PrimePowerModulus:
             raise ValueError(f"modulus base must be an odd prime, got {self.p}")
         object.__setattr__(self, "pm", self.p**self.m)
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value, self)
-
-    def from_rational(self, q) -> "Residue":
-        return residue_of_rational(q, self)
-
-    def at_exponent(self, m: int) -> "PrimePowerModulus":
-        return PrimePowerModulus(self.p, m)
-
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.m}"
 
@@ -156,68 +124,6 @@ class Residue:
 
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.modulus.pm)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"cannot combine {self.modulus} with {other.modulus}"
-                )
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def inv(self) -> "Residue":
-        if self.value % self.modulus.p == 0:
-            raise NonUnit(f"{self.value} is divisible by {self.modulus.p}")
-        return Residue(pow(self.value, -1, self.modulus.pm), self.modulus)
-
-    def __pow__(self, exponent: int) -> "Residue":
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0 and self.value % self.modulus.p == 0:
-            raise NonUnit(f"{self.value} is divisible by {self.modulus.p}")
-        return Residue(pow(self.value, exponent, self.modulus.pm), self.modulus)
-
-    def at_exponent(self, m: int) -> "Residue":
-        """Reduce to the smaller ring Z/p^m (m <= current exponent)."""
-        if m > self.modulus.m:
-            raise ValueError(
-                f"cannot lift a residue from exponent {self.modulus.m} to {m}"
-            )
-        return Residue(self.value, self.modulus.at_exponent(m))
-
-    def __int__(self) -> int:
-        return self.value
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus.p}^{self.modulus.m})"
@@ -243,14 +149,12 @@ class Valuation(NamedTuple):
         return cls(int(text), False)
 
 
-def valuation_of_difference(a: Residue, b: Residue) -> Valuation:
-    """Largest j <= m with p^j | (a - b); reported as a floor when a == b."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(f"cannot compare {a.modulus} with {b.modulus}")
-    p, m = a.modulus.p, a.modulus.m
-    d = (a.value - b.value) % a.modulus.pm
+def valuation_of_difference(a: int, b: int, modulus: PrimePowerModulus) -> Valuation:
+    """Largest j <= m with p^j | (a - b) in Z/p^m; reported as a floor when a == b."""
+    p = modulus.p
+    d = (a - b) % modulus.pm
     if d == 0:
-        return Valuation(m, True)
+        return Valuation(modulus.m, True)
     v = 0
     while d % p == 0:
         d //= p
@@ -273,25 +177,8 @@ def residue_of_rational(q, modulus: PrimePowerModulus) -> Residue:
 # exact rational arithmetic (the oracle side)
 # ---------------------------------------------------------------------------
 #
-# Exact rationals are fractions.Fraction throughout the package: it already
-# guarantees the normal form (reduced, positive denominator) these helpers
-# would otherwise have to maintain.
-
-
-def q_add(a, b) -> Fraction:
-    return Fraction(a) + Fraction(b)
-
-
-def q_mul(a, b) -> Fraction:
-    return Fraction(a) * Fraction(b)
-
-
-def q_div(a, b) -> Fraction:
-    return Fraction(a) / Fraction(b)
-
-
-def q_neg(a) -> Fraction:
-    return -Fraction(a)
+# Exact rationals are fractions.Fraction throughout the package, which keeps
+# them in normal form (reduced, positive denominator).
 
 
 def parse_rational(text: str) -> Fraction:

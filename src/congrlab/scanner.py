@@ -241,32 +241,35 @@ def run_scan(config: ScanConfig) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
+def _maybe(convert):
+    """Apply `convert` to a present value; an absent one (None) stays None."""
+    return lambda value: None if value is None else convert(value)
+
+
+# The report's columns: (Verdict field, its JSON value, the field from that
+# JSON value).  p and m stay JSON numbers; residues are decimal strings
+# because they routinely exceed 64 bits; None is null in JSON and an empty
+# cell in CSV and text.  CSV has every column but the reason.
+_COLUMNS = (
+    ("case", str, str),
+    ("p", int, int),
+    ("alpha", _maybe(str), _maybe(Fraction)),
+    ("m", _maybe(int), _maybe(int)),
+    ("lhs", _maybe(str), _maybe(int)),
+    ("rhs", _maybe(str), _maybe(int)),
+    ("status", str, str),
+    ("valuation", _maybe(str), _maybe(Valuation.parse)),
+    ("reason", lambda reason: reason or None, lambda reason: reason or ""),
+)
+_CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS if name != "reason")
+
+
 def _record_dict(v: Verdict) -> dict:
-    return {
-        "case": v.case,
-        "p": v.p,
-        "alpha": None if v.alpha is None else str(v.alpha),
-        "m": v.m,
-        "lhs": None if v.lhs is None else str(v.lhs),
-        "rhs": None if v.rhs is None else str(v.rhs),
-        "status": v.status,
-        "valuation": None if v.valuation is None else str(v.valuation),
-        "reason": v.reason or None,
-    }
+    return {name: to_json(getattr(v, name)) for name, to_json, _ in _COLUMNS}
 
 
 def _record_from_dict(d: dict) -> Verdict:
-    return Verdict(
-        case=d["case"],
-        p=d["p"],
-        alpha=None if d["alpha"] is None else Fraction(d["alpha"]),
-        m=d["m"],
-        lhs=None if d["lhs"] is None else int(d["lhs"]),
-        rhs=None if d["rhs"] is None else int(d["rhs"]),
-        status=d["status"],
-        valuation=None if d["valuation"] is None else Valuation.parse(d["valuation"]),
-        reason=d["reason"] or "",
-    )
+    return Verdict(**{name: from_json(d[name]) for name, _, from_json in _COLUMNS})
 
 
 def emit_report(report: ScanReport, fmt: str) -> bytes:
@@ -282,20 +285,10 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation"])
+        writer.writerow(_CSV_COLUMNS)
         for v in report.records:
-            writer.writerow(
-                [
-                    v.case,
-                    v.p,
-                    "" if v.alpha is None else str(v.alpha),
-                    "" if v.m is None else v.m,
-                    "" if v.lhs is None else v.lhs,
-                    "" if v.rhs is None else v.rhs,
-                    v.status,
-                    "" if v.valuation is None else str(v.valuation),
-                ]
-            )
+            row = _record_dict(v)
+            writer.writerow(["" if row[n] is None else row[n] for n in _CSV_COLUMNS])
         return buf.getvalue().encode()
     if fmt == "text":
         return _emit_text(report)
@@ -303,22 +296,11 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
 
 
 def _emit_text(report: ScanReport) -> bytes:
-    headers = ["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason"]
-    rows = []
-    for v in report.records:
-        rows.append(
-            [
-                v.case,
-                str(v.p),
-                "" if v.alpha is None else str(v.alpha),
-                "" if v.m is None else str(v.m),
-                "" if v.lhs is None else str(v.lhs),
-                "" if v.rhs is None else str(v.rhs),
-                v.status,
-                "" if v.valuation is None else str(v.valuation),
-                v.reason,
-            ]
-        )
+    headers = [name for name, _, _ in _COLUMNS]
+    rows = [
+        ["" if cell is None else str(cell) for cell in _record_dict(v).values()]
+        for v in report.records
+    ]
     widths = [len(h) for h in headers]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]

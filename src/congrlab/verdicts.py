@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .residues import PrimePowerModulus, Residue, Valuation, valuation_of_difference
+from .residues import PrimePowerModulus, Valuation, valuation_of_difference
 
 PASS = "pass"
 FAIL = "fail"
@@ -55,23 +55,6 @@ def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:
     return Verdict(case, p, alpha, None, None, None, SKIP, None, reason)
 
 
-def judged(
-    case: str,
-    p: int,
-    alpha: Optional[Fraction],
-    m: int,
-    lhs: int,
-    rhs: int,
-    valuation: Valuation,
-    reason: str = "",
-) -> Verdict:
-    """Build a pass/fail verdict; pass means the sides agree modulo p^m."""
-    ok = valuation.value >= m
-    return Verdict(
-        case, p, alpha, m, lhs, rhs, PASS if ok else FAIL, valuation, reason
-    )
-
-
 def judge(
     case: str,
     p: int,
@@ -80,16 +63,14 @@ def judge(
     lhs: int,
     rhs: int,
     eval_modulus: PrimePowerModulus,
-    reason: str = "",
 ) -> Verdict:
     """Judge two working residues against the target modulus p^m.
 
     lhs and rhs live in `eval_modulus` (exponent >= m); the verdict records
     them reduced modulo p^m and the valuation of their difference as seen at
-    the evaluation exponent.
+    the evaluation exponent.  Pass means the sides agree modulo p^m.
     """
-    val = valuation_of_difference(
-        Residue(lhs, eval_modulus), Residue(rhs, eval_modulus)
-    )
+    val = valuation_of_difference(lhs, rhs, eval_modulus)
     pm = p**m
-    return judged(case, p, alpha, m, lhs % pm, rhs % pm, val, reason)
+    status = PASS if val.value >= m else FAIL
+    return Verdict(case, p, alpha, m, lhs % pm, rhs % pm, status, val)

@@ -87,7 +87,7 @@ class TestReductions:
     def test_reduction_consistency(self, p):
         high = bernoulli_mod(p, p - 3, 4)
         for j in (1, 2, 3):
-            assert high.at_exponent(j) == bernoulli_mod(p, p - 3, j)
+            assert high.value % p**j == bernoulli_mod(p, p - 3, j).value
 
     def test_b_p_minus_3_always_reducible(self):
         # p - 1 never divides p - 3 for p >= 5, so p never hits the denominator

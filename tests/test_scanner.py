@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import congrlab.cli
 from congrlab import (
+    CongrlabError,
     ScanConfig,
     UsageError,
     emit_report,
@@ -67,11 +69,25 @@ class TestParseConfig:
         assert cfg.cases == ("babbage", "morley")
         assert cfg.alphas == (Fraction(1, 2), Fraction(2))
 
-    def test_env_overrides_workers(self):
+    def test_env_overrides_workers(self, monkeypatch):
+        # eight CPUs, so neither count below is clamped on a smaller machine
+        monkeypatch.setattr(congrlab.cli, "_available_cpus", lambda: 8)
         cfg = parse_config(["scan", "--workers", "3"], {"CONGRLAB_WORKERS": "5"})
         assert cfg.workers == 5
         cfg = parse_config(["scan", "--workers", "3"], {})
         assert cfg.workers == 3
+
+    def test_workers_clamped_to_available_cpus(self):
+        # resolves the count only; no pool is started
+        cpus = congrlab.cli._available_cpus()
+        assert congrlab.cli._resolve_workers(10**6, {}) == cpus
+        assert congrlab.cli._resolve_workers(None, {}) == cpus
+        env = {"CONGRLAB_WORKERS": str(10**6)}
+        assert congrlab.cli._resolve_workers(1, env) == cpus
+        assert congrlab.cli._resolve_workers(None, {"CONGRLAB_WORKERS": "1"}) == 1
+
+    def test_library_worker_count_not_clamped(self):
+        assert ScanConfig(workers=10**6).validate().workers == 10**6
 
     def test_lemmas_defaults(self):
         cfg = parse_config(["lemmas"], {})
@@ -245,6 +261,15 @@ class TestCliContract:
         )
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_exit_three_on_internal_error(self, monkeypatch, capsys):
+        def broken(config):
+            raise CongrlabError("central binomial transfer mismatch at p=5")
+
+        monkeypatch.setattr(congrlab.cli, "run_scan", broken)
+        assert main(["scan", "--primes", "5..5", "--case", "morley"]) == 3
+        err = capsys.readouterr().err
+        assert err == "congrlab: internal error: central binomial transfer mismatch at p=5\n"
 
     def test_argparse_exits_two_on_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
