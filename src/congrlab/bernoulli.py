@@ -5,12 +5,12 @@ computed exactly with the classical recurrence
 
     sum_{k=0}^{n} C(n+1, k) B_k = 0,  B_0 = 1,
 
-and only reduced modulo p^j afterwards.  At the scale this package scans
-(p <= 10^4 only ever needs B_{p-3} for p <= 499, i.e. n <= 496) the exact
-route is fast and leaves nothing to get subtly wrong.
+and only reduced modulo p^j afterwards.  The recurrence costs far more than
+cubic in n, so it serves the lemma link suite (warmed once per process
+before the pool forks, then only read), p = 5, and the tests as an oracle.
 
-The cache grows monotonically and is meant to be warmed once per process
-before any parallel work starts; afterwards it is only read.
+The catalog only needs B_{p-3} modulo p^2, which Faulhaber's formula gives
+in O(p) modular powers without any exact number (`bernoulli_pm3_faulhaber`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "NonPIntegerBernoulli",
     "bernoulli_exact",
     "bernoulli_mod",
+    "bernoulli_pm3_faulhaber",
     "check_bernoulli_power_sums",
     "von_staudt_clausen_defect",
     "warm_bernoulli_cache",
@@ -89,6 +90,23 @@ def bernoulli_mod(p: int, n: int, j: int) -> Residue:
     if b.denominator % p == 0:
         raise NonPIntegerBernoulli(f"p={p} divides the denominator of B_{n}")
     return residue_of_rational(b, PrimePowerModulus(p, j))
+
+
+def bernoulli_pm3_faulhaber(p: int) -> int:
+    """B_{p-3} mod p^2 for p >= 7, read off sum_{k<p} k^(p-3) mod p^3.
+
+    The sum is p B_{p-3} modulo p^3.  In Faulhaber's formula for it, the
+    p^2 term carries B_{p-4} = 0, the next is (p-3)(p-4)/6 B_{p-5} p^3, and
+    every later term carries at least p^4 times a p-integral Bernoulli
+    number.  At p = 5 the B_1 term survives, so p = 5 needs the exact route.
+    """
+    if p < 7:
+        raise ValueError(f"Faulhaber's route to B_(p-3) needs p >= 7, got {p}")
+    p3 = p**3
+    total = sum(pow(k, p - 3, p3) for k in range(1, p)) % p3
+    if total % p:
+        raise CongrlabError(f"power sum for B_{p - 3} not divisible by p={p}")
+    return total // p
 
 
 def von_staudt_clausen_defect(n: int) -> Fraction:

@@ -9,11 +9,11 @@ exact-rational product formula kept alongside as the independent oracle.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
 by one interpreter against a `PrimeContext`.  The context caches the
-per-prime ingredients (harmonic table, power sums, binomials per alpha,
-4^(p-1), B_{p-3}) at one working exponent; each case then reduces to its
-own modulus.  Contexts are built per prime and never mutated after their
-lazy fields fill in, so sharing one across the cases and alpha values of a
-single prime is safe.
+per-prime ingredients (S_1, S_2, S_3 and H_2 from one O(p) pass, binomials
+per alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent; each case
+then reduces to its own modulus.  Contexts are built per prime and never
+mutated after their lazy fields fill in, so sharing one across the cases
+and alpha values of a single prime is safe.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .bernoulli import bernoulli_mod
-from .harmonic import HarmonicTable, harmonic_numbers_exact, harmonic_table, power_sum_table
+from .bernoulli import bernoulli_mod, bernoulli_pm3_faulhaber
+from .harmonic import (
+    CatalogSums,
+    HarmonicTable,
+    catalog_sums,
+    harmonic_numbers_exact,
+    harmonic_table,
+)
 from .residues import (
     CongrlabError,
     NotPInteger,
@@ -74,16 +80,36 @@ def binom_exact(alpha, p: int) -> Fraction:
     return binom_rational_exact(Fraction(alpha) * p - 1, p - 1)
 
 
-def binom_alpha_mod(alpha, modulus: PrimePowerModulus) -> Residue:
-    """Residue of C(alpha*p - 1, p - 1), computed inside Z/p^m."""
+def _factorial_inverse(modulus: PrimePowerModulus) -> int:
+    """Residue of 1/(p-1)! in Z/p^m."""
+    pm = modulus.pm
+    fact = 1
+    for k in range(2, modulus.p):
+        fact = fact * k % pm
+    return pow(fact, -1, pm)
+
+
+def binom_alpha_mod(
+    alpha, modulus: PrimePowerModulus, fact_inv: Optional[int] = None
+) -> Residue:
+    """Residue of C(alpha*p - 1, p - 1), computed inside Z/p^m.
+
+    `fact_inv` is the residue of 1/(p-1)!; without it the factorial is
+    accumulated in the same loop as the numerator.
+    """
     p, pm = modulus.p, modulus.pm
     a = residue_of_rational(alpha, modulus).value * p % pm
     num = 1
-    fact = 1
-    for k in range(1, p):
-        num = num * (a - k) % pm
-        fact = fact * k % pm
-    return Residue(num * pow(fact, -1, pm), modulus)
+    if fact_inv is None:
+        fact = 1
+        for k in range(1, p):
+            num = num * (a - k) % pm
+            fact = fact * k % pm
+        fact_inv = pow(fact, -1, pm)
+    else:
+        for k in range(1, p):
+            num = num * (a - k) % pm
+    return Residue(num * fact_inv % pm, modulus)
 
 
 def binom_alpha_expansion(
@@ -220,9 +246,9 @@ class PrimeContext:
         self._powers = {0: 1, exponent: self.pm}
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
-        self._table: Optional[HarmonicTable] = None
-        self._sums = None
+        self._sums: Optional[CatalogSums] = None
         self._binoms: dict = {}
+        self._fact_inv: Optional[int] = None
         self._central: Optional[int] = None
         self._four: Optional[int] = None
         self._bern: Optional[int] = None
@@ -238,16 +264,17 @@ class PrimeContext:
             self._moduli[m] = PrimePowerModulus(self.p, m)
         return self._moduli[m]
 
-    @property
-    def table(self) -> HarmonicTable:
-        if self._table is None:
-            self._table = harmonic_table(self.modulus)
-        return self._table
+    def sums(self) -> CatalogSums:
+        """S_1, S_2, S_3 and H_2, from one pass built on first use."""
+        if self._sums is None:
+            self._sums = catalog_sums(self.modulus)
+        return self._sums
 
     def sum_value(self, exponent: int) -> int:
-        if self._sums is None:
-            self._sums = power_sum_table(self.modulus, 3)
-        return self._sums.value(exponent)
+        """The inverse power sum S_exponent, for exponent 1, 2 or 3."""
+        if not 1 <= exponent <= 3:
+            raise ValueError(f"exponent {exponent} outside 1..3")
+        return self.sums()[exponent - 1]
 
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
@@ -259,8 +286,13 @@ class PrimeContext:
         return q.numerator * self._inverses[d] % self.pm
 
     def binom_w(self, alpha: Fraction) -> int:
+        """C(alpha*p - 1, p - 1); 1/(p-1)! is shared once a second alpha comes."""
         if alpha not in self._binoms:
-            self._binoms[alpha] = binom_alpha_mod(alpha, self.modulus).value
+            if self._binoms and self._fact_inv is None:
+                self._fact_inv = _factorial_inverse(self.modulus)
+            self._binoms[alpha] = binom_alpha_mod(
+                alpha, self.modulus, self._fact_inv
+            ).value
         return self._binoms[alpha]
 
     def four_pow(self) -> int:
@@ -287,8 +319,17 @@ class PrimeContext:
         return self._central
 
     def bernoulli_pm3(self) -> int:
+        """B_{p-3}, defined only modulo p^2 (p >= 5).
+
+        That is all the catalog can read: a "B" term carries p^3 and is
+        compared at most at p^5 (see `_catalog`).  p >= 7 takes Faulhaber's
+        route; p = 5 reduces the exact B_2.
+        """
         if self._bern is None:
-            self._bern = bernoulli_mod(self.p, self.p - 3, self.exponent).value
+            if self.p == 5:
+                self._bern = bernoulli_mod(self.p, self.p - 3, 2).value
+            else:
+                self._bern = bernoulli_pm3_faulhaber(self.p)
         return self._bern
 
     def ingredient(self, x: str, alpha: Optional[Fraction]) -> int:
@@ -302,7 +343,7 @@ class PrimeContext:
         if x == "S3":
             return self.sum_value(3)
         if x == "H2":
-            return self.table.value(2)
+            return self.sums().h2
         if x == "B":
             return self.bernoulli_pm3()
         if x == "binom":
@@ -379,10 +420,6 @@ class CongruenceCase:
 
     def modulus_exponent(self, p: int) -> int:
         return self.m - 1 if self.drops_at_seven and p == 7 else self.m
-
-    @property
-    def needs_bernoulli(self) -> bool:
-        return any(term.x == "B" for term in self.lhs + self.rhs)
 
 
 _ONE = (Term((1,), 0, "one"),)
@@ -614,9 +651,27 @@ _CASES = (
     ),
 )
 
-CATALOG = {case.id: case for case in _CASES}
-if len(CATALOG) != len(_CASES):
-    raise ValueError("duplicate catalog id")
+
+def _catalog(cases) -> dict:
+    """Cases by id; rejects a duplicate id and a "B" term read past p^2.
+
+    B_{p-3} is known only modulo p^2, so a term p^k * B_{p-3} may be compared
+    at most at p^(k+2), including the extra power `--tightness` adds.
+    """
+    catalog = {case.id: case for case in cases}
+    if len(catalog) != len(cases):
+        raise ValueError("duplicate catalog id")
+    for case in cases:
+        for term in case.lhs + case.rhs:
+            if term.x == "B" and case.m + 1 - term.k > 2:
+                raise ValueError(
+                    f"case {case.id}: B_(p-3) is known mod p^2, too coarse "
+                    f"for p^{term.k} at modulus p^{case.m + 1}"
+                )
+    return catalog
+
+
+CATALOG = _catalog(_CASES)
 
 
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> Residue:

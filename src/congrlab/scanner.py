@@ -1,10 +1,11 @@
 """Prime-range sweeps, parallel orchestration and report emission.
 
 Work is fanned out one prime per unit: all cases and alpha values for a
-prime share that prime's context (harmonic table, power sums, cached
-binomials).  Workers only read immutable inputs; results are merged and
-sorted by (case, p, alpha) before emission, so a report is byte-identical
-no matter how many workers produced it.  Residues are serialized as
+prime share that prime's context (S_1, S_2, S_3, H_2, B_{p-3}, cached
+binomials), which each worker builds from p alone.  Workers only read
+immutable inputs; results are merged and sorted by (case, p, alpha) before
+emission, so a report is byte-identical no matter how many workers produced
+it.  Residues are serialized as
 decimal strings because they routinely exceed 64 bits.
 """
 
@@ -176,6 +177,7 @@ def _run_tasks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         batches = [worker(task) for task in tasks]
     else:
+        # fork, so lemma workers inherit the Bernoulli cache run_scan warms
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(min(workers, len(tasks))) as pool:
@@ -218,9 +220,6 @@ def run_scan(config: ScanConfig) -> ScanReport:
         records = _run_tasks(_lemma_one_prime, tasks, config.workers)
     else:
         case_ids = config.case_ids()
-        if primes and any(CATALOG[cid].needs_bernoulli for cid in case_ids):
-            if max(primes) >= 5:
-                warm_bernoulli_cache(max(primes) - 3)
         tasks = [
             (p, case_ids, config.alphas, config.tightness, config.claimed_ranges)
             for p in primes

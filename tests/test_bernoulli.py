@@ -15,7 +15,9 @@ from congrlab import (
     residue_of_rational,
     von_staudt_clausen_defect,
 )
-from congrlab.bernoulli import BernoulliCache
+from congrlab.bernoulli import BernoulliCache, bernoulli_pm3_faulhaber
+from congrlab.congruences import PrimeContext
+from congrlab.scanner import odd_primes_between
 
 
 class TestExactValues:
@@ -93,6 +95,19 @@ class TestReductions:
         # p - 1 never divides p - 3 for p >= 5, so p never hits the denominator
         for p in (5, 7, 11, 13, 17, 19, 23):
             bernoulli_mod(p, p - 3, 3)
+
+
+class TestFaulhaber:
+    @pytest.mark.parametrize("p", odd_primes_between(5, 499))
+    def test_catalog_route_matches_exact(self, p):
+        # Faulhaber's sum for p >= 7, the exact B_2 at p = 5
+        exact = bernoulli_mod(p, p - 3, 2).value
+        assert PrimeContext(p, 2).bernoulli_pm3() == exact
+
+    def test_needs_p_at_least_seven(self):
+        # at p = 5 the B_1 term survives: 1 + 4 + 9 + 16 = 30, not 5 * B_2
+        with pytest.raises(ValueError):
+            bernoulli_pm3_faulhaber(5)
 
 
 class TestPowerSumLinks:

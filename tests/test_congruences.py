@@ -7,6 +7,8 @@ import pytest
 
 from congrlab import (
     CATALOG,
+    CongruenceCase,
+    bernoulli_mod,
     NotPInteger,
     PrimeContext,
     PrimePowerModulus,
@@ -24,6 +26,7 @@ from congrlab import (
     thm1_rhs,
     verify_case,
 )
+from congrlab.congruences import Term, _catalog
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 
 
@@ -340,11 +343,49 @@ class TestPrimeContext:
         assert ctx.power(7) == ctx.pm
 
     def test_bernoulli_residue(self):
+        # B_4 = -1/30; the exact route reduces it to any power, the context
+        # defines B_{p-3} only modulo p^2
+        b4 = Fraction(-1, 30)
+        assert bernoulli_mod(7, 4, 4).value == residue_of_rational(
+            b4, PrimePowerModulus(7, 4)
+        ).value
         ctx = PrimeContext(7, 4)
         assert ctx.bernoulli_pm3() == residue_of_rational(
-            Fraction(-1, 30), PrimePowerModulus(7, 4)
+            b4, PrimePowerModulus(7, 2)
         ).value
+
+    @pytest.mark.parametrize("p", [3, 7, 13, 97])
+    def test_binomials_share_the_factorial(self, p):
+        ctx = PrimeContext(p, 6)
+        alphas = [a for a in DEFAULT_ALPHA_SWEEP if a.denominator % p]
+        ctx.binom_w(alphas[0])
+        assert ctx._fact_inv is None  # one alpha keeps the fused loop
+        for alpha in alphas:
+            expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus).value
+            assert ctx.binom_w(alpha) == expected, alpha
+        assert ctx._fact_inv is not None
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeContext(9, 2)
+
+
+class TestCatalogGuard:
+    @staticmethod
+    def _case(k, m):
+        rhs = (Term((1,), 0, "one"), Term((1,), k, "B"))
+        lhs = (Term((1,), 0, "binom2"),)
+        return CongruenceCase("made_up", "", 5, 5, "none", m, lhs, rhs)
+
+    def test_bernoulli_term_read_past_p2_rejected(self):
+        # B_{p-3} is known mod p^2: p^2 B read at p^(4+1) needs it mod p^3
+        with pytest.raises(ValueError, match="B_"):
+            _catalog((self._case(2, 4),))
+
+    def test_bernoulli_term_at_the_bound_accepted(self):
+        assert list(_catalog((self._case(3, 4),))) == ["made_up"]
+
+    def test_duplicate_id_rejected(self):
+        case = CATALOG["babbage"]
+        with pytest.raises(ValueError, match="duplicate"):
+            _catalog((case, case))

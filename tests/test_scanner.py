@@ -16,6 +16,7 @@ from congrlab import (
     sieve_primes,
 )
 from congrlab.cli import main, parse_config
+from congrlab.congruences import PrimeContext
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 
 
@@ -189,6 +190,34 @@ class TestRunScan:
     def test_validate_rejects_unknown_case(self):
         with pytest.raises(UsageError):
             run_scan(ScanConfig(cases=("nope",)))
+
+
+class TestWolstenholmePrime:
+    """Known answers at 16843, the first Wolstenholme prime (McIntosh 1995)."""
+
+    B_CASES = {"wolstenholme_rel70", "morley", "glaisher_rel74"}
+
+    @staticmethod
+    def _anomalies(p):
+        report = run_scan(ScanConfig(prime_min=p, prime_max=p, tightness=True))
+        assert report.summary["fail"] == 0
+        return {(v.case, v.alpha) for v in report.anomalies}
+
+    def test_bernoulli_vanishes_mod_p_only_there(self):
+        assert PrimeContext(16843, 2).bernoulli_pm3() % 16843 == 0
+        assert PrimeContext(16829, 2).bernoulli_pm3() % 16829 != 0
+
+    def test_b_zero_mod_p_strengthens_the_catalog(self):
+        found = self._anomalies(16843)
+        assert {("wolstenholme_rel70", None), ("morley", None), ("babbage", None)} <= found
+        assert {("glaisher_rel74", Fraction(n)) for n in range(1, 7)} <= found
+
+    def test_ordinary_prime_only_universal_strengthenings(self):
+        # babbage holds mod p^3 at every p >= 5 (Wolstenholme's theorem) and
+        # glaisher_rel74 at n = 1 is C(p-1, p-1) = 1 exactly
+        found = self._anomalies(16829)
+        flagged = {(c, a) for c, a in found if c in self.B_CASES | {"babbage"}}
+        assert flagged == {("babbage", None), ("glaisher_rel74", Fraction(1))}
 
 
 class TestEmission:
