@@ -9,11 +9,11 @@ exact-rational product formula kept alongside as the independent oracle.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
 by one interpreter against a `PrimeContext`.  The context caches the
-per-prime ingredients (S_1, S_2, S_3 and H_2 from one O(p) pass, binomials
-per alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent; each case
-then reduces to its own modulus.  Contexts are built per prime and never
-mutated after their lazy fields fill in, so sharing one across the cases
-and alpha values of a single prime is safe.
+per-prime ingredients (S_1, S_2, S_3 and H_2 in O(p), 1/(p-1)! and the
+binomials per alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
+each case then reduces to its own modulus.  Contexts are built per prime
+and never mutated after their lazy fields fill in, so sharing one across
+the cases and alpha values of a single prime is safe.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod, bernoulli_pm3_faulhaber
 from .harmonic import (
-    CatalogSums,
     HarmonicTable,
-    catalog_sums,
+    PowerSumTable,
     harmonic_numbers_exact,
     harmonic_table,
+    power_sum_table,
 )
 from .residues import (
     CongrlabError,
@@ -81,11 +81,16 @@ def binom_exact(alpha, p: int) -> Fraction:
 
 
 def _factorial_inverse(modulus: PrimePowerModulus) -> int:
-    """Residue of 1/(p-1)! in Z/p^m."""
-    pm = modulus.pm
+    """Residue of 1/(p-1)! in Z/p^m.
+
+    `math.prod` multiplies each run of 64 consecutive factors in C, so the
+    loop reduces p/64 times instead of p times.  That keeps a separate
+    factorial pass cheaper than folding it into the numerator's loop.
+    """
+    p, pm = modulus.p, modulus.pm
     fact = 1
-    for k in range(2, modulus.p):
-        fact = fact * k % pm
+    for lo in range(1, p, 64):
+        fact = fact * math.prod(range(lo, min(lo + 64, p))) % pm
     return pow(fact, -1, pm)
 
 
@@ -94,21 +99,16 @@ def binom_alpha_mod(
 ) -> Residue:
     """Residue of C(alpha*p - 1, p - 1), computed inside Z/p^m.
 
-    `fact_inv` is the residue of 1/(p-1)!; without it the factorial is
-    accumulated in the same loop as the numerator.
+    `fact_inv` is the residue of 1/(p-1)!, which does not depend on alpha;
+    a caller with several alphas computes it once and passes it in.
     """
     p, pm = modulus.p, modulus.pm
+    if fact_inv is None:
+        fact_inv = _factorial_inverse(modulus)
     a = residue_of_rational(alpha, modulus).value * p % pm
     num = 1
-    if fact_inv is None:
-        fact = 1
-        for k in range(1, p):
-            num = num * (a - k) % pm
-            fact = fact * k % pm
-        fact_inv = pow(fact, -1, pm)
-    else:
-        for k in range(1, p):
-            num = num * (a - k) % pm
+    for k in range(1, p):
+        num = num * (a - k) % pm
     return Residue(num * fact_inv % pm, modulus)
 
 
@@ -233,6 +233,7 @@ def p7_residual(alpha) -> P7Residual:
 # ---------------------------------------------------------------------------
 
 _TWO = Fraction(2)
+_HALF = Fraction(1, 2)
 
 
 class PrimeContext:
@@ -246,7 +247,7 @@ class PrimeContext:
         self._powers = {0: 1, exponent: self.pm}
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
-        self._sums: Optional[CatalogSums] = None
+        self._sums: Optional[PowerSumTable] = None
         self._binoms: dict = {}
         self._fact_inv: Optional[int] = None
         self._central: Optional[int] = None
@@ -264,17 +265,11 @@ class PrimeContext:
             self._moduli[m] = PrimePowerModulus(self.p, m)
         return self._moduli[m]
 
-    def sums(self) -> CatalogSums:
-        """S_1, S_2, S_3 and H_2, from one pass built on first use."""
+    def power_sums(self) -> PowerSumTable:
+        """S_1, S_2 and S_3, from one O(p) pass built on first use."""
         if self._sums is None:
-            self._sums = catalog_sums(self.modulus)
+            self._sums = power_sum_table(self.modulus, 3)
         return self._sums
-
-    def sum_value(self, exponent: int) -> int:
-        """The inverse power sum S_exponent, for exponent 1, 2 or 3."""
-        if not 1 <= exponent <= 3:
-            raise ValueError(f"exponent {exponent} outside 1..3")
-        return self.sums()[exponent - 1]
 
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
@@ -286,9 +281,9 @@ class PrimeContext:
         return q.numerator * self._inverses[d] % self.pm
 
     def binom_w(self, alpha: Fraction) -> int:
-        """C(alpha*p - 1, p - 1); 1/(p-1)! is shared once a second alpha comes."""
+        """C(alpha*p - 1, p - 1); every alpha shares one 1/(p-1)!."""
         if alpha not in self._binoms:
-            if self._binoms and self._fact_inv is None:
+            if self._fact_inv is None:
                 self._fact_inv = _factorial_inverse(self.modulus)
             self._binoms[alpha] = binom_alpha_mod(
                 alpha, self.modulus, self._fact_inv
@@ -319,12 +314,14 @@ class PrimeContext:
         return self._central
 
     def bernoulli_pm3(self) -> int:
-        """B_{p-3}, defined only modulo p^2 (p >= 5).
+        """B_{p-3} for p >= 5, defined only modulo p^2 whatever the exponent.
 
         That is all the catalog can read: a "B" term carries p^3 and is
         compared at most at p^5 (see `_catalog`).  p >= 7 takes Faulhaber's
         route; p = 5 reduces the exact B_2.
         """
+        if self.p < 5:
+            raise ValueError(f"B_(p-3) is read only for p >= 5, got p={self.p}")
         if self._bern is None:
             if self.p == 5:
                 self._bern = bernoulli_mod(self.p, self.p - 3, 2).value
@@ -337,13 +334,15 @@ class PrimeContext:
         if x == "one":
             return 1
         if x == "S1":
-            return self.sum_value(1)
+            return self.power_sums().sums[0]
         if x == "S2":
-            return self.sum_value(2)
+            return self.power_sums().sums[1]
         if x == "S3":
-            return self.sum_value(3)
+            return self.power_sums().sums[2]
         if x == "H2":
-            return self.sums().h2
+            # Newton's identity: H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2
+            s1, s2, _ = self.power_sums().sums
+            return (s1 * s1 - s2) * self.rat(_HALF) % self.pm
         if x == "B":
             return self.bernoulli_pm3()
         if x == "binom":

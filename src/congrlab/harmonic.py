@@ -10,10 +10,6 @@ Power sums S_m = sum_{k<p} 1/k^m are computed independently (directly from
 inverse powers), which makes the Newton-identity cross-check between the
 two meaningful: H_2 must equal (S_1^2 - S_2)/2.
 
-The catalog reads only S_1, S_2, S_3 and H_2; `catalog_sums` gets all four
-in one O(p) pass, truncating the product recurrence to degree 2.  The full
-table is kept for the lemma suites, which read every H_k.
-
 The check_* functions verify families of congruences these quantities
 satisfy and return one Verdict per instance, including explicit skip
 verdicts for instances excluded by a stated side condition.
@@ -24,17 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
 
 __all__ = [
-    "CatalogSums",
     "DomainTooSmall",
     "HarmonicTable",
     "PowerSumTable",
-    "catalog_sums",
     "check_harmonic_congruences",
     "check_power_sum_congruences",
     "check_reflection_identity",
@@ -119,35 +112,6 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
             w = w * ik % pm
             acc[e] += w
     return PowerSumTable(modulus, tuple(a % pm for a in acc))
-
-
-class CatalogSums(NamedTuple):
-    """Residues of S_1, S_2, S_3 and H_2 in Z/p^m."""
-
-    s1: int
-    s2: int
-    s3: int
-    h2: int
-
-
-def catalog_sums(modulus: PrimePowerModulus) -> CatalogSums:
-    """S_1, S_2, S_3 and H_2 from one inverse table, in one pass over k.
-
-    H_2 = sum_{i<j} 1/(ij) comes from the degree-2 truncation of the product
-    recurrence (e2 += e1/k, then e1 += 1/k), not from Newton's identity, so
-    H_2 == (S_1^2 - S_2)/2 remains a check.
-    """
-    p, pm = modulus.p, modulus.pm
-    inv = inverse_table(p, pm)
-    e1 = e2 = s2 = s3 = 0
-    for k in range(1, p):
-        ik = inv[k]
-        sq = ik * ik % pm
-        e2 = (e2 + e1 * ik) % pm
-        e1 += ik
-        s2 += sq
-        s3 += sq * ik
-    return CatalogSums(e1 % pm, s2 % pm, s3 % pm, e2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 from congrlab import (
     CATALOG,
     CongruenceCase,
-    bernoulli_mod,
     NotPInteger,
     PrimeContext,
     PrimePowerModulus,
+    bernoulli_mod,
     binom_alpha_expansion,
     binom_alpha_mod,
     binom_exact,
@@ -20,6 +20,7 @@ from congrlab import (
     harmonic_numbers_exact,
     harmonic_table,
     p7_residual,
+    power_sum_table,
     reduction_coefficients,
     residue_of_rational,
     signed_central_binomial,
@@ -354,16 +355,27 @@ class TestPrimeContext:
             b4, PrimePowerModulus(7, 2)
         ).value
 
+    def test_bernoulli_needs_p_at_least_five(self):
+        with pytest.raises(ValueError, match="p >= 5"):
+            PrimeContext(3, 4).bernoulli_pm3()
+
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
-    def test_binomials_share_the_factorial(self, p):
+    def test_binomials_match_the_oracle(self, p):
+        # every alpha of one context shares one 1/(p-1)!
         ctx = PrimeContext(p, 6)
-        alphas = [a for a in DEFAULT_ALPHA_SWEEP if a.denominator % p]
-        ctx.binom_w(alphas[0])
-        assert ctx._fact_inv is None  # one alpha keeps the fused loop
-        for alpha in alphas:
-            expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus).value
-            assert ctx.binom_w(alpha) == expected, alpha
-        assert ctx._fact_inv is not None
+        for alpha in DEFAULT_ALPHA_SWEEP:
+            if alpha.denominator % p:
+                expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
+                assert ctx.binom_w(alpha) == expected.value, alpha
+
+    @pytest.mark.parametrize("p", odd_primes_between(3, 199))
+    def test_sums_match_the_tables(self, p):
+        # H_2 by Newton's identity against the product recurrence's table
+        ctx = PrimeContext(p, 8)
+        sums = power_sum_table(ctx.modulus, 3)
+        for e in (1, 2, 3):
+            assert ctx.ingredient(f"S{e}", None) == sums.value(e)
+        assert ctx.ingredient("H2", None) == harmonic_table(ctx.modulus).value(2)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from congrlab import (
     power_sum_table,
     residue_of_rational,
 )
-from congrlab.harmonic import catalog_sums
 from congrlab.scanner import odd_primes_between
 
 SMALL_PRIMES = odd_primes_between(3, 31)
@@ -122,18 +121,6 @@ class TestPowerSums:
         half = residue_of_rational(Fraction(1, 2), modulus).value
         s1, s2 = sums.value(1), sums.value(2)
         assert table.value(2) == half * (s1 * s1 - s2) % modulus.pm
-
-
-class TestCatalogSums:
-    @pytest.mark.parametrize("p", odd_primes_between(3, 199))
-    def test_matches_tables(self, p):
-        modulus = PrimePowerModulus(p, 8)
-        sums = catalog_sums(modulus)
-        table = power_sum_table(modulus, 3)
-        assert (sums.s1, sums.s2, sums.s3) == tuple(table.value(e) for e in (1, 2, 3))
-        assert sums.h2 == harmonic_table(modulus).value(2)
-        half = residue_of_rational(Fraction(1, 2), modulus).value
-        assert sums.h2 == half * (sums.s1**2 - sums.s2) % modulus.pm
 
 
 class TestReflectionIdentity:
