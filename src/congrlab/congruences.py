@@ -4,8 +4,10 @@ Most catalog entries compare C(alpha*p - 1, p - 1) -- or the signed central
 binomial coefficient (-1)^((p-1)/2) * C(p-1, (p-1)/2) -- against a series
 in p whose coefficients are harmonic numbers, inverse power sums or
 B_{p-3}.  The binomial side is computed entirely inside Z/p^m as the
-product prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), with an
-exact-rational product formula kept alongside as the independent oracle.
+product prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator
+and factorial each multiplied in runs of 64 factors and reduced once per
+run, with an exact-rational product formula kept alongside as the
+independent oracle.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
 by one interpreter against a `PrimeContext`.  The context caches the
@@ -28,7 +30,6 @@ from .harmonic import (
     HarmonicTable,
     PowerSumTable,
     harmonic_numbers_exact,
-    harmonic_table,
     power_sum_table,
 )
 from .residues import (
@@ -80,18 +81,21 @@ def binom_exact(alpha, p: int) -> Fraction:
     return binom_rational_exact(Fraction(alpha) * p - 1, p - 1)
 
 
-def _factorial_inverse(modulus: PrimePowerModulus) -> int:
-    """Residue of 1/(p-1)! in Z/p^m.
+def _prod_mod(factors: range, pm: int) -> int:
+    """Product of `factors` modulo pm.
 
     `math.prod` multiplies each run of 64 consecutive factors in C, so the
-    loop reduces p/64 times instead of p times.  That keeps a separate
-    factorial pass cheaper than folding it into the numerator's loop.
+    loop reduces len(factors)/64 times instead of once per factor.
     """
-    p, pm = modulus.p, modulus.pm
-    fact = 1
-    for lo in range(1, p, 64):
-        fact = fact * math.prod(range(lo, min(lo + 64, p))) % pm
-    return pow(fact, -1, pm)
+    out = 1
+    for i in range(0, len(factors), 64):
+        out = out * math.prod(factors[i : i + 64]) % pm
+    return out
+
+
+def _factorial_inverse(modulus: PrimePowerModulus) -> int:
+    """Residue of 1/(p-1)! in Z/p^m."""
+    return pow(_prod_mod(range(1, modulus.p), modulus.pm), -1, modulus.pm)
 
 
 def binom_alpha_mod(
@@ -99,21 +103,21 @@ def binom_alpha_mod(
 ) -> Residue:
     """Residue of C(alpha*p - 1, p - 1), computed inside Z/p^m.
 
-    `fact_inv` is the residue of 1/(p-1)!, which does not depend on alpha;
-    a caller with several alphas computes it once and passes it in.
+    The numerator prod_{k=1}^{p-1} (alpha*p - k) is taken in runs of 64
+    factors by `_prod_mod`.  `fact_inv` is the residue of 1/(p-1)!, which
+    does not depend on alpha; a caller with several alphas computes it once
+    and passes it in.
     """
     p, pm = modulus.p, modulus.pm
     if fact_inv is None:
         fact_inv = _factorial_inverse(modulus)
     a = residue_of_rational(alpha, modulus).value * p % pm
-    num = 1
-    for k in range(1, p):
-        num = num * (a - k) % pm
+    num = _prod_mod(range(a - 1, a - p, -1), pm)
     return Residue(num * fact_inv % pm, modulus)
 
 
 def binom_alpha_expansion(
-    alpha, modulus: PrimePowerModulus, table: Optional[HarmonicTable] = None
+    alpha, modulus: PrimePowerModulus, table: HarmonicTable
 ) -> Residue:
     """Same binomial via the polynomial expansion sum_k (-alpha)^k H_k p^k.
 
@@ -121,9 +125,7 @@ def binom_alpha_expansion(
     contribute.  Cross-checks the product path.
     """
     p, pm, m = modulus.p, modulus.pm, modulus.m
-    if table is None:
-        table = harmonic_table(modulus)
-    elif table.modulus != modulus:
+    if table.modulus != modulus:
         raise ValueError("harmonic table built for a different modulus")
     a = residue_of_rational(alpha, modulus).value
     total = 0

@@ -8,7 +8,6 @@ fixed-width fast path anywhere in this module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -68,10 +67,14 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below ~3.2e9, strong-probabilistic above.
+    """Primality test, exact below 3.3e24 and the same on every call.
 
-    Above the deterministic range the witness set is the first twelve primes
-    plus eight pseudo-random bases seeded by n, so repeated calls agree.
+    Below ~3.2e9 the bases 2, 3, 5 and 7 decide.  Above it all eighteen
+    `_SMALL_PRIMES` serve as Miller-Rabin bases.  They include the first
+    thirteen primes, which are a deterministic witness set below
+    psi_13 = 3317044064679887385961981 (Sorenson & Webster, 2017).  Beyond
+    that bound a composite built to be a strong pseudoprime to all eighteen
+    bases would be reported prime.
     """
     if n < 2:
         return False
@@ -82,9 +85,7 @@ def is_prime(n: int) -> bool:
             return False
     if n < _DETERMINISTIC_LIMIT:
         return _miller_rabin(n, (2, 3, 5, 7))
-    rng = random.Random(n)
-    bases = list(_SMALL_PRIMES[:12]) + [rng.randrange(2, n - 1) for _ in range(8)]
-    return _miller_rabin(n, bases)
+    return _miller_rabin(n, _SMALL_PRIMES)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Work is fanned out one prime per unit: all cases and alpha values for a
 prime share that prime's context (S_1, S_2, S_3, H_2, B_{p-3}, cached
-binomials), which each worker builds from p alone.  Workers only read
-immutable inputs; results are merged and sorted by (case, p, alpha) before
-emission, so a report is byte-identical no matter how many workers produced
-it.  Residues are serialized as
-decimal strings because they routinely exceed 64 bits.
+binomials), which each worker builds from p alone.  Units are dispatched
+largest prime first, because a unit's cost grows with p and the pool's last
+chunk should be a cheap one.  Workers only read immutable inputs; results
+are merged and sorted by (case, p, alpha) before emission, so a report is
+byte-identical no matter how many workers produced it or in what order.
+Residues are serialized as decimal strings because they routinely exceed
+64 bits.
 """
 
 from __future__ import annotations
@@ -181,7 +183,9 @@ def _run_tasks(worker, tasks, workers: int) -> list:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(min(workers, len(tasks))) as pool:
-            batches = pool.map(worker, tasks)
+            # tasks arrive in ascending p from the sieve and cost grows with
+            # p, so hand out the dearest first; run_scan sorts the records
+            batches = pool.map(worker, tasks[::-1])
     return [verdict for batch in batches for verdict in batch]
 
 

@@ -27,7 +27,7 @@ from congrlab import (
     thm1_rhs,
     verify_case,
 )
-from congrlab.congruences import Term, _catalog
+from congrlab.congruences import Term, _catalog, _factorial_inverse
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 
 
@@ -83,6 +83,25 @@ class TestBinomialPaths:
                 binom_alpha_expansion(alpha, modulus, table).value
                 == binom_alpha_mod(alpha, modulus).value
             ), (p, alpha)
+
+    # p - 1 = 60, 66, 126, 130, 192, 196, 256, 262 factors: 0 to 4 full runs
+    # of 64 in the products, with and without a partial run after them
+    RUN_BOUNDARY_PRIMES = [61, 67, 127, 131, 193, 197, 257, 263]
+
+    @pytest.mark.parametrize("p", RUN_BOUNDARY_PRIMES)
+    def test_ring_path_across_run_boundaries(self, p):
+        for alpha in DEFAULT_ALPHA_SWEEP:
+            exact = binom_exact(alpha, p)
+            for m in range(1, 9):
+                modulus = PrimePowerModulus(p, m)
+                oracle = residue_of_rational(exact, modulus).value
+                assert binom_alpha_mod(alpha, modulus).value == oracle, (p, alpha, m)
+
+    @pytest.mark.parametrize("p", RUN_BOUNDARY_PRIMES)
+    def test_factorial_inverse_across_run_boundaries(self, p):
+        for m in range(1, 9):
+            expected = pow(math.factorial(p - 1), -1, p**m)
+            assert _factorial_inverse(PrimePowerModulus(p, m)) == expected, (p, m)
 
     def test_expansion_checks_table_modulus(self):
         table = harmonic_table(PrimePowerModulus(5, 3))

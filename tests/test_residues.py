@@ -59,6 +59,21 @@ class TestIsPrime:
         for n in (561, 1105, 1729, 2465, 2821, 6601, 8911):
             assert not is_prime(n)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3825123056546413051,  # strong pseudoprime to bases 2..23
+            318665857834031151167461,  # psi_12: strong pseudoprime to 2..37
+            3317044064679887385961981,  # psi_13: strong pseudoprime to 2..41
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1])
+    def test_mersenne_primes_accepted(self, n):
+        assert is_prime(n)
+
 
 class TestRingOps:
     def test_inverse_example(self):

@@ -150,6 +150,19 @@ class TestRunScan:
             blobs.append(emit_report(run_scan(cfg), "json"))
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_lemmas_deterministic_across_workers(self):
+        # the pool takes its primes in the opposite order to the serial path
+        blobs = [
+            emit_report(
+                run_scan(
+                    ScanConfig(command="lemmas", prime_min=3, prime_max=47, workers=w)
+                ),
+                "json",
+            )
+            for w in (1, 2)
+        ]
+        assert blobs[0] == blobs[1]
+
     def test_claimed_range_failure_is_anomalous(self):
         cfg = ScanConfig(
             prime_min=3,
