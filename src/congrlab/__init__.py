@@ -38,13 +38,11 @@ from .harmonic import (
     harmonic_table,
     power_sum_exact,
     power_sum_table,
-    run_lemma_suites,
 )
 from .residues import (
     CongrlabError,
     NotPInteger,
     PrimePowerModulus,
-    Residue,
     Valuation,
     is_prime,
     parse_rational,
@@ -60,6 +58,7 @@ from .scanner import (
     emit_report,
     odd_primes_between,
     report_from_json,
+    run_lemma_suites,
     run_scan,
     sieve_primes,
 )

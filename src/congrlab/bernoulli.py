@@ -18,12 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .residues import (
-    CongrlabError,
-    PrimePowerModulus,
-    Residue,
-    residue_of_rational,
-)
+from .harmonic import power_sum_table
+from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
 from .verdicts import judge, skip
 
 __all__ = [
@@ -84,7 +80,7 @@ def warm_bernoulli_cache(n: int) -> None:
     _CACHE.extend_to(n)
 
 
-def bernoulli_mod(p: int, n: int, j: int) -> Residue:
+def bernoulli_mod(p: int, n: int, j: int) -> int:
     """Residue of B_n in Z/p^j; B_{p-3} is always reducible for p >= 5."""
     b = bernoulli_exact(n)
     if b.denominator % p == 0:
@@ -116,8 +112,6 @@ def von_staudt_clausen_defect(n: int) -> Fraction:
     on the recurrence, since the set of primes involved is derived from
     divisibility alone.
     """
-    from .residues import is_prime
-
     total = bernoulli_exact(n)
     for d in range(1, n + 1):
         if n % d == 0 and is_prime(d + 1):
@@ -136,13 +130,11 @@ def check_bernoulli_power_sums(p: int) -> list:
             skip("bernoulli.s1_link", p, None, "needs p >= 5"),
             skip("bernoulli.s2_link", p, None, "needs p >= 5"),
         ]
-    from .harmonic import power_sum_table
-
     modulus = PrimePowerModulus(p, 3)
     sums = power_sum_table(modulus, 2)
-    b = bernoulli_mod(p, p - 3, 3).value
-    rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus).value * b % modulus.pm
-    rhs2 = residue_of_rational(Fraction(2 * p, 3), modulus).value * b % modulus.pm
+    b = bernoulli_mod(p, p - 3, 3)
+    rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus) * b % modulus.pm
+    rhs2 = residue_of_rational(Fraction(2 * p, 3), modulus) * b % modulus.pm
     return [
         judge("bernoulli.s1_link", p, None, 3, sums.value(1), rhs1, modulus),
         judge("bernoulli.s2_link", p, None, 2, sums.value(2), rhs2, modulus),

@@ -195,48 +195,27 @@ def parse_config(argv: Sequence[str], env: Mapping[str, str]) -> ScanConfig:
     """Turn CLI arguments and the environment into a validated ScanConfig."""
     ns = build_parser().parse_args(list(argv))
     workers = _resolve_workers(ns.workers, env)
-
-    if ns.command == "lemmas":
-        lo, hi = _parse_prime_range(ns.primes)
-        config = ScanConfig(
-            command="lemmas",
-            prime_min=lo,
-            prime_max=hi,
-            fmt=ns.format,
-            output=ns.output,
-            workers=workers,
-            tightness=ns.tightness,
-        )
-    elif ns.command == "verify":
+    if ns.command == "verify":
         if ns.p < 3 or ns.p % 2 == 0 or not is_prime(ns.p):
             raise UsageError(f"--p expects an odd prime, got {ns.p}")
-        config = ScanConfig(
-            command="verify",
-            prime_min=ns.p,
-            prime_max=ns.p,
-            alphas=_parse_alphas(ns.alpha),
-            cases=_parse_cases([ns.case]),
-            fmt=ns.format,
-            output=ns.output,
-            workers=1,
-            tightness=ns.tightness,
-            claimed_ranges=ns.claimed_ranges,
-        )
+        lo = hi = ns.p
+        cases = [ns.case]
+        workers = 1
     else:
         lo, hi = _parse_prime_range(ns.primes)
-        config = ScanConfig(
-            command="scan",
-            prime_min=lo,
-            prime_max=hi,
-            alphas=_parse_alphas(ns.alpha),
-            cases=_parse_cases(ns.case),
-            fmt=ns.format,
-            output=ns.output,
-            workers=workers,
-            tightness=ns.tightness,
-            claimed_ranges=ns.claimed_ranges,
-        )
-    return config.validate()
+        cases = getattr(ns, "case", None)
+    return ScanConfig(
+        command=ns.command,
+        prime_min=lo,
+        prime_max=hi,
+        alphas=_parse_alphas(getattr(ns, "alpha", None)),
+        cases=_parse_cases(cases),
+        fmt=ns.format,
+        output=ns.output,
+        workers=workers,
+        tightness=ns.tightness,
+        claimed_ranges=getattr(ns, "claimed_ranges", False),
+    ).validate()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -36,7 +36,6 @@ from .residues import (
     CongrlabError,
     NotPInteger,
     PrimePowerModulus,
-    Residue,
     rational_valuation,
     residue_of_rational,
 )
@@ -100,7 +99,7 @@ def _factorial_inverse(modulus: PrimePowerModulus) -> int:
 
 def binom_alpha_mod(
     alpha, modulus: PrimePowerModulus, fact_inv: Optional[int] = None
-) -> Residue:
+) -> int:
     """Residue of C(alpha*p - 1, p - 1), computed inside Z/p^m.
 
     The numerator prod_{k=1}^{p-1} (alpha*p - k) is taken in runs of 64
@@ -111,14 +110,13 @@ def binom_alpha_mod(
     p, pm = modulus.p, modulus.pm
     if fact_inv is None:
         fact_inv = _factorial_inverse(modulus)
-    a = residue_of_rational(alpha, modulus).value * p % pm
-    num = _prod_mod(range(a - 1, a - p, -1), pm)
-    return Residue(num * fact_inv % pm, modulus)
+    a = residue_of_rational(alpha, modulus) * p % pm
+    return _prod_mod(range(a - 1, a - p, -1), pm) * fact_inv % pm
 
 
 def binom_alpha_expansion(
     alpha, modulus: PrimePowerModulus, table: HarmonicTable
-) -> Residue:
+) -> int:
     """Same binomial via the polynomial expansion sum_k (-alpha)^k H_k p^k.
 
     Terms with k >= m vanish in Z/p^m, so only min(p, m) harmonic numbers
@@ -127,13 +125,13 @@ def binom_alpha_expansion(
     p, pm, m = modulus.p, modulus.pm, modulus.m
     if table.modulus != modulus:
         raise ValueError("harmonic table built for a different modulus")
-    a = residue_of_rational(alpha, modulus).value
+    a = residue_of_rational(alpha, modulus)
     total = 0
     coef = 1  # (-alpha)^k p^k
     for k in range(min(p, m)):
         total = (total + coef * table.h[k]) % pm
         coef = -coef * a % pm * p % pm
-    return Residue(total, modulus)
+    return total
 
 
 def signed_central_binomial(p: int) -> int:
@@ -287,9 +285,7 @@ class PrimeContext:
         if alpha not in self._binoms:
             if self._fact_inv is None:
                 self._fact_inv = _factorial_inverse(self.modulus)
-            self._binoms[alpha] = binom_alpha_mod(
-                alpha, self.modulus, self._fact_inv
-            ).value
+            self._binoms[alpha] = binom_alpha_mod(alpha, self.modulus, self._fact_inv)
         return self._binoms[alpha]
 
     def four_pow(self) -> int:
@@ -326,7 +322,7 @@ class PrimeContext:
             raise ValueError(f"B_(p-3) is read only for p >= 5, got p={self.p}")
         if self._bern is None:
             if self.p == 5:
-                self._bern = bernoulli_mod(self.p, self.p - 3, 2).value
+                self._bern = bernoulli_mod(self.p, self.p - 3, 2)
             else:
                 self._bern = bernoulli_pm3_faulhaber(self.p)
         return self._bern
@@ -675,10 +671,10 @@ def _catalog(cases) -> dict:
 CATALOG = _catalog(_CASES)
 
 
-def thm1_rhs(alpha, modulus: PrimePowerModulus) -> Residue:
+def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
     ctx = PrimeContext(modulus.p, modulus.m)
-    return Residue(_evaluate(ctx, CATALOG["thm1"].rhs, Fraction(alpha)), modulus)
+    return _evaluate(ctx, CATALOG["thm1"].rhs, Fraction(alpha))
 
 
 def verify_case(

@@ -139,11 +139,11 @@ def power_sum_exact(p: int, exponent: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def check_reflection_identity(p: int, m_work: int = None) -> list:
+def check_reflection_identity(p: int) -> list:
     """Verify the reflection structure of the harmonic polynomial at high precision.
 
     The product P(x) = prod (1 - x/k) satisfies P(x) = P(p - x).  Two
-    consequences are checked in Z/p^{m_work}:
+    consequences are checked in Z/p^(p+2):
 
     * the exact pair identity
       H_{2m-1} - m p H_{2m}
@@ -152,15 +152,14 @@ def check_reflection_identity(p: int, m_work: int = None) -> list:
       i.e. H_j = sum_{k>=j} (-1)^k C(k, j) p^{k-j} H_k for every j.
 
     Both sides are equal as rationals with p-free denominators, so they must
-    agree at any working exponent; the default m_work = p + 2 is high enough
-    that no summand is truncated away entirely.
+    agree at any working exponent; p + 2 is high enough that no summand is
+    truncated away entirely.
     """
-    if m_work is None:
-        m_work = p + 2
+    m_work = p + 2
     modulus = PrimePowerModulus(p, m_work)
     pm = modulus.pm
     table = harmonic_table(modulus)
-    half_p2 = residue_of_rational(Fraction(p * p, 2), modulus).value
+    half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
     ppow = [1] * p
     for i in range(1, p):
         ppow[i] = ppow[i - 1] * p % pm
@@ -235,12 +234,12 @@ def check_harmonic_congruences(p: int) -> list:
 
     if p >= 5:
         lhs = (table.value(p - 4) - (p - 3) // 2 * p * table.value(p - 3)) % pm
-        rhs = residue_of_rational(-Fraction(p**3, 4), modulus).value
+        rhs = residue_of_rational(-Fraction(p**3, 4), modulus)
         out.append(judge("harmonic.pair_boundary", p, None, 4, lhs, rhs, modulus))
     else:
         out.append(skip("harmonic.pair_boundary", p, None, "needs index p-4 >= 1"))
 
-    rhs = residue_of_rational(Fraction(p, 2), modulus).value
+    rhs = residue_of_rational(Fraction(p, 2), modulus)
     out.append(judge("harmonic.h_p_minus_2", p, None, 2, table.h[p - 2], rhs, modulus))
     out.append(judge("harmonic.h_p_minus_1", p, None, 1, table.h[p - 1], -1, modulus))
     return out
@@ -266,7 +265,7 @@ def check_power_sum_congruences(p: int) -> list:
     out = []
 
     def rat(q: Fraction) -> int:
-        return residue_of_rational(q, modulus).value
+        return residue_of_rational(q, modulus)
 
     for m in range(1, top + 1):
         rhs = -1 % pm if m % (p - 1) == 0 else 0
@@ -303,16 +302,4 @@ def check_power_sum_congruences(p: int) -> list:
             ) % pm
             out.append(judge(name, p, None, 6, triple, 0, modulus))
 
-    return out
-
-
-def run_lemma_suites(p: int) -> list:
-    """All harmonic-side verdict suites for one prime, plus the Bernoulli link."""
-    from .bernoulli import check_bernoulli_power_sums
-
-    out = []
-    out.extend(check_reflection_identity(p))
-    out.extend(check_harmonic_congruences(p))
-    out.extend(check_power_sum_congruences(p))
-    out.extend(check_bernoulli_power_sums(p))
     return out

@@ -1,5 +1,8 @@
 """Exact arithmetic in the residue rings Z/p^m and exact rational helpers.
 
+An element of Z/p^m is a plain int in [0, p^m).  `PrimePowerModulus` holds
+p, m and p^m, and whoever computes a residue reduces it with `% modulus.pm`.
+
 Everything here is arbitrary precision: p^m routinely exceeds 64 bits
 (499^7 is close to 2^63.5) and the verification work upstream depends on
 the arithmetic being exact, so there is no floating point and no
@@ -16,10 +19,10 @@ __all__ = [
     "CongrlabError",
     "NotPInteger",
     "PrimePowerModulus",
-    "Residue",
     "Valuation",
     "is_prime",
     "parse_rational",
+    "rational_valuation",
     "residue_of_rational",
     "valuation_of_difference",
 ]
@@ -116,20 +119,6 @@ class PrimePowerModulus:
         return f"Z/{self.p}^{self.m}"
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^m, kept in canonical form 0 <= value < p^m."""
-
-    value: int
-    modulus: PrimePowerModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.pm)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus.p}^{self.modulus.m})"
-
-
 class Valuation(NamedTuple):
     """A p-adic valuation, possibly only known as a lower bound.
 
@@ -163,15 +152,14 @@ def valuation_of_difference(a: int, b: int, modulus: PrimePowerModulus) -> Valua
     return Valuation(v, False)
 
 
-def residue_of_rational(q, modulus: PrimePowerModulus) -> Residue:
-    """Reduce a rational with denominator coprime to p into Z/p^m."""
+def residue_of_rational(q, modulus: PrimePowerModulus) -> int:
+    """Reduce a rational with denominator coprime to p into [0, p^m)."""
     q = Fraction(q)
     if q.denominator % modulus.p == 0:
         raise NotPInteger(
             f"{q} is not a {modulus.p}-integer (denominator divisible by p)"
         )
-    value = q.numerator * pow(q.denominator, -1, modulus.pm) % modulus.pm
-    return Residue(value, modulus)
+    return q.numerator * pow(q.denominator, -1, modulus.pm) % modulus.pm
 
 
 # ---------------------------------------------------------------------------

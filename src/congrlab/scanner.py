@@ -21,9 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bernoulli import warm_bernoulli_cache
+from .bernoulli import check_bernoulli_power_sums, warm_bernoulli_cache
 from .congruences import CATALOG, PrimeContext, verify_case
-from .harmonic import run_lemma_suites
+from .harmonic import (
+    check_harmonic_congruences,
+    check_power_sum_congruences,
+    check_reflection_identity,
+)
 from .residues import CongrlabError, Valuation
 from .verdicts import FAIL, PASS, Verdict
 
@@ -37,6 +41,7 @@ __all__ = [
     "emit_report",
     "odd_primes_between",
     "report_from_json",
+    "run_lemma_suites",
     "run_scan",
     "sieve_primes",
 ]
@@ -170,9 +175,14 @@ def _scan_one_prime(task) -> list:
     return out
 
 
-def _lemma_one_prime(task) -> list:
-    (p,) = task
-    return run_lemma_suites(p)
+def run_lemma_suites(p: int) -> list:
+    """All harmonic-side verdict suites for one prime, plus the Bernoulli link."""
+    return (
+        check_reflection_identity(p)
+        + check_harmonic_congruences(p)
+        + check_power_sum_congruences(p)
+        + check_bernoulli_power_sums(p)
+    )
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
@@ -220,8 +230,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.command == "lemmas":
         if primes and max(primes) >= 5:
             warm_bernoulli_cache(max(primes) - 3)
-        tasks = [(p,) for p in primes]
-        records = _run_tasks(_lemma_one_prime, tasks, config.workers)
+        records = _run_tasks(run_lemma_suites, primes, config.workers)
     else:
         case_ids = config.case_ids()
         tasks = [

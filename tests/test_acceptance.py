@@ -70,8 +70,8 @@ def test_criterion_02_oracle_equivalence():
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p == 0:
                 continue
-            ring = binom_alpha_mod(alpha, modulus).value
-            oracle = residue_of_rational(binom_exact(alpha, p), modulus).value
+            ring = binom_alpha_mod(alpha, modulus)
+            oracle = residue_of_rational(binom_exact(alpha, p), modulus)
             assert ring == oracle, (p, alpha)
     for p in odd_primes_between(3, 31):
         modulus = PrimePowerModulus(p, 7)
@@ -79,8 +79,8 @@ def test_criterion_02_oracle_equivalence():
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p == 0:
                 continue
-            expansion = binom_alpha_expansion(alpha, modulus, table).value
-            assert expansion == binom_alpha_mod(alpha, modulus).value, (p, alpha)
+            expansion = binom_alpha_expansion(alpha, modulus, table)
+            assert expansion == binom_alpha_mod(alpha, modulus), (p, alpha)
     elapsed = time.perf_counter() - start
     report_line(2, "binomial oracle equivalence p <= 97", True, elapsed)
 
@@ -90,10 +90,10 @@ def test_criterion_03_spot_exactness():
     m5 = PrimePowerModulus(5, 7)
     m3 = PrimePowerModulus(3, 6)
     ok = (
-        binom_alpha_mod(2, m5).value == 126
-        and thm1_rhs(2, m5).value == 126
-        and binom_alpha_mod(2, m3).value == 10
-        and thm1_rhs(2, m3).value == 10
+        binom_alpha_mod(2, m5) == 126
+        and thm1_rhs(2, m5) == 126
+        and binom_alpha_mod(2, m3) == 10
+        and thm1_rhs(2, m3) == 10
     )
     report_line(3, "spot exactness at (5, 2) and (3, 2)", ok)
 

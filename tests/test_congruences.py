@@ -34,13 +34,13 @@ from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 class TestBinomialPaths:
     def test_ring_path_example(self):
         m = PrimePowerModulus(5, 7)
-        assert binom_alpha_mod(2, m).value == 126  # C(9, 4)
+        assert binom_alpha_mod(2, m) == 126  # C(9, 4)
 
     @pytest.mark.parametrize("p,e", [(5, 7), (7, 6), (11, 3)])
     def test_alpha_one_and_zero(self, p, e):
         m = PrimePowerModulus(p, e)
-        assert binom_alpha_mod(1, m).value == 1
-        assert binom_alpha_mod(0, m).value == 1  # (-1)^(p-1) = 1 for odd p
+        assert binom_alpha_mod(1, m) == 1
+        assert binom_alpha_mod(0, m) == 1  # (-1)^(p-1) = 1 for odd p
 
     def test_not_p_integer(self):
         with pytest.raises(NotPInteger):
@@ -68,8 +68,8 @@ class TestBinomialPaths:
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p == 0:
                 continue
-            ring = binom_alpha_mod(alpha, modulus).value
-            oracle = residue_of_rational(binom_exact(alpha, p), modulus).value
+            ring = binom_alpha_mod(alpha, modulus)
+            oracle = residue_of_rational(binom_exact(alpha, p), modulus)
             assert ring == oracle, (p, alpha)
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 31))
@@ -80,8 +80,8 @@ class TestBinomialPaths:
             if alpha.denominator % p == 0:
                 continue
             assert (
-                binom_alpha_expansion(alpha, modulus, table).value
-                == binom_alpha_mod(alpha, modulus).value
+                binom_alpha_expansion(alpha, modulus, table)
+                == binom_alpha_mod(alpha, modulus)
             ), (p, alpha)
 
     # p - 1 = 60, 66, 126, 130, 192, 196, 256, 262 factors: 0 to 4 full runs
@@ -94,8 +94,8 @@ class TestBinomialPaths:
             exact = binom_exact(alpha, p)
             for m in range(1, 9):
                 modulus = PrimePowerModulus(p, m)
-                oracle = residue_of_rational(exact, modulus).value
-                assert binom_alpha_mod(alpha, modulus).value == oracle, (p, alpha, m)
+                oracle = residue_of_rational(exact, modulus)
+                assert binom_alpha_mod(alpha, modulus) == oracle, (p, alpha, m)
 
     @pytest.mark.parametrize("p", RUN_BOUNDARY_PRIMES)
     def test_factorial_inverse_across_run_boundaries(self, p):
@@ -111,15 +111,15 @@ class TestBinomialPaths:
 
 class TestMainCongruence:
     def test_rhs_p5_alpha2(self):
-        assert thm1_rhs(2, PrimePowerModulus(5, 7)).value == 126
+        assert thm1_rhs(2, PrimePowerModulus(5, 7)) == 126
 
     def test_rhs_trivial_alphas(self):
         m = PrimePowerModulus(13, 7)
-        assert thm1_rhs(0, m).value == 1
-        assert thm1_rhs(1, m).value == 1
+        assert thm1_rhs(0, m) == 1
+        assert thm1_rhs(1, m) == 1
 
     def test_rhs_p3_alpha2(self):
-        assert thm1_rhs(2, PrimePowerModulus(3, 6)).value == 10
+        assert thm1_rhs(2, PrimePowerModulus(3, 6)) == 10
 
     def test_exact_identity_below_p7(self):
         # for p = 3 and p = 5 the two sides agree as rational numbers, which
@@ -366,13 +366,13 @@ class TestPrimeContext:
         # B_4 = -1/30; the exact route reduces it to any power, the context
         # defines B_{p-3} only modulo p^2
         b4 = Fraction(-1, 30)
-        assert bernoulli_mod(7, 4, 4).value == residue_of_rational(
+        assert bernoulli_mod(7, 4, 4) == residue_of_rational(
             b4, PrimePowerModulus(7, 4)
-        ).value
+        )
         ctx = PrimeContext(7, 4)
         assert ctx.bernoulli_pm3() == residue_of_rational(
             b4, PrimePowerModulus(7, 2)
-        ).value
+        )
 
     def test_bernoulli_needs_p_at_least_five(self):
         with pytest.raises(ValueError, match="p >= 5"):
@@ -385,7 +385,7 @@ class TestPrimeContext:
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p:
                 expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
-                assert ctx.binom_w(alpha) == expected.value, alpha
+                assert ctx.binom_w(alpha) == expected, alpha
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
