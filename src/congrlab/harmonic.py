@@ -1,10 +1,10 @@
 """Generalized harmonic numbers and inverse power sums modulo p^m.
 
 H_k is the k-th elementary symmetric function of 1/1, 1/2, ..., 1/(p-1),
-with H_0 = 1 and H_k = 0 for k >= p.  The table is built by the O(p^2)
-coefficient recurrence for the product prod_{k<p} (1 - x/k): after step k
-the array holds the coefficients of the partial product, so the final
-coefficient of x^j is (-1)^j H_j.
+with H_0 = 1 and H_k = 0 for k >= p.  The coefficient of x^j in
+prod_{k<p} (x + k), an unsigned Stirling number of the first kind, is
+(p-1)! H_j; the table multiplies that product out exactly in one
+Kronecker-packed int, one fixed-width slot per coefficient.
 
 Power sums S_m = sum_{k<p} 1/k^m are computed independently (directly from
 inverse powers), which makes the Newton-identity cross-check between the
@@ -74,18 +74,26 @@ class HarmonicTable:
         return self.h[k]
 
 
+def _unpack(packed: int, count: int, width: int) -> list:
+    """The `count` slots of `width` bytes in `packed`, lowest first."""
+    raw = packed.to_bytes(count * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, count * width, width)
+    ]
+
+
 def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
     p, pm = modulus.p, modulus.pm
-    inv = inverse_table(p, pm)
-    c = [0] * p
-    c[0] = 1
+    # the coefficients of prod (x + k) are positive and sum to p!, so a slot
+    # one bit wider than p! never carries into the next
+    width = math.factorial(p).bit_length() // 8 + 1
+    packed = 1
     for k in range(1, p):
-        ik = inv[k]
-        # c <- c - (1/k) * shift(c), in place from the top down
-        for j in range(k, 0, -1):
-            c[j] = (c[j] - ik * c[j - 1]) % pm
-    h = tuple(c[k] if k % 2 == 0 else -c[k] % pm for k in range(p))
-    return HarmonicTable(modulus, h)
+        packed = (packed << 8 * width) + k * packed
+    c = _unpack(packed, p, width)
+    inv_c0 = pow(c[0], -1, pm)  # c_0 = (p-1)!
+    return HarmonicTable(modulus, tuple(cj * inv_c0 % pm for cj in c))
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
 
 
 def harmonic_numbers_exact(p: int) -> tuple:
-    """H_0 .. H_{p-1} as exact rationals (same recurrence, over Q)."""
+    """H_0 .. H_{p-1} as exact rationals, by the coefficient recurrence over Q."""
     c = [Fraction(0)] * p
     c[0] = Fraction(1)
     for k in range(1, p):
@@ -149,7 +157,8 @@ def check_reflection_identity(p: int) -> list:
       H_{2m-1} - m p H_{2m}
         = (p^2/2) * sum_{k=2m+1}^{p-1} (-1)^k C(k, 2m-1) p^{k-2m-1} H_k,
     * coefficient-by-coefficient agreement of P(x) and P(p - x),
-      i.e. H_j = sum_{k>=j} (-1)^k C(k, j) p^{k-j} H_k for every j.
+      i.e. H_j = [x^j] P(x + p) = sum_{k>=j} (-1)^k C(k, j) p^{k-j} H_k
+      for every j, where P(x + p) is the Taylor shift of P by p.
 
     Both sides are equal as rationals with p-free denominators, so they must
     agree at any working exponent; p + 2 is high enough that no summand is
@@ -159,40 +168,30 @@ def check_reflection_identity(p: int) -> list:
     modulus = PrimePowerModulus(p, m_work)
     pm = modulus.pm
     table = harmonic_table(modulus)
+    h = table.h
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-    ppow = [1] * p
-    for i in range(1, p):
-        ppow[i] = ppow[i - 1] * p % pm
 
     out = []
     for m in range(1, (p - 1) // 2 + 3):
-        lhs = (table.value(2 * m - 1) - m * p * table.value(2 * m)) % pm
-        total = 0
-        for k in range(2 * m + 1, p):
-            term = math.comb(k, 2 * m - 1) % pm * ppow[k - 2 * m - 1] % pm
-            term = term * table.h[k] % pm
-            total = total - term if k % 2 else total + term
+        r = 2 * m - 1
+        lhs = (table.value(r) - m * p * table.value(r + 1)) % pm
+        # coef runs through C(k, r) p^(k-r-2) exactly; reduce once per m
+        total, coef = 0, (r + 2) * (r + 1) // 2
+        for k in range(r + 2, p):
+            total += -coef * h[k] if k % 2 else coef * h[k]
+            coef = coef * p * (k + 1) // (k + 1 - r)
         rhs = half_p2 * total % pm
-        out.append(
-            judge(f"reflection.pair[m={m}]", p, None, m_work, lhs, rhs, modulus)
-        )
+        out.append(judge(f"reflection.pair[m={m}]", p, None, m_work, lhs, rhs, modulus))
 
-    for j in range(p):
-        mirrored = 0
-        for k in range(j, p):
-            term = math.comb(k, j) % pm * ppow[k - j] % pm * table.h[k] % pm
-            mirrored = mirrored - term if k % 2 else mirrored + term
-        out.append(
-            judge(
-                f"reflection.mirror[j={j}]",
-                p,
-                None,
-                m_work,
-                table.h[j],
-                mirrored % pm,
-                modulus,
-            )
-        )
+    # P(x + p) by Horner's rule: Q <- Q * (x + p) + ((-1)^k H_k mod pm).  Each
+    # coefficient stays below pm (p+1)^p / p < 2 pm (p+1)^(p-1), so none carries
+    width = (pm * (p + 1) ** (p - 1)).bit_length() // 8 + 1
+    packed = 0
+    for k in range(p - 1, -1, -1):
+        packed = (packed << 8 * width) + p * packed + (-h[k] % pm if k % 2 else h[k])
+    for j, mirrored in enumerate(_unpack(packed, p, width)):
+        name = f"reflection.mirror[j={j}]"
+        out.append(judge(name, p, None, m_work, h[j], mirrored % pm, modulus))
     return out
 
 

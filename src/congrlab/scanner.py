@@ -287,13 +287,7 @@ def _record_from_dict(d: dict) -> Verdict:
 def emit_report(report: ScanReport, fmt: str) -> bytes:
     """Serialize a report as UTF-8 bytes with LF line endings."""
     if fmt == "json":
-        payload = {
-            "config": report.config,
-            "records": [_record_dict(v) for v in report.records],
-            "summary": report.summary,
-            "anomalies": [_record_dict(v) for v in report.anomalies],
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        return _emit_json(report)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -305,6 +299,36 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
     if fmt == "text":
         return _emit_text(report)
     raise UsageError(f"unknown output format {fmt!r}")
+
+
+# Records hold only scalars, so the C encoder can write each one with its
+# indentation folded into the item separator; json.dumps(indent=2) would take
+# the pure-Python encoder for all of them.  The bytes are those of
+# json.dumps({"config": ..., "records": ..., ...}, indent=2) + "\n".
+_encode_record = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_records(records) -> str:
+    if not records:
+        return "[]"
+    body = ",\n".join(
+        "    {\n      " + _encode_record(_record_dict(v))[1:-1] + "\n    }"
+        for v in records
+    )
+    return "[\n" + body + "\n  ]"
+
+
+def _emit_json(report: ScanReport) -> bytes:
+    def nested(obj) -> str:
+        return json.dumps(obj, indent=2).replace("\n", "\n  ")
+
+    return (
+        '{\n  "config": ' + nested(report.config)
+        + ',\n  "records": ' + _json_records(report.records)
+        + ',\n  "summary": ' + nested(report.summary)
+        + ',\n  "anomalies": ' + _json_records(report.anomalies)
+        + "\n}\n"
+    ).encode()
 
 
 def _emit_text(report: ScanReport) -> bytes:

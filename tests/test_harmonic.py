@@ -12,6 +12,7 @@ import pytest
 
 from congrlab import (
     DomainTooSmall,
+    HarmonicTable,
     PrimePowerModulus,
     check_harmonic_congruences,
     check_power_sum_congruences,
@@ -22,6 +23,7 @@ from congrlab import (
     power_sum_table,
     residue_of_rational,
 )
+from congrlab import harmonic
 from congrlab.scanner import odd_primes_between
 
 SMALL_PRIMES = odd_primes_between(3, 31)
@@ -30,6 +32,32 @@ SMALL_PRIMES = odd_primes_between(3, 31)
 def assert_all_pass(verdicts):
     bad = [v for v in verdicts if v.failed]
     assert not bad, bad[:5]
+
+
+def recurrence_table(p, pm):
+    """H_0 .. H_{p-1} mod pm by the O(p^2) coefficient recurrence.
+
+    After step k the list holds the coefficients of prod_{i<=k} (1 - x/i)
+    modulo pm, so the final coefficient of x^j is (-1)^j H_j.
+    """
+    c = [1] + [0] * (p - 1)
+    for k in range(1, p):
+        ik = pow(k, -1, pm)
+        for j in range(k, 0, -1):
+            c[j] = (c[j] - ik * c[j - 1]) % pm
+    return tuple(c[k] if k % 2 == 0 else -c[k] % pm for k in range(p))
+
+
+def corrupt_table(monkeypatch, index):
+    """Make harmonic_table return its true table with H_index raised by one."""
+    true_table = harmonic.harmonic_table
+
+    def corrupted(modulus):
+        h = list(true_table(modulus).h)
+        h[index] = (h[index] + 1) % modulus.pm
+        return HarmonicTable(modulus, tuple(h))
+
+    monkeypatch.setattr(harmonic, "harmonic_table", corrupted)
 
 
 class TestHarmonicTable:
@@ -75,6 +103,14 @@ class TestHarmonicTable:
         for k in range(p):
             assert table.h[k] == residue_of_rational(exact[k], modulus), (p, m, k)
 
+    @pytest.mark.parametrize("p", odd_primes_between(3, 199))
+    @pytest.mark.parametrize("exponent", ["4", "p+2"])
+    def test_table_matches_recurrence(self, p, exponent):
+        modulus = PrimePowerModulus(p, 4 if exponent == "4" else p + 2)
+        table = harmonic_table(modulus)
+        assert len(table.h) == p
+        assert table.h == recurrence_table(p, modulus.pm)
+
     def test_last_value_is_minus_one_mod_p(self):
         for p in SMALL_PRIMES:
             table = harmonic_table(PrimePowerModulus(p, 1))
@@ -113,7 +149,7 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 61))
     def test_newton_identity_links_table_and_sums(self, p):
-        # H_2 from the coefficient recurrence equals (S_1^2 - S_2)/2, where
+        # H_2 from the packed Stirling product equals (S_1^2 - S_2)/2, where
         # the power sums are computed by an unrelated route
         modulus = PrimePowerModulus(p, 7)
         table = harmonic_table(modulus)
@@ -151,12 +187,64 @@ class TestReflectionIdentity:
         assert "reflection.pair[m=1]" in names
         assert "reflection.mirror[j=0]" in names
 
+    @pytest.mark.parametrize("p", odd_primes_between(5, 61))
+    def test_mirror_and_pair_match_direct_binomial_sums(self, p):
+        # the packed Taylor shift and the incremental pair coefficient
+        # against one math.comb per term
+        pm = p ** (p + 2)
+        h = recurrence_table(p, pm)
+        rhs = {v.case: v.rhs for v in check_reflection_identity(p)}
+        for j in range(p):
+            direct = sum(
+                (-1) ** k * math.comb(k, j) * p ** (k - j) * h[k] for k in range(j, p)
+            )
+            assert rhs[f"reflection.mirror[j={j}]"] == direct % pm, (p, j)
+        half_p2 = residue_of_rational(Fraction(p * p, 2), PrimePowerModulus(p, p + 2))
+        for m in range(1, (p - 1) // 2 + 3):
+            direct = sum(
+                (-1) ** k * math.comb(k, 2 * m - 1) * p ** (k - 2 * m - 1) * h[k]
+                for k in range(2 * m + 1, p)
+            )
+            assert rhs[f"reflection.pair[m={m}]"] == half_p2 * direct % pm, (p, m)
+
     def test_trivial_branch_past_the_table(self):
         # indices at or past p make both sides vanish
         verdicts = check_reflection_identity(5)
         boundary = [v for v in verdicts if v.case == "reflection.pair[m=4]"]
         assert boundary and boundary[0].passed
         assert boundary[0].lhs == 0 and boundary[0].rhs == 0
+
+
+class TestReflectionChecksCanFail:
+    """A table with one wrong entry must fail the checks that read it."""
+
+    @pytest.mark.parametrize("p,j", [(5, 1), (13, 7), (31, 29), (61, 3)])
+    def test_mirror_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
+        # for odd j the k = j term enters the shifted sum as -H_j, so the
+        # two sides of mirror[j] move in opposite directions
+        corrupt_table(monkeypatch, j)
+        verdicts = {v.case: v for v in check_reflection_identity(p)}
+        assert verdicts[f"reflection.mirror[j={j}]"].failed
+
+    @pytest.mark.parametrize("p,j", [(5, 2), (13, 8), (31, 30), (61, 40)])
+    def test_mirror_fails_below_a_corrupted_even_index(self, monkeypatch, p, j):
+        # H_j enters mirror[j-1] as j p H_j, which p^(p+2) does not absorb
+        corrupt_table(monkeypatch, j)
+        verdicts = {v.case: v for v in check_reflection_identity(p)}
+        assert verdicts[f"reflection.mirror[j={j - 1}]"].failed
+
+    @pytest.mark.parametrize("p,j", [(7, 3), (13, 5), (31, 11), (61, 59)])
+    def test_pair_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
+        corrupt_table(monkeypatch, j)
+        verdicts = check_reflection_identity(p)
+        failed = {v.case for v in verdicts if v.failed}
+        assert f"reflection.pair[m={(j + 1) // 2}]" in failed
+
+    @pytest.mark.parametrize("p", [5, 13, 31])
+    def test_harmonic_congruences_flag_a_corrupted_last_entry(self, monkeypatch, p):
+        corrupt_table(monkeypatch, p - 1)
+        verdicts = {v.case: v for v in check_harmonic_congruences(p)}
+        assert verdicts["harmonic.h_p_minus_1"].failed
 
 
 class TestHarmonicCongruences:

@@ -17,7 +17,7 @@ from congrlab import (
 )
 from congrlab.cli import main, parse_config
 from congrlab.congruences import PrimeContext
-from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from congrlab.scanner import DEFAULT_ALPHA_SWEEP, _record_dict, odd_primes_between
 
 
 class TestSieve:
@@ -263,6 +263,26 @@ class TestEmission:
         assert parsed.records == report.records
         assert parsed.summary == report.summary
         assert parsed.anomalies == report.anomalies
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScanConfig(prime_min=24, prime_max=28),
+            ScanConfig(prime_min=3, prime_max=11, tightness=True, claimed_ranges=True),
+            ScanConfig(prime_min=3, prime_max=13, cases=("thm1", "rel34", "morley")),
+        ],
+        ids=["empty", "anomalies", "normal"],
+    )
+    def test_json_bytes_match_indented_dumps(self, cfg):
+        report = run_scan(cfg)
+        payload = {
+            "config": report.config,
+            "records": [_record_dict(v) for v in report.records],
+            "summary": report.summary,
+            "anomalies": [_record_dict(v) for v in report.anomalies],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert emit_report(report, "json") == expected.encode()
 
     def test_unknown_format_rejected(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("babbage",))
