@@ -2,27 +2,17 @@
 modulo prime powers, with a prime-sweeping scanner."""
 
 from .bernoulli import (
-    BernoulliCache,
     NonPIntegerBernoulli,
     bernoulli_exact,
     bernoulli_mod,
     check_bernoulli_power_sums,
-    von_staudt_clausen_defect,
     warm_bernoulli_cache,
 )
 from .congruences import (
     CATALOG,
     CongruenceCase,
-    P7Residual,
     PrimeContext,
-    ReductionCoefficients,
-    binom_alpha_expansion,
     binom_alpha_mod,
-    binom_exact,
-    binom_rational_exact,
-    central_binomial_identity,
-    p7_residual,
-    reduction_coefficients,
     signed_central_binomial,
     thm1_rhs,
     verify_case,
@@ -34,9 +24,7 @@ from .harmonic import (
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
-    harmonic_numbers_exact,
     harmonic_table,
-    power_sum_exact,
     power_sum_table,
 )
 from .residues import (
@@ -46,7 +34,6 @@ from .residues import (
     Valuation,
     is_prime,
     parse_rational,
-    rational_valuation,
     residue_of_rational,
     valuation_of_difference,
 )

@@ -6,8 +6,9 @@ computed exactly with the classical recurrence
     sum_{k=0}^{n} C(n+1, k) B_k = 0,  B_0 = 1,
 
 and only reduced modulo p^j afterwards.  The recurrence costs far more than
-cubic in n, so it serves the lemma link suite (warmed once per process
-before the pool forks, then only read), p = 5, and the tests as an oracle.
+cubic in n, so it serves the lemma link suite, p = 5, and the tests as an
+oracle.  Each process extends its own list on demand, so a pool worker
+needs nothing from the process that started it.
 
 The catalog only needs B_{p-3} modulo p^2, which Faulhaber's formula gives
 in O(p) modular powers without any exact number (`bernoulli_pm3_faulhaber`).
@@ -19,17 +20,15 @@ import math
 from fractions import Fraction
 
 from .harmonic import power_sum_table
-from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
+from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
 
 __all__ = [
-    "BernoulliCache",
     "NonPIntegerBernoulli",
     "bernoulli_exact",
     "bernoulli_mod",
     "bernoulli_pm3_faulhaber",
     "check_bernoulli_power_sums",
-    "von_staudt_clausen_defect",
     "warm_bernoulli_cache",
 ]
 
@@ -38,46 +37,31 @@ class NonPIntegerBernoulli(CongrlabError):
     """Raised when p divides the denominator of the requested B_n."""
 
 
-class BernoulliCache:
-    """Monotonically growing cache of exact Bernoulli numbers."""
-
-    def __init__(self):
-        self._values = [Fraction(1), Fraction(-1, 2)]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def get(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("Bernoulli index must be >= 0")
-        self.extend_to(n)
-        return self._values[n]
-
-    def extend_to(self, n: int) -> None:
-        values = self._values
-        while len(values) <= n:
-            r = len(values)
-            acc = Fraction(0)
-            for k, bk in enumerate(values):
-                if bk:
-                    acc += math.comb(r + 1, k) * bk
-            b = -acc / (r + 1)
-            if r % 2 == 1 and b != 0:
-                raise AssertionError(f"B_{r} should vanish, recurrence gave {b}")
-            values.append(b)
+# B_0 .. B_{len - 1}, exact; only warm_bernoulli_cache appends to it
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
-_CACHE = BernoulliCache()
+def warm_bernoulli_cache(n: int) -> None:
+    """Extend this process's list of exact Bernoulli numbers to B_n."""
+    values = _BERNOULLI
+    while len(values) <= n:
+        r = len(values)
+        acc = Fraction(0)
+        for k, bk in enumerate(values):
+            if bk:
+                acc += math.comb(r + 1, k) * bk
+        b = -acc / (r + 1)
+        if r % 2 == 1 and b != 0:
+            raise AssertionError(f"B_{r} should vanish, recurrence gave {b}")
+        values.append(b)
 
 
 def bernoulli_exact(n: int) -> Fraction:
     """Exact B_n (B_1 = -1/2)."""
-    return _CACHE.get(n)
-
-
-def warm_bernoulli_cache(n: int) -> None:
-    """Precompute B_0 .. B_n; call before fanning out parallel workers."""
-    _CACHE.extend_to(n)
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    warm_bernoulli_cache(n)
+    return _BERNOULLI[n]
 
 
 def bernoulli_mod(p: int, n: int, j: int) -> int:
@@ -103,20 +87,6 @@ def bernoulli_pm3_faulhaber(p: int) -> int:
     if total % p:
         raise CongrlabError(f"power sum for B_{p - 3} not divisible by p={p}")
     return total // p
-
-
-def von_staudt_clausen_defect(n: int) -> Fraction:
-    """B_n + sum of 1/q over primes q with (q-1) | n.
-
-    For even n this must be an integer; it is an independent structural check
-    on the recurrence, since the set of primes involved is derived from
-    divisibility alone.
-    """
-    total = bernoulli_exact(n)
-    for d in range(1, n + 1):
-        if n % d == 0 and is_prime(d + 1):
-            total += Fraction(1, d + 1)
-    return total
 
 
 def check_bernoulli_power_sums(p: int) -> list:

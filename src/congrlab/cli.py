@@ -174,7 +174,7 @@ def _available_cpus() -> int:
 def _resolve_workers(flag_value: Optional[int], env: Mapping[str, str]) -> int:
     """The worker count from the environment, the flag or the CPUs, clamped.
 
-    Each worker is a forked process, so a count above the available CPUs
+    Each worker is a separate process, so a count above the available CPUs
     only adds processes.
     """
     cpus = _available_cpus()

@@ -6,8 +6,8 @@ in p whose coefficients are harmonic numbers, inverse power sums or
 B_{p-3}.  The binomial side is computed entirely inside Z/p^m as the
 product prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator
 and factorial each multiplied in runs of 64 factors and reduced once per
-run, with an exact-rational product formula kept alongside as the
-independent oracle.
+run.  The exact-rational product formula that serves as its independent
+oracle lives with the tests, in tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
 by one interpreter against a `PrimeContext`.  The context caches the
@@ -26,35 +26,16 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod, bernoulli_pm3_faulhaber
-from .harmonic import (
-    HarmonicTable,
-    PowerSumTable,
-    harmonic_numbers_exact,
-    power_sum_table,
-)
-from .residues import (
-    CongrlabError,
-    NotPInteger,
-    PrimePowerModulus,
-    rational_valuation,
-    residue_of_rational,
-)
+from .harmonic import PowerSumTable, power_sum_table
+from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
 from .verdicts import Verdict, judge, skip
 
 __all__ = [
     "CATALOG",
     "CongruenceCase",
-    "P7Residual",
     "PrimeContext",
-    "ReductionCoefficients",
     "Term",
-    "binom_alpha_expansion",
     "binom_alpha_mod",
-    "binom_exact",
-    "binom_rational_exact",
-    "central_binomial_identity",
-    "p7_residual",
-    "reduction_coefficients",
     "signed_central_binomial",
     "thm1_rhs",
     "verify_case",
@@ -62,22 +43,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# binomial evaluation: ring path, oracle path, expansion path
+# binomial evaluation
 # ---------------------------------------------------------------------------
-
-
-def binom_rational_exact(x, r: int) -> Fraction:
-    """C(x, r) for rational x: the falling product x(x-1)...(x-r+1)/r!."""
-    x = Fraction(x)
-    num = Fraction(1)
-    for j in range(r):
-        num *= x - j
-    return num / math.factorial(r)
-
-
-def binom_exact(alpha, p: int) -> Fraction:
-    """Exact rational value of C(alpha*p - 1, p - 1); the oracle path."""
-    return binom_rational_exact(Fraction(alpha) * p - 1, p - 1)
 
 
 def _prod_mod(factors: range, pm: int) -> int:
@@ -114,118 +81,11 @@ def binom_alpha_mod(
     return _prod_mod(range(a - 1, a - p, -1), pm) * fact_inv % pm
 
 
-def binom_alpha_expansion(
-    alpha, modulus: PrimePowerModulus, table: HarmonicTable
-) -> int:
-    """Same binomial via the polynomial expansion sum_k (-alpha)^k H_k p^k.
-
-    Terms with k >= m vanish in Z/p^m, so only min(p, m) harmonic numbers
-    contribute.  Cross-checks the product path.
-    """
-    p, pm, m = modulus.p, modulus.pm, modulus.m
-    if table.modulus != modulus:
-        raise ValueError("harmonic table built for a different modulus")
-    a = residue_of_rational(alpha, modulus)
-    total = 0
-    coef = 1  # (-alpha)^k p^k
-    for k in range(min(p, m)):
-        total = (total + coef * table.h[k]) % pm
-        coef = -coef * a % pm * p % pm
-    return total
-
-
 def signed_central_binomial(p: int) -> int:
     """(-1)^((p-1)/2) * C(p-1, (p-1)/2), exactly."""
     n = (p - 1) // 2
     c = math.comb(p - 1, n)
     return -c if n % 2 else c
-
-
-def central_binomial_identity(n: int) -> bool:
-    """Exact rational identity (-1)^n C(2n, n) = 4^(2n) C(n - 1/2, 2n)."""
-    lhs = Fraction(math.comb(2 * n, n))
-    if n % 2:
-        lhs = -lhs
-    return lhs == 4 ** (2 * n) * binom_rational_exact(Fraction(2 * n - 1, 2), 2 * n)
-
-
-# ---------------------------------------------------------------------------
-# the generalized congruence and its coefficient machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionCoefficients:
-    """Coefficient schedule that collapses the degree-4 harmonic expansion.
-
-    lam and mu are the unique multipliers of the two auxiliary relations
-    (the alpha = 1 expansion and the p^3 H_3 - 2 p^4 H_4 pair) that kill the
-    k = 3 and k = 4 terms; what survives are the coefficients of the main
-    congruence: a1 = -a(a-1)(a^2-a-1) and a2 = a^2(a-1)^2.
-    """
-
-    alpha: Fraction
-    lam: Fraction
-    mu: Fraction
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-
-
-def reduction_coefficients(alpha) -> ReductionCoefficients:
-    a = Fraction(alpha)
-    lam = a**4 - 2 * a**3
-    mu = a**4 - a**3
-    return ReductionCoefficients(
-        alpha=a,
-        lam=lam,
-        mu=mu,
-        a0=Fraction(1),
-        a1=-a - lam,
-        a2=a * a + lam,
-        a3=-(a**3) - lam + mu,
-        a4=a**4 + lam - 2 * mu,
-    )
-
-
-@dataclass(frozen=True)
-class P7Residual:
-    """Exact difference between the two sides of the main congruence at p = 7.
-
-    The difference equals alpha^3 (alpha-1)^3 * 7^6 / 720 exactly, so its
-    7-adic valuation is 6 + 3 v_7(alpha) + 3 v_7(alpha - 1); `tight` records
-    whether the valuation is exactly 6, i.e. the exponent 6 cannot be raised.
-    """
-
-    alpha: Fraction
-    difference: Fraction
-    expected: Fraction
-    matches: bool
-    valuation: Optional[int]
-    tight: bool
-
-
-def p7_residual(alpha) -> P7Residual:
-    alpha = Fraction(alpha)
-    if alpha.denominator % 7 == 0:
-        raise NotPInteger(f"{alpha} is not a 7-integer")
-    h = harmonic_numbers_exact(7)
-    a1 = -alpha * (alpha - 1) * (alpha * alpha - alpha - 1)
-    a2 = alpha * alpha * (alpha - 1) ** 2
-    rhs = 1 + a1 * 7 * h[1] + a2 * 49 * h[2]
-    difference = binom_exact(alpha, 7) - rhs
-    expected = alpha**3 * (alpha - 1) ** 3 * Fraction(7**6, 720)
-    v = rational_valuation(difference, 7)
-    return P7Residual(
-        alpha=alpha,
-        difference=difference,
-        expected=expected,
-        matches=difference == expected,
-        valuation=v,
-        tight=v == 6,
-    )
 
 
 # ---------------------------------------------------------------------------

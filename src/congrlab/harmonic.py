@@ -31,10 +31,8 @@ __all__ = [
     "check_harmonic_congruences",
     "check_power_sum_congruences",
     "check_reflection_identity",
-    "harmonic_numbers_exact",
     "harmonic_table",
     "inverse_table",
-    "power_sum_exact",
     "power_sum_table",
 ]
 
@@ -120,26 +118,6 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
             w = w * ik % pm
             acc[e] += w
     return PowerSumTable(modulus, tuple(a % pm for a in acc))
-
-
-# ---------------------------------------------------------------------------
-# exact-rational oracles
-# ---------------------------------------------------------------------------
-
-
-def harmonic_numbers_exact(p: int) -> tuple:
-    """H_0 .. H_{p-1} as exact rationals, by the coefficient recurrence over Q."""
-    c = [Fraction(0)] * p
-    c[0] = Fraction(1)
-    for k in range(1, p):
-        ik = Fraction(1, k)
-        for j in range(k, 0, -1):
-            c[j] = c[j] - ik * c[j - 1]
-    return tuple(c[k] if k % 2 == 0 else -c[k] for k in range(p))
-
-
-def power_sum_exact(p: int, exponent: int) -> Fraction:
-    return sum(Fraction(1, k**exponent) for k in range(1, p))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "Valuation",
     "is_prime",
     "parse_rational",
-    "rational_valuation",
     "residue_of_rational",
     "valuation_of_difference",
 ]
@@ -163,7 +162,7 @@ def residue_of_rational(q, modulus: PrimePowerModulus) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rational arithmetic (the oracle side)
+# exact rationals
 # ---------------------------------------------------------------------------
 #
 # Exact rationals are fractions.Fraction throughout the package, which keeps
@@ -176,20 +175,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def rational_valuation(q, p: int):
-    """p-adic valuation of a rational; None for 0 (valuation +infinity)."""
-    q = Fraction(q)
-    if q == 0:
-        return None
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v

@@ -4,9 +4,10 @@ Work is fanned out one prime per unit: all cases and alpha values for a
 prime share that prime's context (S_1, S_2, S_3, H_2, B_{p-3}, cached
 binomials), which each worker builds from p alone.  Units are dispatched
 largest prime first, because a unit's cost grows with p and the pool's last
-chunk should be a cheap one.  Workers only read immutable inputs; results
-are merged and sorted by (case, p, alpha) before emission, so a report is
-byte-identical no matter how many workers produced it or in what order.
+chunk should be a cheap one.  Workers only read immutable inputs and
+inherit nothing from the parent; results are merged and sorted by (case, p,
+alpha) before emission, so a report is byte-identical no matter how many
+workers produced it, in what order, or under which start method.
 Residues are serialized as decimal strings because they routinely exceed
 64 bits.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bernoulli import check_bernoulli_power_sums, warm_bernoulli_cache
+from .bernoulli import check_bernoulli_power_sums
 from .congruences import CATALOG, PrimeContext, verify_case
 from .harmonic import (
     check_harmonic_congruences,
@@ -189,10 +190,7 @@ def _run_tasks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         batches = [worker(task) for task in tasks]
     else:
-        # fork, so lemma workers inherit the Bernoulli cache run_scan warms
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        with ctx.Pool(min(workers, len(tasks))) as pool:
+        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
             # tasks arrive in ascending p from the sieve and cost grows with
             # p, so hand out the dearest first; run_scan sorts the records
             batches = pool.map(worker, tasks[::-1])
@@ -228,8 +226,6 @@ def run_scan(config: ScanConfig) -> ScanReport:
     primes = odd_primes_between(config.prime_min, config.prime_max)
 
     if config.command == "lemmas":
-        if primes and max(primes) >= 5:
-            warm_bernoulli_cache(max(primes) - 3)
         records = _run_tasks(run_lemma_suites, primes, config.workers)
     else:
         case_ids = config.case_ids()
@@ -261,7 +257,7 @@ def _maybe(convert):
 # The report's columns: (Verdict field, its JSON value, the field from that
 # JSON value).  p and m stay JSON numbers; residues are decimal strings
 # because they routinely exceed 64 bits; None is null in JSON and an empty
-# cell in CSV and text.  CSV has every column but the reason.
+# cell in CSV and text.  CSV has every column but the last, the reason.
 _COLUMNS = (
     ("case", str, str),
     ("p", int, int),
@@ -273,11 +269,20 @@ _COLUMNS = (
     ("valuation", _maybe(str), _maybe(Valuation.parse)),
     ("reason", lambda reason: reason or None, lambda reason: reason or ""),
 )
-_CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS if name != "reason")
+_CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS[:-1])
 
 
 def _record_dict(v: Verdict) -> dict:
     return {name: to_json(getattr(v, name)) for name, to_json, _ in _COLUMNS}
+
+
+def _record_cells(v: Verdict) -> list:
+    """The record's JSON values as text in `_COLUMNS` order; None is ""."""
+    cells = []
+    for name, to_json, _ in _COLUMNS:
+        value = to_json(getattr(v, name))
+        cells.append("" if value is None else str(value))
+    return cells
 
 
 def _record_from_dict(d: dict) -> Verdict:
@@ -292,9 +297,7 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for v in report.records:
-            row = _record_dict(v)
-            writer.writerow(["" if row[n] is None else row[n] for n in _CSV_COLUMNS])
+        writer.writerows(_record_cells(v)[:-1] for v in report.records)
         return buf.getvalue().encode()
     if fmt == "text":
         return _emit_text(report)
@@ -333,10 +336,7 @@ def _emit_json(report: ScanReport) -> bytes:
 
 def _emit_text(report: ScanReport) -> bytes:
     headers = [name for name, _, _ in _COLUMNS]
-    rows = [
-        ["" if cell is None else str(cell) for cell in _record_dict(v).values()]
-        for v in report.records
-    ]
+    rows = [_record_cells(v) for v in report.records]
     widths = [len(h) for h in headers]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]

@@ -1,0 +1,210 @@
+"""Independent routes the tests compare the package against.
+
+Apart from the binomial expansion, everything here is exact arithmetic over
+Q with fractions.Fraction, and nothing is reduced modulo p^m: binomials
+from their falling-factorial product, H_j and S_m from their defining
+recurrence and sums, the exact identity behind the central binomial's
+4^(p-1) transfer, the coefficient schedule and the p = 7 gap of the main
+congruence, and the von Staudt-Clausen check on the Bernoulli recurrence.
+`binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
+Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
+table.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from congrlab import (
+    HarmonicTable,
+    NotPInteger,
+    PrimePowerModulus,
+    bernoulli_exact,
+    is_prime,
+    residue_of_rational,
+)
+
+
+# ---------------------------------------------------------------------------
+# harmonic numbers, power sums and valuations over Q
+# ---------------------------------------------------------------------------
+
+
+def harmonic_numbers_exact(p: int) -> tuple:
+    """H_0 .. H_{p-1} as exact rationals, by the coefficient recurrence over Q."""
+    c = [Fraction(0)] * p
+    c[0] = Fraction(1)
+    for k in range(1, p):
+        ik = Fraction(1, k)
+        for j in range(k, 0, -1):
+            c[j] = c[j] - ik * c[j - 1]
+    return tuple(c[k] if k % 2 == 0 else -c[k] for k in range(p))
+
+
+def power_sum_exact(p: int, exponent: int) -> Fraction:
+    return sum(Fraction(1, k**exponent) for k in range(1, p))
+
+
+def rational_valuation(q, p: int):
+    """p-adic valuation of a rational; None for 0 (valuation +infinity)."""
+    q = Fraction(q)
+    if q == 0:
+        return None
+    v = 0
+    n = q.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = q.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+# ---------------------------------------------------------------------------
+# binomials
+# ---------------------------------------------------------------------------
+
+
+def binom_rational_exact(x, r: int) -> Fraction:
+    """C(x, r) for rational x: the falling product x(x-1)...(x-r+1)/r!."""
+    x = Fraction(x)
+    num = Fraction(1)
+    for j in range(r):
+        num *= x - j
+    return num / math.factorial(r)
+
+
+def binom_exact(alpha, p: int) -> Fraction:
+    """Exact rational value of C(alpha*p - 1, p - 1); the oracle path."""
+    return binom_rational_exact(Fraction(alpha) * p - 1, p - 1)
+
+
+def binom_alpha_expansion(
+    alpha, modulus: PrimePowerModulus, table: HarmonicTable
+) -> int:
+    """Same binomial via the polynomial expansion sum_k (-alpha)^k H_k p^k.
+
+    Terms with k >= m vanish in Z/p^m, so only min(p, m) harmonic numbers
+    contribute.  Cross-checks the product path.
+    """
+    p, pm, m = modulus.p, modulus.pm, modulus.m
+    if table.modulus != modulus:
+        raise ValueError("harmonic table built for a different modulus")
+    a = residue_of_rational(alpha, modulus)
+    total = 0
+    coef = 1  # (-alpha)^k p^k
+    for k in range(min(p, m)):
+        total = (total + coef * table.h[k]) % pm
+        coef = -coef * a % pm * p % pm
+    return total
+
+
+def central_binomial_identity(n: int) -> bool:
+    """Exact rational identity (-1)^n C(2n, n) = 4^(2n) C(n - 1/2, 2n)."""
+    lhs = Fraction(math.comb(2 * n, n))
+    if n % 2:
+        lhs = -lhs
+    return lhs == 4 ** (2 * n) * binom_rational_exact(Fraction(2 * n - 1, 2), 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# the generalized congruence and its coefficient machinery
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReductionCoefficients:
+    """Coefficient schedule that collapses the degree-4 harmonic expansion.
+
+    lam and mu are the unique multipliers of the two auxiliary relations
+    (the alpha = 1 expansion and the p^3 H_3 - 2 p^4 H_4 pair) that kill the
+    k = 3 and k = 4 terms; what survives are the coefficients of the main
+    congruence: a1 = -a(a-1)(a^2-a-1) and a2 = a^2(a-1)^2.
+    """
+
+    alpha: Fraction
+    lam: Fraction
+    mu: Fraction
+    a0: Fraction
+    a1: Fraction
+    a2: Fraction
+    a3: Fraction
+    a4: Fraction
+
+
+def reduction_coefficients(alpha) -> ReductionCoefficients:
+    a = Fraction(alpha)
+    lam = a**4 - 2 * a**3
+    mu = a**4 - a**3
+    return ReductionCoefficients(
+        alpha=a,
+        lam=lam,
+        mu=mu,
+        a0=Fraction(1),
+        a1=-a - lam,
+        a2=a * a + lam,
+        a3=-(a**3) - lam + mu,
+        a4=a**4 + lam - 2 * mu,
+    )
+
+
+@dataclass(frozen=True)
+class P7Residual:
+    """Exact difference between the two sides of the main congruence at p = 7.
+
+    The difference equals alpha^3 (alpha-1)^3 * 7^6 / 720 exactly, so its
+    7-adic valuation is 6 + 3 v_7(alpha) + 3 v_7(alpha - 1); `tight` records
+    whether the valuation is exactly 6, i.e. the exponent 6 cannot be raised.
+    """
+
+    alpha: Fraction
+    difference: Fraction
+    expected: Fraction
+    matches: bool
+    valuation: Optional[int]
+    tight: bool
+
+
+def p7_residual(alpha) -> P7Residual:
+    alpha = Fraction(alpha)
+    if alpha.denominator % 7 == 0:
+        raise NotPInteger(f"{alpha} is not a 7-integer")
+    h = harmonic_numbers_exact(7)
+    a1 = -alpha * (alpha - 1) * (alpha * alpha - alpha - 1)
+    a2 = alpha * alpha * (alpha - 1) ** 2
+    rhs = 1 + a1 * 7 * h[1] + a2 * 49 * h[2]
+    difference = binom_exact(alpha, 7) - rhs
+    expected = alpha**3 * (alpha - 1) ** 3 * Fraction(7**6, 720)
+    v = rational_valuation(difference, 7)
+    return P7Residual(
+        alpha=alpha,
+        difference=difference,
+        expected=expected,
+        matches=difference == expected,
+        valuation=v,
+        tight=v == 6,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli numbers
+# ---------------------------------------------------------------------------
+
+
+def von_staudt_clausen_defect(n: int) -> Fraction:
+    """B_n + sum of 1/q over primes q with (q-1) | n.
+
+    For even n this must be an integer; it is an independent structural check
+    on the recurrence, since the set of primes involved is derived from
+    divisibility alone.
+    """
+    total = bernoulli_exact(n)
+    for d in range(1, n + 1):
+        if n % d == 0 and is_prime(d + 1):
+            total += Fraction(1, d + 1)
+    return total

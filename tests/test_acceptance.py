@@ -13,14 +13,9 @@ from congrlab import (
     PrimeContext,
     PrimePowerModulus,
     ScanConfig,
-    binom_alpha_expansion,
     binom_alpha_mod,
-    binom_exact,
-    central_binomial_identity,
     emit_report,
     harmonic_table,
-    p7_residual,
-    reduction_coefficients,
     residue_of_rational,
     run_scan,
     signed_central_binomial,
@@ -28,6 +23,13 @@ from congrlab import (
 )
 from congrlab.cli import main
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from oracles import (
+    binom_alpha_expansion,
+    binom_exact,
+    central_binomial_identity,
+    p7_residual,
+    reduction_coefficients,
+)
 
 WORKERS = 2
 

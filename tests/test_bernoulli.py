@@ -11,13 +11,13 @@ from congrlab import (
     bernoulli_mod,
     check_bernoulli_power_sums,
     is_prime,
-    power_sum_exact,
     residue_of_rational,
-    von_staudt_clausen_defect,
 )
-from congrlab.bernoulli import BernoulliCache, bernoulli_pm3_faulhaber
+from congrlab import bernoulli
+from congrlab.bernoulli import bernoulli_pm3_faulhaber
 from congrlab.congruences import PrimeContext
 from congrlab.scanner import odd_primes_between
+from oracles import power_sum_exact, von_staudt_clausen_defect
 
 
 class TestExactValues:
@@ -44,13 +44,13 @@ class TestExactValues:
         with pytest.raises(ValueError):
             bernoulli_exact(-1)
 
-    def test_cache_grows_monotonically(self):
-        cache = BernoulliCache()
-        assert len(cache) == 2
-        cache.get(10)
-        assert len(cache) == 11
-        cache.get(4)
-        assert len(cache) == 11
+    def test_cache_grows_monotonically(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+        assert len(bernoulli._BERNOULLI) == 2
+        bernoulli_exact(10)
+        assert len(bernoulli._BERNOULLI) == 11
+        bernoulli_exact(4)
+        assert len(bernoulli._BERNOULLI) == 11
 
     @pytest.mark.parametrize("n", range(2, 42, 2))
     def test_von_staudt_clausen(self, n):
@@ -132,6 +132,15 @@ class TestPowerSumLinks:
     def test_suite_all_pass(self, p):
         verdicts = check_bernoulli_power_sums(p)
         assert all(v.passed for v in verdicts), verdicts
+
+    def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
+        # a spawned pool worker starts from B_0 and B_1 and builds the rest
+        warm = check_bernoulli_power_sums(199)
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+        fresh = check_bernoulli_power_sums(199)
+        assert len(bernoulli._BERNOULLI) == 197
+        assert fresh == warm
+        assert all(v.passed for v in fresh), fresh
 
     def test_skipped_below_p5(self):
         verdicts = check_bernoulli_power_sums(3)

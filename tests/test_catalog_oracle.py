@@ -24,15 +24,17 @@ from congrlab import (
     PrimeContext,
     Valuation,
     bernoulli_exact,
+    signed_central_binomial,
+    verify_case,
+)
+from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from oracles import (
     binom_exact,
     harmonic_numbers_exact,
     power_sum_exact,
     rational_valuation,
     reduction_coefficients,
-    signed_central_binomial,
-    verify_case,
 )
-from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 
 PRIMES = odd_primes_between(3, 47)
 

@@ -12,16 +12,9 @@ from congrlab import (
     PrimeContext,
     PrimePowerModulus,
     bernoulli_mod,
-    binom_alpha_expansion,
     binom_alpha_mod,
-    binom_exact,
-    binom_rational_exact,
-    central_binomial_identity,
-    harmonic_numbers_exact,
     harmonic_table,
-    p7_residual,
     power_sum_table,
-    reduction_coefficients,
     residue_of_rational,
     signed_central_binomial,
     thm1_rhs,
@@ -29,6 +22,15 @@ from congrlab import (
 )
 from congrlab.congruences import Term, _catalog, _factorial_inverse
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from oracles import (
+    binom_alpha_expansion,
+    binom_exact,
+    binom_rational_exact,
+    central_binomial_identity,
+    harmonic_numbers_exact,
+    p7_residual,
+    reduction_coefficients,
+)
 
 
 class TestBinomialPaths:

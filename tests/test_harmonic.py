@@ -17,14 +17,13 @@ from congrlab import (
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
-    harmonic_numbers_exact,
     harmonic_table,
-    power_sum_exact,
     power_sum_table,
     residue_of_rational,
 )
 from congrlab import harmonic
 from congrlab.scanner import odd_primes_between
+from oracles import harmonic_numbers_exact, power_sum_exact
 
 SMALL_PRIMES = odd_primes_between(3, 31)
 

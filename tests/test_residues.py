@@ -13,12 +13,11 @@ from congrlab import (
     Valuation,
     is_prime,
     parse_rational,
-    power_sum_exact,
-    rational_valuation,
     residue_of_rational,
     valuation_of_difference,
 )
 from congrlab.harmonic import inverse_table
+from oracles import power_sum_exact, rational_valuation
 
 
 class TestPrimePowerModulus:

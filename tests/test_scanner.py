@@ -1,7 +1,13 @@
 """Configuration parsing, scanning, report emission and the CLI contract."""
 
+import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +24,8 @@ from congrlab import (
 from congrlab.cli import main, parse_config
 from congrlab.congruences import PrimeContext
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, _record_dict, odd_primes_between
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSieve:
@@ -203,6 +211,48 @@ class TestRunScan:
     def test_validate_rejects_unknown_case(self):
         with pytest.raises(UsageError):
             run_scan(ScanConfig(cases=("nope",)))
+
+
+# sha256 of the JSON reports of `scan --primes 3..47` and
+# `lemmas --primes 3..47`, the same at any worker count
+PINNED_JSON_3_47 = {
+    "scan": "043fa64a62681de81ec21ea831af16e047858eaa9a3a5386824ccc96cd8ce4ac",
+    "lemmas": "83cd985ad99edc60808393624d0930556f349ef15b7c31f93fbe1003283d5114",
+}
+
+_START_METHOD_RUN = """
+import hashlib, multiprocessing, sys
+from congrlab import ScanConfig, emit_report, run_scan
+
+multiprocessing.set_start_method(sys.argv[1])
+for command in ("scan", "lemmas"):
+    config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=2)
+    print(command, hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest())
+"""
+
+
+class TestStartMethods:
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_reports_identical_under_every_start_method(self, method):
+        # a worker that relied on state the parent set up before the pool
+        # started would see none of it under spawn or forkserver
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _START_METHOD_RUN, method],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        pooled = dict(line.split() for line in result.stdout.splitlines())
+        for command, pinned in PINNED_JSON_3_47.items():
+            config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=1)
+            serial = hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest()
+            assert pooled[command] == serial == pinned, command
 
 
 class TestWolstenholmePrime:
