@@ -44,7 +44,6 @@ from .scanner import (
     UsageError,
     emit_report,
     odd_primes_between,
-    report_from_json,
     run_lemma_suites,
     run_scan,
     sieve_primes,

@@ -131,12 +131,6 @@ class Valuation(NamedTuple):
     def __str__(self) -> str:
         return f">={self.value}" if self.is_floor else str(self.value)
 
-    @classmethod
-    def parse(cls, text: str) -> "Valuation":
-        if text.startswith(">="):
-            return cls(int(text[2:]), True)
-        return cls(int(text), False)
-
 
 def valuation_of_difference(a: int, b: int, modulus: PrimePowerModulus) -> Valuation:
     """Largest j <= m with p^j | (a - b) in Z/p^m; reported as a floor when a == b."""

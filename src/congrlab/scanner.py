@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .harmonic import (
     check_power_sum_congruences,
     check_reflection_identity,
 )
-from .residues import CongrlabError, Valuation
+from .residues import CongrlabError
 from .verdicts import FAIL, PASS, Verdict
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "UsageError",
     "emit_report",
     "odd_primes_between",
-    "report_from_json",
     "run_lemma_suites",
     "run_scan",
     "sieve_primes",
@@ -88,7 +88,15 @@ def sieve_primes(limit: int) -> list:
 
 
 def odd_primes_between(lo: int, hi: int) -> list:
-    return [p for p in sieve_primes(hi) if p >= max(lo, 3)]
+    """The odd primes in [lo, hi], sieving only that segment."""
+    lo = max(lo, 3)
+    if hi < lo:
+        return []
+    flags = bytearray([1]) * (hi - lo + 1)
+    for q in sieve_primes(math.isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)
+        flags[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return [lo + i for i, ok in enumerate(flags) if ok]
 
 
 @dataclass(frozen=True)
@@ -249,44 +257,31 @@ def run_scan(config: ScanConfig) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-def _maybe(convert):
-    """Apply `convert` to a present value; an absent one (None) stays None."""
-    return lambda value: None if value is None else convert(value)
+# The report's columns, in order.  `_record_values` gives a record's JSON
+# values: case and status are str; p and m are int (JSON numbers); alpha
+# ("a/b"), lhs, rhs (decimal, since residues routinely exceed 64 bits) and
+# valuation ("v" or ">=v") are str; reason is a non-empty str.  Every value
+# but case, p and status may be None: null in JSON, an empty cell in CSV and
+# text.  CSV has every column but the last, the reason.
+_COLUMNS = ("case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason")
 
 
-# The report's columns: (Verdict field, its JSON value, the field from that
-# JSON value).  p and m stay JSON numbers; residues are decimal strings
-# because they routinely exceed 64 bits; None is null in JSON and an empty
-# cell in CSV and text.  CSV has every column but the last, the reason.
-_COLUMNS = (
-    ("case", str, str),
-    ("p", int, int),
-    ("alpha", _maybe(str), _maybe(Fraction)),
-    ("m", _maybe(int), _maybe(int)),
-    ("lhs", _maybe(str), _maybe(int)),
-    ("rhs", _maybe(str), _maybe(int)),
-    ("status", str, str),
-    ("valuation", _maybe(str), _maybe(Valuation.parse)),
-    ("reason", lambda reason: reason or None, lambda reason: reason or ""),
-)
-_CSV_COLUMNS = tuple(name for name, _, _ in _COLUMNS[:-1])
+def _record_values(v: Verdict) -> tuple:
+    alpha, lhs, rhs, valuation = v.alpha, v.lhs, v.rhs, v.valuation
+    return (
+        v.case, v.p, None if alpha is None else str(alpha), v.m,
+        None if lhs is None else str(lhs), None if rhs is None else str(rhs),
+        v.status, None if valuation is None else str(valuation), v.reason or None,
+    )
 
 
 def _record_dict(v: Verdict) -> dict:
-    return {name: to_json(getattr(v, name)) for name, to_json, _ in _COLUMNS}
+    return dict(zip(_COLUMNS, _record_values(v)))
 
 
 def _record_cells(v: Verdict) -> list:
     """The record's JSON values as text in `_COLUMNS` order; None is ""."""
-    cells = []
-    for name, to_json, _ in _COLUMNS:
-        value = to_json(getattr(v, name))
-        cells.append("" if value is None else str(value))
-    return cells
-
-
-def _record_from_dict(d: dict) -> Verdict:
-    return Verdict(**{name: from_json(d[name]) for name, _, from_json in _COLUMNS})
+    return ["" if value is None else str(value) for value in _record_values(v)]
 
 
 def emit_report(report: ScanReport, fmt: str) -> bytes:
@@ -296,7 +291,7 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(_COLUMNS[:-1])
         writer.writerows(_record_cells(v)[:-1] for v in report.records)
         return buf.getvalue().encode()
     if fmt == "text":
@@ -335,12 +330,9 @@ def _emit_json(report: ScanReport) -> bytes:
 
 
 def _emit_text(report: ScanReport) -> bytes:
-    headers = [name for name, _, _ in _COLUMNS]
     rows = [_record_cells(v) for v in report.records]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    widths = [max(map(len, column)) for column in zip(_COLUMNS, *rows)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(_COLUMNS, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -358,14 +350,3 @@ def _emit_text(report: ScanReport) -> bytes:
     else:
         lines.append("anomalies: none")
     return ("\n".join(lines) + "\n").encode()
-
-
-def report_from_json(data: bytes) -> ScanReport:
-    """Re-parse an emitted JSON report; inverse of emit_report(..., "json")."""
-    payload = json.loads(data.decode())
-    return ScanReport(
-        config=payload["config"],
-        records=[_record_from_dict(d) for d in payload["records"]],
-        summary=payload["summary"],
-        anomalies=[_record_from_dict(d) for d in payload["anomalies"]],
-    )

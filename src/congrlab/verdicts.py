@@ -47,7 +47,7 @@ class Verdict:
 
     def sort_key(self):
         if self.alpha is None:
-            return (self.case, self.p, 0, Fraction(0))
+            return (self.case, self.p, 0, 0)
         return (self.case, self.p, 1, self.alpha)
 
 

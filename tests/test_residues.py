@@ -175,8 +175,8 @@ class TestValuation:
         assert valuation_of_difference(256, 6, m) == Valuation(3, False)
 
     def test_parse_round_trip(self):
-        for v in (Valuation(3, False), Valuation(6, True)):
-            assert Valuation.parse(str(v)) == v
+        assert str(Valuation(3, False)) == "3"
+        assert str(Valuation(6, True)) == ">=6"
 
     def test_rational_valuation(self):
         assert rational_valuation(Fraction(125, 36), 5) == 3

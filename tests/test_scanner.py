@@ -4,8 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from congrlab import (
     ScanConfig,
     UsageError,
     emit_report,
-    report_from_json,
     run_scan,
     sieve_primes,
 )
@@ -39,6 +40,30 @@ class TestSieve:
         assert odd_primes_between(3, 13) == [3, 5, 7, 11, 13]
         assert odd_primes_between(8, 12) == [11]
         assert 2 not in odd_primes_between(2, 10)
+
+    @staticmethod
+    def _ranges():
+        rng = random.Random(20161)
+        yield from ((lo, hi) for lo in range(60) for hi in range(60))
+        for _ in range(300):
+            yield tuple(sorted((rng.randrange(20_000), rng.randrange(20_000))))
+        yield from [(3, 499), (5, 10_000)]
+
+    def test_segment_sieve_matches_full_sieve(self):
+        for lo, hi in self._ranges():
+            expected = [q for q in sieve_primes(hi) if q >= max(lo, 3)]
+            assert odd_primes_between(lo, hi) == expected, (lo, hi)
+
+    def test_segment_sieve_memory_tracks_the_segment(self):
+        # sieving all of [0, 10^6] would allocate about 1 MB of flags alone
+        tracemalloc.start()
+        try:
+            primes = odd_primes_between(999_900, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert primes == [999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983]
+        assert peak < 1 << 20
 
 
 class TestParseConfig:
@@ -283,6 +308,16 @@ class TestWolstenholmePrime:
         assert flagged == {("babbage", None), ("glaisher_rel74", Fraction(1))}
 
 
+RECORD_KEYS = ["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason"]
+
+# sha256 and length of `scan --primes 3..47 --tightness` as text and CSV, a
+# report with alpha values, skip rows with reasons and anomalies
+PINNED_3_47_TIGHTNESS = {
+    "text": ("1225c6f2937833f90f8113a00ad886cbc6796c3420563d850f36153a5261855e", 222_078),
+    "csv": ("0b0909b1d290d469b107c25b66c61c1572d27f537999f68e5bcf0ccba5e66906", 89_792),
+}
+
+
 class TestEmission:
     def test_empty_report_json(self):
         cfg = ScanConfig(prime_min=3, prime_max=3, cases=("mestrovic80",))
@@ -307,12 +342,35 @@ class TestEmission:
         assert text.endswith("\n") and "\r" not in text
 
     def test_json_round_trip(self):
-        cfg = ScanConfig(prime_min=3, prime_max=13, cases=("thm1", "rel34"))
-        report = run_scan(cfg)
-        parsed = report_from_json(emit_report(report, "json"))
-        assert parsed.records == report.records
-        assert parsed.summary == report.summary
-        assert parsed.anomalies == report.anomalies
+        # every field of every record and anomaly can be read back from JSON
+        report = run_scan(ScanConfig(prime_min=3, prime_max=13, tightness=True))
+        assert report.anomalies and any(v.reason for v in report.records)
+        payload = json.loads(emit_report(report, "json"))
+        assert payload["summary"] == report.summary
+
+        def parsed(value, convert):
+            return None if value is None else convert(value)
+
+        for key in ("records", "anomalies"):
+            verdicts = getattr(report, key)
+            assert len(payload[key]) == len(verdicts)
+            for d, v in zip(payload[key], verdicts):
+                assert list(d) == RECORD_KEYS
+                assert (d["case"], d["status"]) == (v.case, v.status)
+                assert (int(d["p"]), parsed(d["m"], int)) == (v.p, v.m)
+                assert parsed(d["lhs"], int) == v.lhs
+                assert parsed(d["rhs"], int) == v.rhs
+                assert parsed(d["alpha"], Fraction) == v.alpha
+                assert d["valuation"] == parsed(v.valuation, str)
+                assert d["reason"] == (v.reason or None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_text_and_csv_pinned(self, workers):
+        config = ScanConfig(prime_min=3, prime_max=47, tightness=True, workers=workers)
+        report = run_scan(config)
+        for fmt, pinned in PINNED_3_47_TIGHTNESS.items():
+            data = emit_report(report, fmt)
+            assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned, fmt
 
     @pytest.mark.parametrize(
         "cfg",
