@@ -25,6 +25,7 @@ from .harmonic import (
     check_power_sum_congruences,
     check_reflection_identity,
     harmonic_table,
+    harmonic_vectors,
     power_sum_table,
 )
 from .residues import (

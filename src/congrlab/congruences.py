@@ -3,16 +3,21 @@
 Most catalog entries compare C(alpha*p - 1, p - 1) -- or the signed central
 binomial coefficient (-1)^((p-1)/2) * C(p-1, (p-1)/2) -- against a series
 in p whose coefficients are harmonic numbers, inverse power sums or
-B_{p-3}.  The binomial side is computed entirely inside Z/p^m as the
-product prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator
-and factorial each multiplied in runs of 64 factors and reduced once per
-run.  The exact-rational product formula that serves as its independent
-oracle lives with the tests, in tests/oracles.py.
+B_{p-3}.  The binomial side is computed entirely inside Z/p^m along one of
+two routes.  A context given the vector H_0 .. H_{m-1} (which a range scan
+builds for all its primes at once, see `harmonic.harmonic_vectors`) reads
+C(alpha*p - 1, p - 1) = sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule,
+in O(m) per alpha.  Without one, the context takes the product route,
+prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator and
+factorial each multiplied in runs of 64 factors and reduced once per run;
+`binom_alpha_mod` is that route, and the scanner also runs it to check the
+vectors.  The exact-rational product formula that serves as the independent
+oracle of both lives with the tests, in tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
 by one interpreter against a `PrimeContext`.  The context caches the
-per-prime ingredients (S_1, S_2, S_3 and H_2 in O(p), 1/(p-1)! and the
-binomials per alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
+per-prime ingredients (S_1, S_2, S_3 and H_2 in O(p), the binomials per
+alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
 each case then reduces to its own modulus.  Contexts are built per prime
 and never mutated after their lazy fields fill in, so sharing one across
 the cases and alpha values of a single prime is safe.
@@ -97,13 +102,20 @@ _HALF = Fraction(1, 2)
 
 
 class PrimeContext:
-    """Lazily computed per-prime ingredients at one working exponent."""
+    """Lazily computed per-prime ingredients at one working exponent.
 
-    def __init__(self, p: int, exponent: int):
+    `h`, when given, is (H_0, .., H_{exponent-1}) modulo p^exponent, and the
+    binomials are read off it; without it they take the product route.
+    """
+
+    def __init__(self, p: int, exponent: int, h: Optional[tuple] = None):
+        if h is not None and len(h) != exponent:
+            raise ValueError(f"harmonic vector of length {len(h)}, need {exponent}")
         self.modulus = PrimePowerModulus(p, exponent)
         self.p = p
         self.exponent = exponent
         self.pm = self.modulus.pm
+        self._h = h
         self._powers = {0: 1, exponent: self.pm}
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
@@ -141,11 +153,23 @@ class PrimeContext:
         return q.numerator * self._inverses[d] % self.pm
 
     def binom_w(self, alpha: Fraction) -> int:
-        """C(alpha*p - 1, p - 1); every alpha shares one 1/(p-1)!."""
+        """C(alpha*p - 1, p - 1), by Horner on `h` or by the product route.
+
+        C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
+        sum_j (-alpha*p)^j H_j, and the terms j >= exponent vanish.  On the
+        product route every alpha shares one 1/(p-1)!.
+        """
         if alpha not in self._binoms:
-            if self._fact_inv is None:
-                self._fact_inv = _factorial_inverse(self.modulus)
-            self._binoms[alpha] = binom_alpha_mod(alpha, self.modulus, self._fact_inv)
+            if self._h is not None:
+                x = -self.rat(alpha) * self.p
+                value = 0
+                for hj in reversed(self._h):
+                    value = (value * x + hj) % self.pm
+            else:
+                if self._fact_inv is None:
+                    self._fact_inv = _factorial_inverse(self.modulus)
+                value = binom_alpha_mod(alpha, self.modulus, self._fact_inv)
+            self._binoms[alpha] = value
         return self._binoms[alpha]
 
     def four_pow(self) -> int:

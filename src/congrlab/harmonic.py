@@ -6,6 +6,11 @@ prod_{k<p} (x + k), an unsigned Stirling number of the first kind, is
 (p-1)! H_j; the table multiplies that product out exactly in one
 Kronecker-packed int, one fixed-width slot per coefficient.
 
+A range scan needs only H_0 .. H_{D-1} modulo p^D at each prime, the
+coefficients of that product modulo t^D.  `harmonic_vectors` gets them for
+every prime of a range at once from one accumulating remainder tree, so no
+prime pays an O(p) loop of its own.
+
 Power sums S_m = sum_{k<p} 1/k^m are computed independently (directly from
 inverse powers), which makes the Newton-identity cross-check between the
 two meaningful: H_2 must equal (S_1^2 - S_2)/2.
@@ -32,6 +37,7 @@ __all__ = [
     "check_power_sum_congruences",
     "check_reflection_identity",
     "harmonic_table",
+    "harmonic_vectors",
     "inverse_table",
     "power_sum_table",
 ]
@@ -92,6 +98,90 @@ def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
     c = _unpack(packed, p, width)
     inv_c0 = pow(c[0], -1, pm)  # c_0 = (p-1)!
     return HarmonicTable(modulus, tuple(cj * inv_c0 % pm for cj in c))
+
+
+def _times_mod_t(a: list, b: list, d: int) -> list:
+    """a(t) * b(t) mod t^d, for coefficient lists lowest degree first."""
+    out = [0] * d
+    for i, ai in enumerate(a[:d]):
+        if ai:
+            for j in range(d - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _rising(lo: int, hi: int, d: int) -> list:
+    """prod_{lo <= k < hi} (k + t) mod t^d, exactly, by binary splitting."""
+    if hi - lo <= 8:
+        c = [1] + [0] * (d - 1)
+        for k in range(lo, hi):
+            c = [k * c[0]] + [k * c[j] + c[j - 1] for j in range(1, d)]
+        return c
+    mid = (lo + hi) // 2
+    return _times_mod_t(_rising(lo, mid, d), _rising(mid, hi, d), d)
+
+
+def harmonic_vectors(primes, exponents) -> list:
+    """(H_0, .., H_{D-1}) modulo p^D for each prime p and its exponent D.
+
+    c(t) = prod_{k<p} (k + t) mod t^D has c_j = (p-1)! H_j, so every prime
+    of the range needs a prefix of one long product.  This is the
+    accumulating remainder tree of Costa, Gerbicz & Harvey ("A search for
+    Wilson primes", Math. Comp. 2014): leaf i is the exact product over
+    p_{i-1} <= k < p_i (p_0 = 1), truncated at t^(max D).  Going up, the
+    tree multiplies the leaves and the moduli p^D in pairs.  Going down
+    from 1 at the root, a left child takes its parent's prefix reduced by
+    its own subtree's modulus, and a right child takes the parent's prefix
+    times its left sibling's product, reduced by its own.  Leaf i then holds
+    the product of the leaves before it modulo p_i^(D_i), and one more
+    product gives c.  No product on the right spine is ever needed, the
+    root's included.
+    """
+    primes, exponents = list(primes), list(exponents)
+    if len(primes) != len(exponents):
+        raise ValueError("one exponent per prime")
+    if any(q <= p for p, q in zip(primes, primes[1:])):
+        raise ValueError("primes must increase")
+    if any(e < 1 for e in exponents):
+        raise ValueError("exponents must be >= 1")
+    if not primes:
+        return []
+    d = max(exponents)
+    mods = [p**e for p, e in zip(primes, exponents)]
+    leaves = [_rising(lo, p, d) for lo, p in zip([1] + primes[:-1], primes)]
+    below = {}  # (lo, hi) -> left child's product, left and right moduli
+
+    def up(lo: int, hi: int, keep: bool):
+        """Product of leaves lo..hi-1 (None unless `keep`) and of their moduli."""
+        if hi - lo == 1:
+            return leaves[lo], mods[lo]
+        mid = (lo + hi) // 2
+        left, m_left = up(lo, mid, True)
+        right, m_right = up(mid, hi, keep)
+        below[lo, hi] = left, m_left, m_right
+        return (_times_mod_t(left, right, d) if keep else None), m_left * m_right
+
+    out = [None] * len(primes)
+
+    def down(lo: int, hi: int, prefix: list) -> None:
+        """`prefix` is the product of the leaves before lo, reduced."""
+        if hi - lo == 1:
+            m, e = mods[lo], exponents[lo]
+            c = [x % m for x in _times_mod_t(prefix, leaves[lo], e)]
+            inv_c0 = pow(c[0], -1, m)  # c_0 = (p-1)!
+            out[lo] = tuple(x * inv_c0 % m for x in c)
+            return
+        mid = (lo + hi) // 2
+        left, m_left, m_right = below.pop((lo, hi))
+        down(lo, mid, [x % m_left for x in prefix])
+        right = _times_mod_t(
+            [x % m_right for x in prefix], [x % m_right for x in left], d
+        )
+        down(mid, hi, [x % m_right for x in right])
+
+    up(0, len(primes), False)
+    down(0, len(primes), [1] + [0] * (d - 1))
+    return out
 
 
 @dataclass(frozen=True)

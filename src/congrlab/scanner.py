@@ -2,12 +2,19 @@
 
 Work is fanned out one prime per unit: all cases and alpha values for a
 prime share that prime's context (S_1, S_2, S_3, H_2, B_{p-3}, cached
-binomials), which each worker builds from p alone.  Units are dispatched
-largest prime first, because a unit's cost grows with p and the pool's last
-chunk should be a cheap one.  Workers only read immutable inputs and
-inherit nothing from the parent; results are merged and sorted by (case, p,
-alpha) before emission, so a report is byte-identical no matter how many
-workers produced it, in what order, or under which start method.
+binomials), which each worker builds from the unit's task.  The binomials
+take one of two routes, chosen from the request alone by estimated cost.
+On a wide enough range the parent builds every prime's harmonic vector
+H_0 .. H_{D-1} mod p^D from one remainder tree, checks the largest prime's
+against the product route, and puts each vector in its prime's task; the
+worker reads each binomial off it in O(D).  Otherwise (a single prime, say)
+the task carries no vector and the worker multiplies an O(p) product per
+alpha.  Units are dispatched largest prime first, because a unit's cost
+grows with p and the pool's last chunk should be a cheap one.  Workers only
+read immutable inputs and inherit nothing from the parent; results are
+merged and sorted by (case, p, alpha) before emission, so a report is
+byte-identical no matter how many workers produced it, in what order, or
+under which start method.
 Residues are serialized as decimal strings because they routinely exceed
 64 bits.
 """
@@ -24,13 +31,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .bernoulli import check_bernoulli_power_sums
-from .congruences import CATALOG, PrimeContext, verify_case
+from .congruences import CATALOG, PrimeContext, binom_alpha_mod, verify_case
 from .harmonic import (
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
+    harmonic_vectors,
 )
-from .residues import CongrlabError
+from .residues import CongrlabError, PrimePowerModulus
 from .verdicts import FAIL, PASS, Verdict
 
 __all__ = [
@@ -164,16 +172,72 @@ class ScanReport:
         return self.summary["fail"] > 0
 
 
-def _scan_one_prime(task) -> list:
-    p, case_ids, alphas, tightness, claimed = task
-    cases = [CATALOG[cid] for cid in case_ids]
+_TWO = Fraction(2)
+_HALF = Fraction(1, 2)
+
+
+def _applicable(p: int, cases, claimed: bool) -> list:
+    return [c for c in cases if p >= (c.claimed_min_p if claimed else c.min_p)]
+
+
+def _context_exponent(p: int, cases, tightness: bool, claimed: bool) -> int:
+    """The working exponent of p's context: the most any applicable case needs."""
     extra = 1 if tightness else 0
-    needed = [
-        case.modulus_exponent(p) + extra
-        for case in cases
-        if p >= (case.claimed_min_p if claimed else case.min_p)
-    ]
-    ctx = PrimeContext(p, max(needed, default=1))
+    applicable = _applicable(p, cases, claimed)
+    return max((case.modulus_exponent(p) + extra for case in applicable), default=1)
+
+
+def _binomials_read(p: int, cases, alphas, claimed: bool) -> int:
+    """How many alphas p's cases read C(alpha*p - 1, p - 1) at, at most."""
+    read = set()
+    for case in _applicable(p, cases, claimed):
+        names = {term.x for term in case.lhs + case.rhs}
+        if "binom" in names:
+            read.update(alphas)
+        if "binom2" in names:
+            read.add(_TWO)
+        if "central" in names:
+            read.add(_HALF)
+    return len(read)
+
+
+# The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors of the product
+# route, whatever the range's lower end.  On one core of a 2-core sandbox
+# (Python 3.11.7), `harmonic_vectors` for every prime 5..10^4 / 5..10^5 took
+# 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8, about
+# 2e-10 s * D^2 * p_max^1.8, and `binom_alpha_mod` took 0.06-0.08 us per
+# factor at p = 10^4..10^6.  The product route costs (binomials read + 1) * p
+# factors at each prime, the one being its 1/(p-1)!.
+_TREE_FACTORS = 2.5e-3
+
+
+def _tree_pays(primes, exponents, reads) -> bool:
+    product = sum((r + 1) * p for p, r in zip(primes, reads) if r)
+    return _TREE_FACTORS * max(exponents) ** 2 * primes[-1] ** 1.8 < product
+
+
+def _harmonic_vectors(primes, exponents, reads) -> list:
+    """Each prime's harmonic vector, or all None where the product route pays.
+
+    A case that applies at p applies at every larger prime, so the largest
+    prime reads a binomial if any does.  Its vector depends on every
+    product along the tree's right spine, so its C(2p - 1, p - 1) is
+    checked against the product route; a mismatch is an internal error.
+    """
+    if not any(reads) or not _tree_pays(primes, exponents, reads):
+        return [None] * len(primes)
+    vectors = harmonic_vectors(primes, exponents)
+    p, e = primes[-1], exponents[-1]
+    tree = PrimeContext(p, e, vectors[-1]).binom_w(_TWO)
+    if tree != binom_alpha_mod(_TWO, PrimePowerModulus(p, e)):
+        raise CongrlabError(f"harmonic vector mismatch at p={p}")
+    return vectors
+
+
+def _scan_one_prime(task) -> list:
+    p, h, case_ids, alphas, tightness, claimed = task
+    cases = [CATALOG[cid] for cid in case_ids]
+    ctx = PrimeContext(p, _context_exponent(p, cases, tightness, claimed), h)
     out = []
     for case in cases:
         if case.alpha_mode == "none":
@@ -236,10 +300,17 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.command == "lemmas":
         records = _run_tasks(run_lemma_suites, primes, config.workers)
     else:
-        case_ids = config.case_ids()
+        case_ids, alphas = config.case_ids(), config.alphas
+        tightness, claimed = config.tightness, config.claimed_ranges
+        cases = [CATALOG[cid] for cid in case_ids]
+        vectors = _harmonic_vectors(
+            primes,
+            [_context_exponent(p, cases, tightness, claimed) for p in primes],
+            [_binomials_read(p, cases, alphas, claimed) for p in primes],
+        )
         tasks = [
-            (p, case_ids, config.alphas, config.tightness, config.claimed_ranges)
-            for p in primes
+            (p, h, case_ids, alphas, tightness, claimed)
+            for p, h in zip(primes, vectors)
         ]
         records = _run_tasks(_scan_one_prime, tasks, config.workers)
 

@@ -11,9 +11,11 @@ from congrlab import (
     NotPInteger,
     PrimeContext,
     PrimePowerModulus,
+    CongrlabError,
     bernoulli_mod,
     binom_alpha_mod,
     harmonic_table,
+    harmonic_vectors,
     power_sum_table,
     residue_of_rational,
     signed_central_binomial,
@@ -389,6 +391,15 @@ class TestPrimeContext:
                 expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
                 assert ctx.binom_w(alpha) == expected, alpha
 
+    @pytest.mark.parametrize("p", [3, 7, 13, 97])
+    def test_horner_binomials_match_the_oracle(self, p):
+        # every alpha read off one harmonic vector
+        ctx = PrimeContext(p, 6, harmonic_vectors([p], [6])[0])
+        for alpha in DEFAULT_ALPHA_SWEEP:
+            if alpha.denominator % p:
+                expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
+                assert ctx.binom_w(alpha) == expected, alpha
+
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
         # H_2 by Newton's identity against the product recurrence's table
@@ -397,6 +408,21 @@ class TestPrimeContext:
         for e in (1, 2, 3):
             assert ctx.ingredient(f"S{e}", None) == sums.value(e)
         assert ctx.ingredient("H2", None) == harmonic_table(ctx.modulus).value(2)
+
+    def test_corrupted_half_binomial_fails_the_central_check(self):
+        p, d = 13, 4
+        h = harmonic_vectors([p], [d])[0]
+        assert PrimeContext(p, d, h).central_binomial() == (
+            signed_central_binomial(p) % p**d
+        )
+        # H_1 off by one moves C(p/2 - 1, p - 1) by -p/2
+        bad = (h[0], (h[1] + 1) % p**d) + h[2:]
+        with pytest.raises(CongrlabError, match="central binomial transfer"):
+            PrimeContext(p, d, bad).central_binomial()
+
+    def test_vector_length_must_match_the_exponent(self):
+        with pytest.raises(ValueError, match="harmonic vector"):
+            PrimeContext(7, 4, harmonic_vectors([7], [3])[0])
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

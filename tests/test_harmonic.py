@@ -6,6 +6,7 @@ and reduced afterwards.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ import pytest
 from congrlab import (
     DomainTooSmall,
     HarmonicTable,
+    PrimeContext,
     PrimePowerModulus,
+    binom_alpha_mod,
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
     harmonic_table,
+    harmonic_vectors,
     power_sum_table,
     residue_of_rational,
 )
@@ -114,6 +118,52 @@ class TestHarmonicTable:
         for p in SMALL_PRIMES:
             table = harmonic_table(PrimePowerModulus(p, 1))
             assert table.value(p - 1) == p - 1
+
+
+def table_prefix(p, d):
+    """H_0 .. H_{d-1} mod p^d from the packed Stirling table, zero past p - 1."""
+    h = harmonic_table(PrimePowerModulus(p, d)).h[:d]
+    return h + (0,) * (d - len(h))
+
+
+class TestHarmonicVectors:
+    """The remainder tree against the per-prime routes it replaces."""
+
+    PRIMES = odd_primes_between(3, 199)
+
+    def test_binom2_matches_the_product_route_to_10_4(self):
+        primes = odd_primes_between(5, 10_000)
+        for p, h in zip(primes, harmonic_vectors(primes, [4] * len(primes))):
+            expected = binom_alpha_mod(2, PrimePowerModulus(p, 4))
+            assert PrimeContext(p, 4, h).binom_w(Fraction(2)) == expected, p
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_vectors_match_the_packed_table(self, d):
+        vectors = harmonic_vectors(self.PRIMES, [d] * len(self.PRIMES))
+        for p, h in zip(self.PRIMES, vectors):
+            assert h == table_prefix(p, d), p
+
+    @pytest.mark.parametrize("start", [0, 1, 20, 44])
+    def test_mixed_exponents_and_a_late_first_prime(self, start):
+        # the first leaf is then the whole product below primes[start]
+        primes = self.PRIMES[start:]
+        rng = random.Random(start)
+        exponents = [rng.randint(1, 9) for _ in primes]
+        vectors = harmonic_vectors(primes, exponents)
+        assert [len(h) for h in vectors] == exponents
+        for p, d, h in zip(primes, exponents, vectors):
+            assert h == table_prefix(p, d), (p, d)
+
+    def test_empty_range(self):
+        assert harmonic_vectors([], []) == []
+
+    @pytest.mark.parametrize(
+        "primes, exponents",
+        [([5, 7], [2]), ([7, 5], [2, 2]), ([5, 5], [2, 2]), ([5, 7], [2, 0])],
+    )
+    def test_rejects_bad_input(self, primes, exponents):
+        with pytest.raises(ValueError):
+            harmonic_vectors(primes, exponents)
 
 
 class TestPowerSums:

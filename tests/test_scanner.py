@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import congrlab.cli
+from congrlab import congruences, harmonic, scanner
 from congrlab import (
     CongrlabError,
     ScanConfig,
@@ -306,6 +307,134 @@ class TestWolstenholmePrime:
         found = self._anomalies(16829)
         flagged = {(c, a) for c, a in found if c in self.B_CASES | {"babbage"}}
         assert flagged == {("babbage", None), ("glaisher_rel74", Fraction(1))}
+
+
+def force_route(monkeypatch, tree: bool) -> list:
+    """Force the binomial route; returns the list of harmonic_vectors calls."""
+    calls = []
+    build = scanner.harmonic_vectors
+
+    def spy(primes, exponents):
+        calls.append(len(primes))
+        return build(primes, exponents)
+
+    monkeypatch.setattr(scanner, "_tree_pays", lambda *args: tree)
+    monkeypatch.setattr(scanner, "harmonic_vectors", spy)
+    return calls
+
+
+def count_product_route(monkeypatch) -> list:
+    """Count binom_alpha_mod calls wherever the package binds it."""
+    calls = []
+    product = congruences.binom_alpha_mod
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].p)
+        return product(*args, **kwargs)
+
+    for module in (congruences, scanner):
+        monkeypatch.setattr(module, "binom_alpha_mod", counted)
+    return calls
+
+
+WOLSTENHOLME = ("wolstenholme_rel70",)
+
+
+class TestBinomialRoutes:
+    """Both routes give the same report; the cost model picks between them."""
+
+    @pytest.mark.parametrize(
+        "config, tree",
+        [
+            (ScanConfig(), True),
+            (ScanConfig(prime_min=5, prime_max=10_000, cases=WOLSTENHOLME), True),
+            (
+                ScanConfig(
+                    prime_min=1_000_003, prime_max=1_000_003, cases=WOLSTENHOLME
+                ),
+                False,
+            ),
+            (ScanConfig(prime_min=16_843, prime_max=16_843, tightness=True), False),
+            (ScanConfig(prime_min=16_800, prime_max=16_900, cases=WOLSTENHOLME), False),
+            (ScanConfig(cases=("rel34", "rel63")), False),
+        ],
+        ids=["catalog", "sweep", "one-prime", "16843", "narrow", "no-binomial"],
+    )
+    def test_route_chosen_from_the_request(self, monkeypatch, config, tree):
+        built = []
+
+        def no_vectors(primes, exponents):
+            built.append(len(primes))
+            return [None] * len(primes)
+
+        monkeypatch.setattr(scanner, "harmonic_vectors", no_vectors)
+        monkeypatch.setattr(scanner, "_run_tasks", lambda *args: [])
+        run_scan(config)
+        assert bool(built) == tree
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScanConfig(prime_min=3, prime_max=61, tightness=True),
+            ScanConfig(prime_min=3, prime_max=31, tightness=True, claimed_ranges=True),
+            ScanConfig(prime_min=101, prime_max=149, alphas=(Fraction(1, 3), 7)),
+        ],
+        ids=["catalog", "claimed", "late-start"],
+    )
+    def test_routes_give_identical_reports(self, monkeypatch, config):
+        reports = {}
+        for tree in (False, True):
+            calls = force_route(monkeypatch, tree)
+            reports[tree] = emit_report(run_scan(config), "json")
+            assert bool(calls) == tree
+        assert reports[True] == reports[False]
+
+    def test_known_answer_off_the_bottom_of_the_range(self, monkeypatch):
+        # the first leaf is the whole product below 16811
+        config = ScanConfig(
+            prime_min=16_800, prime_max=16_900, cases=WOLSTENHOLME, tightness=True
+        )
+        reports = {}
+        for tree in (False, True):
+            calls = force_route(monkeypatch, tree)
+            reports[tree] = run_scan(config)
+            assert calls == ([9] if tree else [])  # 16811 .. 16889
+        texts = {tree: emit_report(r, "text") for tree, r in reports.items()}
+        assert texts[True] == texts[False]
+        assert [v.p for v in reports[True].anomalies] == [16_843]
+        assert reports[True].summary == {"pass": 9, "fail": 0, "skip": 0}
+
+    def test_wide_scan_runs_the_product_route_once(self, monkeypatch, capsysbinary):
+        calls = count_product_route(monkeypatch)
+        argv = ["scan", "--primes", "5..10000", "--case", "wolstenholme_rel70"]
+        assert main(argv + ["--workers", "1"]) == 0
+        assert calls == [9973]  # the cross-check at the largest prime
+
+    def test_single_prime_builds_no_tree(self, monkeypatch, capsysbinary):
+        def refuse(primes, exponents):
+            raise AssertionError("a single prime built the tree")
+
+        monkeypatch.setattr(scanner, "harmonic_vectors", refuse)
+        argv = ["verify", "--case", "wolstenholme_rel70", "--p", "1000003"]
+        assert main(argv) == 0
+        assert b"summary: pass=1 fail=0 skip=0" in capsysbinary.readouterr().out
+
+    @pytest.mark.parametrize("leaf_start", [1, 499, 991])
+    def test_corrupted_leaf_fails_the_cross_check(self, monkeypatch, capsys, leaf_start):
+        # each of 1, 499 and 991 opens one leaf of the tree over 5..1000
+        rising = harmonic._rising
+
+        def off_by_one(lo, hi, d):
+            c = rising(lo, hi, d)
+            if lo == leaf_start:
+                c[1] += 1
+            return c
+
+        monkeypatch.setattr(harmonic, "_rising", off_by_one)
+        argv = ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"]
+        assert main(argv + ["--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "congrlab: internal error: harmonic vector mismatch at p=997\n"
 
 
 RECORD_KEYS = ["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason"]
