@@ -27,6 +27,7 @@ from .harmonic import (
     harmonic_table,
     harmonic_vectors,
     power_sum_table,
+    power_sums_from_harmonic,
 )
 from .residues import (
     CongrlabError,

@@ -1,14 +1,17 @@
 """Exact Bernoulli numbers and their reductions modulo prime powers.
 
 The numbers are generated by z/(e^z - 1) = sum B_n z^n / n!.  They are
-computed exactly with the classical recurrence
+computed exactly from the integer tangent numbers T_k, the coefficients of
+tan z = sum T_k z^(2k-1) / (2k-1)!, by
 
-    sum_{k=0}^{n} C(n+1, k) B_k = 0,  B_0 = 1,
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)),
 
-and only reduced modulo p^j afterwards.  The recurrence costs far more than
-cubic in n, so it serves the lemma link suite, p = 5, and the tests as an
-oracle.  Each process extends its own list on demand, so a pool worker
-needs nothing from the process that started it.
+and only reduced modulo p^j afterwards.  T_1 .. T_K take O(K^2) additions
+and small multiples of integers, with no fractions (Brent & Harvey, "Fast
+computation of Bernoulli, Tangent and Secant numbers", 2013).  The exact
+numbers serve the lemma link suite and p = 5.  Each process extends its own
+list on demand, so a pool worker needs nothing from the process that
+started it.
 
 The catalog only needs B_{p-3} modulo p^2, which Faulhaber's formula gives
 in O(p) modular powers without any exact number (`bernoulli_pm3_faulhaber`).
@@ -20,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .harmonic import power_sum_table
-from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
+from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
 from .verdicts import judge, skip
 
 __all__ = [
@@ -41,18 +44,47 @@ class NonPIntegerBernoulli(CongrlabError):
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
+def _tangent_numbers(count: int) -> list:
+    """T_1 .. T_count, by Brent & Harvey's in-place recurrence."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def _staudt_clausen_denominator(n: int) -> int:
+    """The product of the primes q with (q - 1) | n, for even n >= 2."""
+    return math.prod(d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1))
+
+
 def warm_bernoulli_cache(n: int) -> None:
-    """Extend this process's list of exact Bernoulli numbers to B_n."""
+    """Extend this process's list of exact Bernoulli numbers to B_n.
+
+    The tangent numbers cannot be extended in place, so the list is
+    recomputed to at least twice its length, which keeps the total cost of
+    a growing sequence of requests within a constant factor of the last.
+    Each new B_{2k} must have the denominator von Staudt and Clausen give.
+    """
     values = _BERNOULLI
-    while len(values) <= n:
-        r = len(values)
-        acc = Fraction(0)
-        for k, bk in enumerate(values):
-            if bk:
-                acc += math.comb(r + 1, k) * bk
-        b = -acc / (r + 1)
-        if r % 2 == 1 and b != 0:
-            raise AssertionError(f"B_{r} should vanish, recurrence gave {b}")
+    if len(values) > n:
+        return
+    size = max(n + 1, 2 * len(values))
+    tangents = _tangent_numbers((size - 1) // 2)
+    for index in range(len(values), size):
+        if index % 2:
+            values.append(Fraction(0))
+            continue
+        k = index // 2
+        b = Fraction((-1) ** (k - 1) * index * tangents[k - 1], 4**k * (4**k - 1))
+        expected = _staudt_clausen_denominator(index)
+        if b.denominator != expected:
+            raise CongrlabError(
+                f"B_{index} has denominator {b.denominator}, "
+                f"von Staudt-Clausen gives {expected}"
+            )
         values.append(b)
 
 

@@ -11,9 +11,16 @@ coefficients of that product modulo t^D.  `harmonic_vectors` gets them for
 every prime of a range at once from one accumulating remainder tree, so no
 prime pays an O(p) loop of its own.
 
-Power sums S_m = sum_{k<p} 1/k^m are computed independently (directly from
-inverse powers), which makes the Newton-identity cross-check between the
-two meaningful: H_2 must equal (S_1^2 - S_2)/2.
+Power sums S_m = sum_{k<p} 1/k^m take one of two routes.  The first few,
+which the catalog and the Bernoulli link read, come straight from a table of
+inverses, one mulmod per k and m (`power_sum_table`).  The power-sum suite
+reads S_1 .. S_{2p+1}, which that route would pay O(p^2) for, so it reads
+them off the harmonic table instead: prod_{k<p} (1 - x/k) is
+Q(x) = sum_j (-1)^j H_j x^j, and -x Q'(x) / Q(x) = sum_{m>=1} S_m x^m.  Q is
+inverted by Newton iteration on packed ints (`power_sums_from_harmonic`).
+The suite checks the highest sum, which depends on every Newton step,
+against sum_{k<p} k^(-N) computed directly, and a mismatch is an internal
+error.
 
 The check_* functions verify families of congruences these quantities
 satisfy and return one Verdict per instance, including explicit skip
@@ -40,6 +47,7 @@ __all__ = [
     "harmonic_vectors",
     "inverse_table",
     "power_sum_table",
+    "power_sums_from_harmonic",
 ]
 
 
@@ -85,6 +93,12 @@ def _unpack(packed: int, count: int, width: int) -> list:
         int.from_bytes(raw[i : i + width], "little")
         for i in range(0, count * width, width)
     ]
+
+
+def _pack(coeffs, width: int) -> int:
+    """The inverse of `_unpack`: each coefficient in a slot of `width` bytes."""
+    raw = b"".join(c.to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little")
 
 
 def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
@@ -210,6 +224,45 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
     return PowerSumTable(modulus, tuple(a % pm for a in acc))
 
 
+def power_sums_from_harmonic(table: HarmonicTable, n: int) -> PowerSumTable:
+    """S_1 .. S_n modulo the table's modulus, read off H_0 .. H_{p-1}.
+
+    Q(x) = sum_j (-1)^j H_j x^j (H_j = 0 for j >= p) has -x Q'/Q =
+    sum_m S_m x^m, so one inverse of Q modulo x^(n+1) gives every sum.  The
+    inverse comes from Newton's iteration R <- R (2 - Q R), which doubles
+    the number of correct coefficients per step (Brent & Kung, JACM 1978).
+    If Q R = 1 + x^k F modulo x^(2k), the step is R <- R - x^k (R F), so
+    each step needs only the k coefficients F and k of R F.  Every series
+    product is one multiplication of Kronecker-packed ints.  Coefficients
+    are reduced below pm before packing, so a product's slots hold at most
+    (n + 1) pm^2; the mask that truncates a product keeps CPython from
+    dividing.
+    """
+    pm = table.modulus.pm
+    q = [-h % pm if j % 2 else h for j, h in enumerate(table.h[: n + 1])]
+    q += [0] * (n + 1 - len(q))
+    width = (2 * pm.bit_length() + n.bit_length()) // 8 + 1
+    slot = 8 * width
+
+    def low(packed: int, count: int) -> list:
+        """The lowest `count` coefficients of a packed product, reduced."""
+        mask = (1 << slot * count) - 1
+        return [c % pm for c in _unpack(packed & mask, count, width)]
+
+    packed_q = _pack(q, width)
+    r = [1]  # 1/Q modulo x, since Q(0) = H_0 = 1
+    while len(r) <= n:
+        k = len(r)
+        top = min(2 * k, n + 1)
+        q_top = packed_q & ((1 << slot * top) - 1)
+        f = low(q_top * _pack(r, width) >> slot * k, top - k)
+        rf = low(_pack(r[: top - k], width) * _pack(f, width), top - k)
+        r += [-c % pm for c in rf]
+    minus_xdq = _pack([-j * c % pm for j, c in enumerate(q)], width)
+    s = low(minus_xdq * _pack(r, width), n + 1)
+    return PowerSumTable(table.modulus, tuple(s[1:]))
+
+
 # ---------------------------------------------------------------------------
 # congruence suites
 # ---------------------------------------------------------------------------
@@ -328,11 +381,14 @@ def check_power_sum_congruences(p: int) -> list:
     modulus = PrimePowerModulus(p, 6)
     pm = modulus.pm
     top = 2 * (p - 1) + 1
-    sums = power_sum_table(modulus, top + 2)
+    sums = power_sums_from_harmonic(harmonic_table(modulus), top + 2)
+    direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
+    if sums.value(top + 2) != direct:
+        raise CongrlabError(f"power sum S_{top + 2} mismatch at p={p}")
+    inv2 = pow(2, -1, pm)
+    # 12 is a unit only for p >= 5, and at p = 3 every triple is skipped
+    inv12 = pow(12, -1, pm) if p >= 5 else None
     out = []
-
-    def rat(q: Fraction) -> int:
-        return residue_of_rational(q, modulus)
 
     for m in range(1, top + 1):
         rhs = -1 % pm if m % (p - 1) == 0 else 0
@@ -343,7 +399,7 @@ def check_power_sum_congruences(p: int) -> list:
         if m % 2 == 0:
             continue
 
-        rhs = rat(Fraction(m * p, 2)) if (m + 1) % (p - 1) == 0 else 0
+        rhs = m * p * inv2 % pm if (m + 1) % (p - 1) == 0 else 0
         out.append(
             judge(f"power_sum.mod_p2[m={m}]", p, None, 2, sums.value(m), rhs, modulus)
         )
@@ -351,7 +407,9 @@ def check_power_sum_congruences(p: int) -> list:
         pair = (2 * sums.value(m) + m * p * sums.value(m + 1)) % pm
         out.append(judge(f"power_sum.pair_mod_p3[m={m}]", p, None, 3, pair, 0, modulus))
         if (m + 3) % (p - 1) == 0:
-            rhs = rat(-Fraction(m * (m + 1) * (m + 2), 12) * p**3)
+            rhs = residue_of_rational(
+                -Fraction(m * (m + 1) * (m + 2), 12) * p**3, modulus
+            )
         else:
             rhs = 0
         out.append(
@@ -364,8 +422,8 @@ def check_power_sum_congruences(p: int) -> list:
         else:
             triple = (
                 sums.value(m)
-                + rat(Fraction(m, 2)) * p * sums.value(m + 1)
-                + rat(Fraction(m * (m + 1), 12)) * p * p * sums.value(m + 2)
+                + m * inv2 * p * sums.value(m + 1)
+                + m * (m + 1) * inv12 * p * p * sums.value(m + 2)
             ) % pm
             out.append(judge(name, p, None, 6, triple, 0, modulus))
 

@@ -363,7 +363,7 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS[:-1])
-        writer.writerows(_record_cells(v)[:-1] for v in report.records)
+        writer.writerows(_record_values(v)[:-1] for v in report.records)
         return buf.getvalue().encode()
     if fmt == "text":
         return _emit_text(report)

@@ -5,7 +5,8 @@ Q with fractions.Fraction, and nothing is reduced modulo p^m: binomials
 from their falling-factorial product, H_j and S_m from their defining
 recurrence and sums, the exact identity behind the central binomial's
 4^(p-1) transfer, the coefficient schedule and the p = 7 gap of the main
-congruence, and the von Staudt-Clausen check on the Bernoulli recurrence.
+congruence, the Bernoulli numbers by their classical recurrence, and the
+von Staudt-Clausen check on them.
 `binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
 table.
@@ -196,11 +197,23 @@ def p7_residual(alpha) -> P7Residual:
 # ---------------------------------------------------------------------------
 
 
+def bernoulli_recurrence(n: int) -> list:
+    """B_0 .. B_n from sum_{k=0}^{r} C(r+1, k) B_k = 0, B_0 = 1, over Q."""
+    values = [Fraction(1)]
+    for r in range(1, n + 1):
+        acc = Fraction(0)
+        for k, bk in enumerate(values):
+            if bk:
+                acc += math.comb(r + 1, k) * bk
+        values.append(-acc / (r + 1))
+    return values
+
+
 def von_staudt_clausen_defect(n: int) -> Fraction:
     """B_n + sum of 1/q over primes q with (q-1) | n.
 
     For even n this must be an integer; it is an independent structural check
-    on the recurrence, since the set of primes involved is derived from
+    on the package's numbers, since the set of primes involved is derived from
     divisibility alone.
     """
     total = bernoulli_exact(n)

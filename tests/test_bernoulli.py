@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from congrlab import (
+    CongrlabError,
     NonPIntegerBernoulli,
     PrimePowerModulus,
     bernoulli_exact,
@@ -17,7 +18,7 @@ from congrlab import bernoulli
 from congrlab.bernoulli import bernoulli_pm3_faulhaber
 from congrlab.congruences import PrimeContext
 from congrlab.scanner import odd_primes_between
-from oracles import power_sum_exact, von_staudt_clausen_defect
+from oracles import bernoulli_recurrence, power_sum_exact, von_staudt_clausen_defect
 
 
 class TestExactValues:
@@ -51,6 +52,32 @@ class TestExactValues:
         assert len(bernoulli._BERNOULLI) == 11
         bernoulli_exact(4)
         assert len(bernoulli._BERNOULLI) == 11
+
+    def test_tangent_route_matches_the_recurrence(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+        bernoulli.warm_bernoulli_cache(300)
+        assert bernoulli._BERNOULLI[:301] == bernoulli_recurrence(300)
+
+    def test_list_at_least_doubles(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+        bernoulli.warm_bernoulli_cache(2)
+        assert len(bernoulli._BERNOULLI) == 4
+        bernoulli.warm_bernoulli_cache(4)
+        assert len(bernoulli._BERNOULLI) == 8
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 40])
+    def test_corrupted_tangent_number_fails_von_staudt_clausen(self, monkeypatch, k):
+        tangent_numbers = bernoulli._tangent_numbers
+
+        def corrupted(count):
+            t = tangent_numbers(count)
+            t[k - 1] += 1
+            return t
+
+        monkeypatch.setattr(bernoulli, "_tangent_numbers", corrupted)
+        monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
+        with pytest.raises(CongrlabError, match=f"B_{2 * k} has denominator"):
+            bernoulli_exact(100)
 
     @pytest.mark.parametrize("n", range(2, 42, 2))
     def test_von_staudt_clausen(self, n):

@@ -26,6 +26,8 @@ from congrlab import (
     residue_of_rational,
 )
 from congrlab import harmonic
+from congrlab.cli import main
+from congrlab.harmonic import power_sums_from_harmonic
 from congrlab.scanner import odd_primes_between
 from oracles import harmonic_numbers_exact, power_sum_exact
 
@@ -195,6 +197,35 @@ class TestPowerSums:
         table = power_sum_table(PrimePowerModulus(5, 2), 3)
         with pytest.raises(ValueError):
             table.value(4)
+
+    @pytest.mark.parametrize("p", odd_primes_between(3, 199))
+    def test_series_route_matches_the_direct_route(self, p):
+        modulus = PrimePowerModulus(p, 6)
+        series = power_sums_from_harmonic(harmonic_table(modulus), 2 * p + 1)
+        assert series == power_sum_table(modulus, 2 * p + 1)
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_series_route_matches_exact_oracle(self, p):
+        exact = [power_sum_exact(p, m) for m in range(1, 2 * p + 2)]
+        for e in range(1, 8):
+            modulus = PrimePowerModulus(p, e)
+            sums = power_sums_from_harmonic(harmonic_table(modulus), 2 * p + 1)
+            expected = [residue_of_rational(s, modulus) for s in exact]
+            assert list(sums.sums) == expected, (p, e)
+
+    def test_corrupted_series_fails_the_cross_check(self, monkeypatch, capsys):
+        # H_{p-1} raised by one moves every S_m from m = p - 1 on
+        route = harmonic.power_sums_from_harmonic
+
+        def corrupted(table, n):
+            h = list(table.h)
+            h[-1] = (h[-1] + 1) % table.modulus.pm
+            return route(HarmonicTable(table.modulus, tuple(h)), n)
+
+        monkeypatch.setattr(harmonic, "power_sums_from_harmonic", corrupted)
+        assert main(["lemmas", "--primes", "3..47", "--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "congrlab: internal error: power sum S_7 mismatch at p=3\n"
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 61))
     def test_newton_identity_links_table_and_sums(self, p):
