@@ -24,7 +24,10 @@ error.
 
 The check_* functions verify families of congruences these quantities
 satisfy and return one Verdict per instance, including explicit skip
-verdicts for instances excluded by a stated side condition.
+verdicts for instances excluded by a stated side condition.  Each takes an
+optional harmonic table modulo a higher power of the same prime and reduces
+it to its own modulus, so `lemmas` builds one table per prime, at
+p^(p+2) (p^6 at p = 3), for all four suites.
 """
 
 from __future__ import annotations
@@ -84,6 +87,12 @@ class HarmonicTable:
         if k >= self.modulus.p:
             return 0
         return self.h[k]
+
+    def reduced(self, modulus: PrimePowerModulus) -> "HarmonicTable":
+        """The same table in Z/p^m, for a p^m that divides this table's modulus."""
+        if modulus.p != self.modulus.p or modulus.m > self.modulus.m:
+            raise ValueError(f"a table in {self.modulus} does not reduce to {modulus}")
+        return HarmonicTable(modulus, tuple(x % modulus.pm for x in self.h))
 
 
 def _unpack(packed: int, count: int, width: int) -> list:
@@ -268,7 +277,50 @@ def power_sums_from_harmonic(table: HarmonicTable, n: int) -> PowerSumTable:
 # ---------------------------------------------------------------------------
 
 
-def check_reflection_identity(p: int) -> list:
+def _shift_by_p(s: list, p: int, pm: int) -> list:
+    """The coefficients of sum_k s_k (x + p)^k, exactly, for 0 <= s_k < pm.
+
+    Horner's rule Q <- Q (x + p) + s_k on one Kronecker-packed int.  The
+    coefficients sum to Q(1) < pm (p+1)^p / p < 2 pm (p+1)^(p-1), so none
+    carries into the next slot.
+    """
+    width = (pm * (p + 1) ** (len(s) - 1)).bit_length() // 8 + 1
+    packed = 0
+    for sk in reversed(s):
+        packed = (packed << 8 * width) + p * packed + sk
+    return _unpack(packed, len(s), width)
+
+
+def _shifted_sums(h: tuple, p: int, pm: int) -> tuple:
+    """P(x + p) modulo pm, and the pair sums T_r for r < p, from one shift.
+
+    With s_k = (-1)^k H_k reduced mod pm (and s_p = 0), slot r of the exact
+    shift is M_r = sum_{k>=r} C(k, r) p^(k-r) s_k, so
+
+        T_r = sum_{k>=r+2} C(k, r) p^(k-r-2) s_k
+            = (M_r - s_r - (r+1) p s_{r+1}) / p^2
+
+    exactly, in O(1) big-int steps per r.  A division that leaves a
+    remainder, or a T_1 that differs from sum_{k>=3} k p^(k-3) s_k summed
+    by its own Horner pass, is an internal error.
+    """
+    s = [-x % pm if k % 2 else x for k, x in enumerate(h)] + [0]
+    shift = _shift_by_p(s[:p], p, pm)
+    sums = []
+    for r, mr in enumerate(shift):
+        total, rest = divmod(mr - s[r] - (r + 1) * p * s[r + 1], p * p)
+        if rest:
+            raise CongrlabError(f"Taylor shift slot {r} is not exact at p={p}")
+        sums.append(total)
+    direct = 0
+    for k in range(p - 1, 2, -1):
+        direct = direct * p + k * s[k]
+    if direct != sums[1]:
+        raise CongrlabError(f"reflection pair sum mismatch at p={p}")
+    return [mr % pm for mr in shift], sums
+
+
+def check_reflection_identity(p: int, table: HarmonicTable | None = None) -> list:
     """Verify the reflection structure of the harmonic polynomial at high precision.
 
     The product P(x) = prod (1 - x/k) satisfies P(x) = P(p - x).  Two
@@ -283,40 +335,32 @@ def check_reflection_identity(p: int) -> list:
 
     Both sides are equal as rationals with p-free denominators, so they must
     agree at any working exponent; p + 2 is high enough that no summand is
-    truncated away entirely.
+    truncated away entirely.  The Taylor shift is one Horner pass, and each
+    pair sum is read off one slot of it before that slot is reduced; the
+    sum for m = 1 is also summed on its own and must agree (`_shifted_sums`).
+    `table` is H_0 .. H_{p-1} modulo p^(p+2) or a higher power of p.
     """
     m_work = p + 2
     modulus = PrimePowerModulus(p, m_work)
     pm = modulus.pm
-    table = harmonic_table(modulus)
+    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
     h = table.h
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
+    mirror, sums = _shifted_sums(h, p, pm)
 
     out = []
     for m in range(1, (p - 1) // 2 + 3):
         r = 2 * m - 1
         lhs = (table.value(r) - m * p * table.value(r + 1)) % pm
-        # coef runs through C(k, r) p^(k-r-2) exactly; reduce once per m
-        total, coef = 0, (r + 2) * (r + 1) // 2
-        for k in range(r + 2, p):
-            total += -coef * h[k] if k % 2 else coef * h[k]
-            coef = coef * p * (k + 1) // (k + 1 - r)
-        rhs = half_p2 * total % pm
+        rhs = half_p2 * sums[r] % pm if r < p else 0
         out.append(judge(f"reflection.pair[m={m}]", p, None, m_work, lhs, rhs, modulus))
-
-    # P(x + p) by Horner's rule: Q <- Q * (x + p) + ((-1)^k H_k mod pm).  Each
-    # coefficient stays below pm (p+1)^p / p < 2 pm (p+1)^(p-1), so none carries
-    width = (pm * (p + 1) ** (p - 1)).bit_length() // 8 + 1
-    packed = 0
-    for k in range(p - 1, -1, -1):
-        packed = (packed << 8 * width) + p * packed + (-h[k] % pm if k % 2 else h[k])
-    for j, mirrored in enumerate(_unpack(packed, p, width)):
+    for j, mirrored in enumerate(mirror):
         name = f"reflection.mirror[j={j}]"
-        out.append(judge(name, p, None, m_work, h[j], mirrored % pm, modulus))
+        out.append(judge(name, p, None, m_work, h[j], mirrored, modulus))
     return out
 
 
-def check_harmonic_congruences(p: int) -> list:
+def check_harmonic_congruences(p: int, table: HarmonicTable | None = None) -> list:
     """Congruences satisfied by individual harmonic numbers.
 
     (a) H_m == 0 (mod p) for 1 <= m <= p-2
@@ -325,10 +369,12 @@ def check_harmonic_congruences(p: int) -> list:
     (d) H_{p-4} - ((p-3)/2) p H_{p-3} == -p^3/4 (mod p^4), needs p >= 5
     (e) H_{p-2} == p/2 (mod p^2)
     (f) H_{p-1} == -1 (mod p)
+
+    `table` is H_0 .. H_{p-1} modulo p^4 or a higher power of p.
     """
     modulus = PrimePowerModulus(p, 4)
     pm = modulus.pm
-    table = harmonic_table(modulus)
+    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
     out = []
 
     for m in range(1, p - 1):
@@ -365,7 +411,7 @@ def check_harmonic_congruences(p: int) -> list:
     return out
 
 
-def check_power_sum_congruences(p: int) -> list:
+def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> list:
     """Congruences satisfied by the inverse power sums S_m.
 
     Swept over 1 <= m <= 2(p-1) + 1 so both branches of every divisibility
@@ -377,11 +423,15 @@ def check_power_sum_congruences(p: int) -> list:
         when (p-1) does not divide m+3 and -m(m+1)(m+2) p^3 / 12 when it does
     (4) for odd m with (p-1) not dividing m+5,
         S_m + (m/2) p S_{m+1} + (m(m+1)/12) p^2 S_{m+2} == 0 (mod p^6)
+
+    The sums are read off `table`, H_0 .. H_{p-1} modulo p^6 or a higher
+    power of p.
     """
     modulus = PrimePowerModulus(p, 6)
     pm = modulus.pm
     top = 2 * (p - 1) + 1
-    sums = power_sums_from_harmonic(harmonic_table(modulus), top + 2)
+    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
+    sums = power_sums_from_harmonic(table, top + 2)
     direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
     if sums.value(top + 2) != direct:
         raise CongrlabError(f"power sum S_{top + 2} mismatch at p={p}")

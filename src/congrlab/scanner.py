@@ -36,6 +36,7 @@ from .harmonic import (
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
+    harmonic_table,
     harmonic_vectors,
 )
 from .residues import CongrlabError, PrimePowerModulus
@@ -143,6 +144,9 @@ class ScanConfig:
                 raise UsageError(f"unknown congruence case {cid!r}")
         if not self.alphas:
             raise UsageError("empty alpha set")
+        if self.command == "lemmas" and self.tightness:
+            # the suites judge at their own working moduli, not one power up
+            raise UsageError("--tightness applies to scan and verify only")
         return self
 
     def case_ids(self) -> tuple:
@@ -249,12 +253,18 @@ def _scan_one_prime(task) -> list:
 
 
 def run_lemma_suites(p: int) -> list:
-    """All harmonic-side verdict suites for one prime, plus the Bernoulli link."""
+    """All harmonic-side verdict suites for one prime, plus the Bernoulli link.
+
+    The suites share one harmonic table, built at the highest modulus any of
+    them works in: p^(p+2) for the reflection suite, p^6 for the power sums.
+    Each reduces it to its own modulus.
+    """
+    table = harmonic_table(PrimePowerModulus(p, max(p + 2, 6)))
     return (
-        check_reflection_identity(p)
-        + check_harmonic_congruences(p)
-        + check_power_sum_congruences(p)
-        + check_bernoulli_power_sums(p)
+        check_reflection_identity(p, table)
+        + check_harmonic_congruences(p, table)
+        + check_power_sum_congruences(p, table)
+        + check_bernoulli_power_sums(p, table)
     )
 
 

@@ -1,12 +1,14 @@
 """Independent routes the tests compare the package against.
 
-Apart from the binomial expansion, everything here is exact arithmetic over
-Q with fractions.Fraction, and nothing is reduced modulo p^m: binomials
-from their falling-factorial product, H_j and S_m from their defining
-recurrence and sums, the exact identity behind the central binomial's
-4^(p-1) transfer, the coefficient schedule and the p = 7 gap of the main
-congruence, the Bernoulli numbers by their classical recurrence, and the
-von Staudt-Clausen check on them.
+Apart from the binomial expansion and the pair sum, everything here is
+exact arithmetic over Q with fractions.Fraction, and nothing is reduced
+modulo p^m: binomials from their falling-factorial product, H_j and S_m
+from their defining recurrence and sums, the exact identity behind the
+central binomial's 4^(p-1) transfer, the coefficient schedule and the p = 7
+gap of the main congruence, the Bernoulli numbers by their classical
+recurrence, and the von Staudt-Clausen check on them.
+`reflection_pair_sum` is the reflection suite's pair sum over residues of
+H_k, by the incremental loop that the suite's Taylor shift replaced.
 `binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
 table.
@@ -47,6 +49,19 @@ def harmonic_numbers_exact(p: int) -> tuple:
 
 def power_sum_exact(p: int, exponent: int) -> Fraction:
     return sum(Fraction(1, k**exponent) for k in range(1, p))
+
+
+def reflection_pair_sum(h, p: int, r: int) -> int:
+    """sum_{k=r+2}^{p-1} (-1)^k C(k, r) p^(k-r-2) h_k, for h_k = H_k mod p^m.
+
+    The coefficient C(k, r) p^(k-r-2) is carried exactly from term to term,
+    O(p) big-int steps per r, independent of any Taylor shift.
+    """
+    total, coef = 0, (r + 2) * (r + 1) // 2
+    for k in range(r + 2, p):
+        total += -coef * h[k] if k % 2 else coef * h[k]
+        coef = coef * p * (k + 1) // (k + 1 - r)
+    return total
 
 
 def rational_valuation(q, p: int):

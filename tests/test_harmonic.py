@@ -17,6 +17,7 @@ from congrlab import (
     PrimeContext,
     PrimePowerModulus,
     binom_alpha_mod,
+    check_bernoulli_power_sums,
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
@@ -24,12 +25,13 @@ from congrlab import (
     harmonic_vectors,
     power_sum_table,
     residue_of_rational,
+    run_lemma_suites,
 )
-from congrlab import harmonic
+from congrlab import bernoulli, harmonic, scanner
 from congrlab.cli import main
 from congrlab.harmonic import power_sums_from_harmonic
 from congrlab.scanner import odd_primes_between
-from oracles import harmonic_numbers_exact, power_sum_exact
+from oracles import harmonic_numbers_exact, power_sum_exact, reflection_pair_sum
 
 SMALL_PRIMES = odd_primes_between(3, 31)
 
@@ -53,16 +55,36 @@ def recurrence_table(p, pm):
     return tuple(c[k] if k % 2 == 0 else -c[k] % pm for k in range(p))
 
 
+LEMMA_SUITES = (
+    "check_reflection_identity",
+    "check_harmonic_congruences",
+    "check_power_sum_congruences",
+    "check_bernoulli_power_sums",
+)
+
+
 def corrupt_table(monkeypatch, index):
-    """Make harmonic_table return its true table with H_index raised by one."""
-    true_table = harmonic.harmonic_table
+    """Make the table run_lemma_suites shares its true one with H_index raised by one."""
+    true_table = scanner.harmonic_table
 
     def corrupted(modulus):
         h = list(true_table(modulus).h)
         h[index] = (h[index] + 1) % modulus.pm
         return HarmonicTable(modulus, tuple(h))
 
-    monkeypatch.setattr(harmonic, "harmonic_table", corrupted)
+    monkeypatch.setattr(scanner, "harmonic_table", corrupted)
+
+
+def suite_verdicts(monkeypatch, p, suite):
+    """run_lemma_suites(p)'s verdicts by case, with every suite but `suite` left out.
+
+    A corrupted table also trips the power-sum suite's internal cross-check,
+    which would raise before the other suites' verdicts came back.
+    """
+    for name in LEMMA_SUITES:
+        if name != suite:
+            monkeypatch.setattr(scanner, name, lambda p, table: [])
+    return {v.case: v for v in run_lemma_suites(p)}
 
 
 class TestHarmonicTable:
@@ -89,6 +111,20 @@ class TestHarmonicTable:
         table = harmonic_table(PrimePowerModulus(5, 2))
         with pytest.raises(DomainTooSmall):
             table.value(-1)
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_reduced_equals_a_table_built_lower(self, p):
+        high = harmonic_table(PrimePowerModulus(p, p + 4))
+        for m in (1, 3, p + 4):
+            modulus = PrimePowerModulus(p, m)
+            assert high.reduced(modulus) == harmonic_table(modulus), m
+
+    def test_reduced_rejects_a_higher_power_or_another_prime(self):
+        table = harmonic_table(PrimePowerModulus(5, 3))
+        with pytest.raises(ValueError):
+            table.reduced(PrimePowerModulus(5, 4))
+        with pytest.raises(ValueError):
+            table.reduced(PrimePowerModulus(7, 2))
 
     def test_exact_values_p5(self):
         assert harmonic_numbers_exact(5) == (
@@ -287,6 +323,23 @@ class TestReflectionIdentity:
             )
             assert rhs[f"reflection.pair[m={m}]"] == half_p2 * direct % pm, (p, m)
 
+    @pytest.mark.parametrize("p", odd_primes_between(3, 199))
+    def test_pair_sums_match_the_incremental_loop(self, p):
+        # every pair sum read off the Taylor shift, against the loop that
+        # carries C(k, r) p^(k-r-2) from term to term
+        modulus = PrimePowerModulus(p, p + 2)
+        pm = modulus.pm
+        h = harmonic_table(modulus).h
+        _, sums = harmonic._shifted_sums(h, p, pm)
+        half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
+        rhs = {v.case: v.rhs for v in check_reflection_identity(p)}
+        for m in range(1, (p - 1) // 2 + 3):
+            r = 2 * m - 1
+            oracle = reflection_pair_sum(h, p, r)
+            if r < p:
+                assert sums[r] % pm == oracle % pm, (p, m)
+            assert rhs[f"reflection.pair[m={m}]"] == half_p2 * oracle % pm, (p, m)
+
     def test_trivial_branch_past_the_table(self):
         # indices at or past p make both sides vanish
         verdicts = check_reflection_identity(5)
@@ -303,28 +356,122 @@ class TestReflectionChecksCanFail:
         # for odd j the k = j term enters the shifted sum as -H_j, so the
         # two sides of mirror[j] move in opposite directions
         corrupt_table(monkeypatch, j)
-        verdicts = {v.case: v for v in check_reflection_identity(p)}
+        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
         assert verdicts[f"reflection.mirror[j={j}]"].failed
 
     @pytest.mark.parametrize("p,j", [(5, 2), (13, 8), (31, 30), (61, 40)])
     def test_mirror_fails_below_a_corrupted_even_index(self, monkeypatch, p, j):
         # H_j enters mirror[j-1] as j p H_j, which p^(p+2) does not absorb
         corrupt_table(monkeypatch, j)
-        verdicts = {v.case: v for v in check_reflection_identity(p)}
+        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
         assert verdicts[f"reflection.mirror[j={j - 1}]"].failed
 
     @pytest.mark.parametrize("p,j", [(7, 3), (13, 5), (31, 11), (61, 59)])
     def test_pair_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
         corrupt_table(monkeypatch, j)
-        verdicts = check_reflection_identity(p)
-        failed = {v.case for v in verdicts if v.failed}
+        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
+        failed = {case for case, v in verdicts.items() if v.failed}
         assert f"reflection.pair[m={(j + 1) // 2}]" in failed
 
     @pytest.mark.parametrize("p", [5, 13, 31])
     def test_harmonic_congruences_flag_a_corrupted_last_entry(self, monkeypatch, p):
         corrupt_table(monkeypatch, p - 1)
-        verdicts = {v.case: v for v in check_harmonic_congruences(p)}
+        verdicts = suite_verdicts(monkeypatch, p, "check_harmonic_congruences")
         assert verdicts["harmonic.h_p_minus_1"].failed
+
+    @pytest.mark.parametrize(
+        "p,j,case",
+        [
+            (7, 1, "bernoulli.s1_link"),
+            (31, 1, "bernoulli.s1_link"),
+            (7, 2, "bernoulli.s2_link"),
+            (31, 2, "bernoulli.s2_link"),
+        ],
+    )
+    def test_bernoulli_links_flag_a_corrupted_h1_or_h2(self, monkeypatch, p, j, case):
+        # S_1 = H_1 and S_2 = H_1^2 - 2 H_2 are read off the shared table
+        corrupt_table(monkeypatch, j)
+        verdicts = suite_verdicts(monkeypatch, p, "check_bernoulli_power_sums")
+        assert verdicts[case].failed
+
+    def test_corrupted_shared_table_is_an_internal_error(self, monkeypatch, capsys):
+        # with every suite running, the power-sum cross-check stops the run
+        corrupt_table(monkeypatch, 1)
+        assert main(["lemmas", "--primes", "3..47", "--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "congrlab: internal error: power sum S_7 mismatch at p=3\n"
+
+
+class TestTaylorShiftChecksCanFail:
+    """A wrong slot of the Taylor shift stops the run as an internal error."""
+
+    @staticmethod
+    def shift_slot_off(monkeypatch, slot, delta):
+        true_shift = harmonic._shift_by_p
+
+        def off(s, p, pm):
+            shift = true_shift(s, p, pm)
+            if slot < len(shift):
+                shift[slot] += delta(p)
+            return shift
+
+        monkeypatch.setattr(harmonic, "_shift_by_p", off)
+
+    @pytest.mark.parametrize("slot, first_p", [(0, 3), (1, 3), (2, 3), (3, 5), (9, 11)])
+    def test_slot_off_by_one_fails_the_remainder_check(
+        self, monkeypatch, capsys, slot, first_p
+    ):
+        # without the check the floor division would hide the extra one
+        self.shift_slot_off(monkeypatch, slot, lambda p: 1)
+        assert main(["lemmas", "--primes", "3..47", "--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        expected = f"Taylor shift slot {slot} is not exact at p={first_p}"
+        assert err == f"congrlab: internal error: {expected}\n"
+
+    def test_slot_off_by_p2_fails_the_m1_cross_check(self, monkeypatch, capsys):
+        # a multiple of p^2 divides exactly, so only the second route sees it
+        self.shift_slot_off(monkeypatch, 1, lambda p: p * p)
+        assert main(["lemmas", "--primes", "3..47", "--workers", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "congrlab: internal error: reflection pair sum mismatch at p=3\n"
+
+
+class TestSharedTable:
+    """run_lemma_suites builds one table per prime and every suite reduces it."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_one_table_per_prime(self, monkeypatch, p):
+        built = []
+        true_table = scanner.harmonic_table
+
+        def spy(modulus):
+            built.append(modulus)
+            return true_table(modulus)
+
+        def refuse(*args):
+            raise AssertionError("a suite built a table of its own")
+
+        monkeypatch.setattr(scanner, "harmonic_table", spy)
+        for module, name in [
+            (harmonic, "harmonic_table"),
+            (harmonic, "power_sum_table"),
+            (harmonic, "inverse_table"),
+            (bernoulli, "harmonic_table"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert_all_pass(run_lemma_suites(p))
+        # p^(p+2) for the reflection suite, but at least p^6 for the power sums
+        assert built == [PrimePowerModulus(p, max(p + 2, 6))]
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_shared_table_gives_each_suites_own_verdicts(self, p):
+        own = (
+            check_reflection_identity(p)
+            + check_harmonic_congruences(p)
+            + check_power_sum_congruences(p)
+            + check_bernoulli_power_sums(p)
+        )
+        assert run_lemma_suites(p) == own
 
 
 class TestHarmonicCongruences:

@@ -238,6 +238,12 @@ class TestRunScan:
         with pytest.raises(UsageError):
             run_scan(ScanConfig(cases=("nope",)))
 
+    def test_lemmas_reject_tightness(self):
+        # the suites judge at their own moduli, so one power up would list
+        # every record that holds there as an anomaly
+        with pytest.raises(UsageError, match="scan and verify only"):
+            run_scan(ScanConfig(command="lemmas", prime_max=31, tightness=True))
+
 
 # sha256 of the JSON reports of `scan --primes 3..47` and
 # `lemmas --primes 3..47`, the same at any worker count
@@ -603,6 +609,13 @@ class TestCliContract:
         assert code == 0
         out = capsysbinary.readouterr().out.decode()
         assert out.startswith("case,p,alpha,m,lhs,rhs,status,valuation")
+
+    def test_lemmas_tightness_is_a_usage_error(self, capsysbinary):
+        code = main(["lemmas", "--primes", "3..31", "--tightness"])
+        assert code == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == b"congrlab: --tightness applies to scan and verify only\n"
 
     def test_skip_only_scan_exits_zero(self, capsysbinary):
         code = main(["scan", "--alpha", "1/7", "--primes", "7..7", "--case", "thm1"])
