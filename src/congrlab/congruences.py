@@ -14,8 +14,8 @@ factorial each multiplied in runs of 64 factors and reduced once per run;
 vectors.  The exact-rational product formula that serves as the independent
 oracle of both lives with the tests, in tests/oracles.py.
 
-Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, summed
-by one interpreter against a `PrimeContext`.  The context caches the
+Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, which
+a `PrimeContext` folds once into polynomials in alpha.  The context caches the
 per-prime ingredients (S_1, S_2, S_3 and H_2 in O(p), the binomials per
 alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
 each case then reduces to its own modulus.  Contexts are built per prime
@@ -121,6 +121,7 @@ class PrimeContext:
         self._inverses: dict = {}
         self._sums: Optional[PowerSumTable] = None
         self._binoms: dict = {}
+        self._sides: dict = {}
         self._fact_inv: Optional[int] = None
         self._central: Optional[int] = None
         self._four: Optional[int] = None
@@ -157,11 +158,13 @@ class PrimeContext:
 
         C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
         sum_j (-alpha*p)^j H_j, and the terms j >= exponent vanish.  On the
-        product route every alpha shares one 1/(p-1)!.
+        product route every alpha shares one 1/(p-1)!.  Cached by alpha's
+        residue, which is all the value depends on and cheaper to hash.
         """
-        if alpha not in self._binoms:
+        a = self.rat(alpha)
+        if a not in self._binoms:
             if self._h is not None:
-                x = -self.rat(alpha) * self.p
+                x = -a * self.p
                 value = 0
                 for hj in reversed(self._h):
                     value = (value * x + hj) % self.pm
@@ -169,8 +172,8 @@ class PrimeContext:
                 if self._fact_inv is None:
                     self._fact_inv = _factorial_inverse(self.modulus)
                 value = binom_alpha_mod(alpha, self.modulus, self._fact_inv)
-            self._binoms[alpha] = value
-        return self._binoms[alpha]
+            self._binoms[a] = value
+        return self._binoms[a]
 
     def four_pow(self) -> int:
         if self._four is None:
@@ -235,6 +238,28 @@ class PrimeContext:
             return self.central_binomial()
         raise ValueError(f"unknown catalog ingredient {x!r}")
 
+    def side(self, side: tuple) -> tuple:
+        """(side, P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
+        alpha's residue, with residue coefficients highest degree first.
+
+        Built once per side; holding the side keeps its id from being reused.
+        """
+        entry = self._sides.get(id(side))
+        if entry is None:
+            polys = ([], [])
+            for coef, k, x, four in side:
+                binom = x == "binom"
+                factor = self.power(k) * (1 if binom else self.ingredient(x, None))
+                if four:
+                    factor *= self.four_pow()
+                poly = polys[binom]
+                poly.extend([0] * (len(coef) - len(poly)))
+                for j, q in enumerate(coef):
+                    poly[j] = (poly[j] + self.rat(q) * factor) % self.pm
+            entry = (side, tuple(reversed(polys[0])), tuple(reversed(polys[1])))
+            self._sides[id(side)] = entry
+        return entry
+
 
 # ---------------------------------------------------------------------------
 # the catalog
@@ -257,25 +282,21 @@ class Term(NamedTuple):
     four: bool = False
 
 
-def _evaluate(ctx: PrimeContext, side: tuple, alpha: Optional[Fraction]) -> int:
-    """Sum of a side's terms, as a residue at the context's working exponent.
-
-    Each coefficient polynomial is reduced by Horner's rule on alpha's
-    residue, which is sound because reduction mod p^e is a ring
-    homomorphism on p-integral rationals.
-    """
-    pm = ctx.pm
-    a = 0 if alpha is None else ctx.rat(alpha)
+def _evaluate(ctx: PrimeContext, side: tuple, alpha: Optional[Fraction], a: int) -> int:
+    """Sum of a side's terms at the context's working exponent, by Horner's
+    rule on a, alpha's residue (0 for None), on the polynomials of
+    `PrimeContext.side`: sound, since reduction mod p^e is a ring homomorphism
+    on p-integral rationals."""
+    _, plain, binom = ctx.side(side)
     total = 0
-    for coef, k, x, four in side:
-        c = 0
-        for q in reversed(coef):
-            c = (c * a + ctx.rat(q)) % pm
-        term = c * ctx.power(k) % pm * ctx.ingredient(x, alpha) % pm
-        if four:
-            term = term * ctx.four_pow() % pm
-        total += term
-    return total % pm
+    for c in plain:
+        total = total * a + c
+    if binom:
+        q = 0
+        for c in binom:
+            q = q * a + c
+        total += q * ctx.binom_w(alpha)
+    return total % ctx.pm
 
 
 @dataclass(frozen=True)
@@ -558,7 +579,7 @@ CATALOG = _catalog(_CASES)
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
     ctx = PrimeContext(modulus.p, modulus.m)
-    return _evaluate(ctx, CATALOG["thm1"].rhs, Fraction(alpha))
+    return _evaluate(ctx, CATALOG["thm1"].rhs, alpha, ctx.rat(Fraction(alpha)))
 
 
 def verify_case(
@@ -609,6 +630,7 @@ def verify_case(
             f"context exponent {ctx.exponent} below required {m_eval}"
         )
     eval_modulus = ctx.modulus_at(m_eval)
-    lhs = _evaluate(ctx, case.lhs, alpha) % eval_modulus.pm
-    rhs = _evaluate(ctx, case.rhs, alpha) % eval_modulus.pm
+    a = 0 if alpha is None else ctx.rat(alpha)
+    lhs = _evaluate(ctx, case.lhs, alpha, a) % eval_modulus.pm
+    rhs = _evaluate(ctx, case.rhs, alpha, a) % eval_modulus.pm
     return judge(case.id, p, alpha, m, lhs, rhs, eval_modulus)

@@ -11,12 +11,13 @@ worker reads each binomial off it in O(D).  Otherwise (a single prime, say)
 the task carries no vector and the worker multiplies an O(p) product per
 alpha.  Units are dispatched largest prime first, because a unit's cost
 grows with p and the pool's last chunk should be a cheap one.  Workers only
-read immutable inputs and inherit nothing from the parent; results are
-merged and sorted by (case, p, alpha) before emission, so a report is
-byte-identical no matter how many workers produced it, in what order, or
-under which start method.
-Residues are serialized as decimal strings because they routinely exceed
-64 bits.
+read immutable inputs and inherit nothing from the parent.  A pool worker
+sends its verdicts back as plain tuples, which pickle cheaply, and the
+parent rebuilds each record once.  Each unit evaluates its alphas in
+ascending order, so a stable sort by (case, p) orders the merged records by
+(case, p, alpha), and a report is byte-identical no matter how many workers
+produced it, in what order, or under which start method.  Residues are
+serialized as decimal strings because they routinely exceed 64 bits.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from typing import Optional
 
 from .bernoulli import check_bernoulli_power_sums
@@ -39,7 +43,7 @@ from .harmonic import (
     harmonic_table,
     harmonic_vectors,
 )
-from .residues import CongrlabError, PrimePowerModulus
+from .residues import CongrlabError, PrimePowerModulus, Valuation
 from .verdicts import FAIL, PASS, Verdict
 
 __all__ = [
@@ -144,6 +148,8 @@ class ScanConfig:
                 raise UsageError(f"unknown congruence case {cid!r}")
         if not self.alphas:
             raise UsageError("empty alpha set")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise UsageError("repeated alpha")
         if self.command == "lemmas" and self.tightness:
             # the suites judge at their own working moduli, not one power up
             raise UsageError("--tightness applies to scan and verify only")
@@ -157,7 +163,7 @@ class ScanConfig:
             "command": self.command,
             "prime_min": self.prime_min,
             "prime_max": self.prime_max,
-            "alphas": [str(a) for a in self.alphas],
+            "alphas": [str(a) for a in sorted(self.alphas)],
             "cases": list(self.case_ids()) if self.command != "lemmas" else [],
             "tightness": self.tightness,
             "claimed_ranges": self.claimed_ranges,
@@ -193,15 +199,13 @@ def _context_exponent(p: int, cases, tightness: bool, claimed: bool) -> int:
 
 def _binomials_read(p: int, cases, alphas, claimed: bool) -> int:
     """How many alphas p's cases read C(alpha*p - 1, p - 1) at, at most."""
-    read = set()
-    for case in _applicable(p, cases, claimed):
-        names = {term.x for term in case.lhs + case.rhs}
-        if "binom" in names:
-            read.update(alphas)
-        if "binom2" in names:
-            read.add(_TWO)
-        if "central" in names:
-            read.add(_HALF)
+    applicable = _applicable(p, cases, claimed)
+    names = {term.x for case in applicable for term in case.lhs + case.rhs}
+    read = set(alphas) if "binom" in names else set()
+    if "binom2" in names:
+        read.add(_TWO)
+    if "central" in names:
+        read.add(_HALF)
     return len(read)
 
 
@@ -268,15 +272,36 @@ def run_lemma_suites(p: int) -> list:
     )
 
 
+def _rows(worker, task) -> list:
+    """`worker(task)`'s verdicts as tuples of ints and strings, which pickle
+    cheaply: alpha as (numerator, denominator), valuation as (value, is_floor)."""
+    return [
+        (case, p, None if alpha is None else (alpha.numerator, alpha.denominator),
+         m, lhs, rhs, status, val and tuple(val), reason)
+        for case, p, alpha, m, lhs, rhs, status, val, reason in worker(task)
+    ]
+
+
+def _verdicts(rows) -> list:
+    """The verdicts that `_rows` flattened, each in its row's place."""
+    alphas = {None: None}
+    for i, (case, p, alpha, m, lhs, rhs, status, val, reason) in enumerate(rows):
+        if alpha not in alphas:
+            alphas[alpha] = Fraction(*alpha)
+        rows[i] = Verdict(
+            case, p, alphas[alpha], m, lhs, rhs, status, val and Valuation(*val), reason
+        )
+    return rows
+
+
 def _run_tasks(worker, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
-        batches = [worker(task) for task in tasks]
-    else:
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            # tasks arrive in ascending p from the sieve and cost grows with
-            # p, so hand out the dearest first; run_scan sorts the records
-            batches = pool.map(worker, tasks[::-1])
-    return [verdict for batch in batches for verdict in batch]
+        return [verdict for task in tasks for verdict in worker(task)]
+    with multiprocessing.Pool(min(workers, len(tasks))) as pool:
+        # tasks arrive in ascending p from the sieve and cost grows with p,
+        # so hand out the dearest first; run_scan sorts the records
+        batches = pool.map(partial(_rows, worker), tasks[::-1])
+    return [verdict for batch in batches for verdict in _verdicts(batch)]
 
 
 def _summarize(records) -> dict:
@@ -288,18 +313,11 @@ def _summarize(records) -> dict:
 
 def _find_anomalies(records, tightness: bool) -> list:
     """Failures, plus (under tightness) congruences holding one power higher."""
-    out = []
-    for record in records:
-        if record.status == FAIL:
-            out.append(record)
-        elif (
-            tightness
-            and record.status == PASS
-            and record.valuation is not None
-            and record.valuation.value > record.m
-        ):
-            out.append(record)
-    return out
+    return [
+        v for v in records
+        if v.status == FAIL
+        or (tightness and v.status == PASS and v.valuation.value > v.m)
+    ]
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
@@ -310,7 +328,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.command == "lemmas":
         records = _run_tasks(run_lemma_suites, primes, config.workers)
     else:
-        case_ids, alphas = config.case_ids(), config.alphas
+        case_ids, alphas = config.case_ids(), tuple(sorted(config.alphas))
         tightness, claimed = config.tightness, config.claimed_ranges
         cases = [CATALOG[cid] for cid in case_ids]
         vectors = _harmonic_vectors(
@@ -324,7 +342,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
         ]
         records = _run_tasks(_scan_one_prime, tasks, config.workers)
 
-    records.sort(key=Verdict.sort_key)
+    # stable: a (case, p) group comes from one task, alphas ascending
+    records.sort(key=itemgetter(0, 1))
     return ScanReport(
         config=config.echo(),
         records=records,
@@ -338,31 +357,13 @@ def run_scan(config: ScanConfig) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-# The report's columns, in order.  `_record_values` gives a record's JSON
-# values: case and status are str; p and m are int (JSON numbers); alpha
-# ("a/b"), lhs, rhs (decimal, since residues routinely exceed 64 bits) and
-# valuation ("v" or ">=v") are str; reason is a non-empty str.  Every value
-# but case, p and status may be None: null in JSON, an empty cell in CSV and
-# text.  CSV has every column but the last, the reason.
-_COLUMNS = ("case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason")
-
-
-def _record_values(v: Verdict) -> tuple:
-    alpha, lhs, rhs, valuation = v.alpha, v.lhs, v.rhs, v.valuation
-    return (
-        v.case, v.p, None if alpha is None else str(alpha), v.m,
-        None if lhs is None else str(lhs), None if rhs is None else str(rhs),
-        v.status, None if valuation is None else str(valuation), v.reason or None,
-    )
-
-
-def _record_dict(v: Verdict) -> dict:
-    return dict(zip(_COLUMNS, _record_values(v)))
-
-
-def _record_cells(v: Verdict) -> list:
-    """The record's JSON values as text in `_COLUMNS` order; None is ""."""
-    return ["" if value is None else str(value) for value in _record_values(v)]
+# The report's columns are the verdict's fields, in order.  In JSON, case,
+# status and reason are strings; p and m are numbers; alpha ("a/b"), lhs,
+# rhs (decimal, since residues routinely exceed 64 bits) and valuation ("v"
+# or ">=v") are strings of their str().  Every value but case, p and status
+# may be None, and so may an empty reason: null in JSON, an empty cell in
+# CSV and text.  CSV has every column but the last, the reason.
+_COLUMNS = Verdict._fields
 
 
 def emit_report(report: ScanReport, fmt: str) -> bytes:
@@ -373,27 +374,37 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS[:-1])
-        writer.writerows(_record_values(v)[:-1] for v in report.records)
+        # the csv module writes None as an empty cell and str() of the rest
+        writer.writerows(v[:-1] for v in report.records)
         return buf.getvalue().encode()
     if fmt == "text":
         return _emit_text(report)
     raise UsageError(f"unknown output format {fmt!r}")
 
 
-# Records hold only scalars, so the C encoder can write each one with its
-# indentation folded into the item separator; json.dumps(indent=2) would take
-# the pure-Python encoder for all of them.  The bytes are those of
+# One record as json.dumps(indent=2) lays it out inside the report; the
+# strings that may need escaping go through the C escaper that json.dumps
+# itself uses.  The bytes are those of
 # json.dumps({"config": ..., "records": ..., ...}, indent=2) + "\n".
-_encode_record = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_JSON_RECORD = "    {\n" + ",\n".join(
+    f'      "{name}": %s' for name in _COLUMNS
+) + "\n    }"
 
 
 def _json_records(records) -> str:
     if not records:
         return "[]"
-    body = ",\n".join(
-        "    {\n      " + _encode_record(_record_dict(v))[1:-1] + "\n    }"
-        for v in records
-    )
+    body = ",\n".join([
+        _JSON_RECORD % (
+            _escape(case), p, "null" if alpha is None else f'"{alpha!s}"',
+            "null" if m is None else m,
+            "null" if lhs is None else f'"{lhs}"',
+            "null" if rhs is None else f'"{rhs}"',
+            _escape(status), "null" if val is None else f'"{val!s}"',
+            _escape(reason) if reason else "null",
+        )
+        for case, p, alpha, m, lhs, rhs, status, val, reason in records
+    ])
     return "[\n" + body + "\n  ]"
 
 
@@ -411,7 +422,7 @@ def _emit_json(report: ScanReport) -> bytes:
 
 
 def _emit_text(report: ScanReport) -> bytes:
-    rows = [_record_cells(v) for v in report.records]
+    rows = [["" if x is None else str(x) for x in v] for v in report.records]
     widths = [max(map(len, column)) for column in zip(_COLUMNS, *rows)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(_COLUMNS, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .residues import PrimePowerModulus, Valuation, valuation_of_difference
 
@@ -13,14 +12,14 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking one congruence instance.
 
     For pass/fail verdicts `lhs` and `rhs` are the canonical residues of the
     two sides modulo p^m and `valuation` measures p^v | (lhs - rhs) at the
     evaluation modulus (which is p^(m+1) when tightness reporting is on).
-    Skip verdicts carry only the reason.
+    Skip verdicts carry only the reason.  A plain tuple, so a scan's
+    thousands of records cost little to build, sort and slice.
     """
 
     case: str
@@ -44,11 +43,6 @@ class Verdict:
     @property
     def skipped(self) -> bool:
         return self.status == SKIP
-
-    def sort_key(self):
-        if self.alpha is None:
-            return (self.case, self.p, 0, 0)
-        return (self.case, self.p, 1, self.alpha)
 
 
 def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:

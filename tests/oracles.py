@@ -11,11 +11,13 @@ recurrence, and the von Staudt-Clausen check on them.
 H_k, by the incremental loop that the suite's Taylor shift replaced.
 `binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
-table.
+table.  `record_dict` and `json_records` write a report's records through
+json.JSONEncoder, the route the scanner's JSON template replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,3 +238,43 @@ def von_staudt_clausen_defect(n: int) -> Fraction:
         if n % d == 0 and is_prime(d + 1):
             total += Fraction(1, d + 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# report records
+# ---------------------------------------------------------------------------
+
+RECORD_KEYS = ("case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason")
+
+
+def record_dict(v) -> dict:
+    """A verdict as the JSON object a report holds, built key by key."""
+    alpha, lhs, rhs, valuation = v.alpha, v.lhs, v.rhs, v.valuation
+    return dict(
+        zip(
+            RECORD_KEYS,
+            (
+                v.case, v.p, None if alpha is None else str(alpha), v.m,
+                None if lhs is None else str(lhs),
+                None if rhs is None else str(rhs),
+                v.status, None if valuation is None else str(valuation),
+                v.reason or None,
+            ),
+        )
+    )
+
+
+# json.JSONEncoder writes each record with its indentation folded into the
+# item separator, as json.dumps(indent=2) lays it out two levels down
+_encode_record = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def json_records(records) -> str:
+    """A report's record list, each record through json.JSONEncoder."""
+    if not records:
+        return "[]"
+    body = ",\n".join(
+        "    {\n      " + _encode_record(record_dict(v))[1:-1] + "\n    }"
+        for v in records
+    )
+    return "[\n" + body + "\n  ]"

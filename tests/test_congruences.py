@@ -400,6 +400,20 @@ class TestPrimeContext:
                 expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
                 assert ctx.binom_w(alpha) == expected, alpha
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("exponent", [4, 8])
+    @pytest.mark.parametrize("route", ["product", "horner"])
+    def test_binomial_cache_tells_alpha_residues_apart(self, p, exponent, route):
+        # the cache is keyed by alpha's residue mod p^exponent; alphas that
+        # agree only modulo a lower power of p must not share an entry
+        h = harmonic_vectors([p], [exponent])[0] if route == "horner" else None
+        ctx = PrimeContext(p, exponent, h)
+        for base in (Fraction(1), Fraction(-1, 2), Fraction(2, 5 if p != 5 else 7)):
+            for j in range(exponent):
+                for alpha in (base + p**j, base + 2 * p**j, base):
+                    expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
+                    assert ctx.binom_w(alpha) == expected, (base, j, alpha)
+
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
         # H_2 by Newton's identity against the product recurrence's table

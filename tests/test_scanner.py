@@ -8,24 +8,31 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congrlab.cli
 from congrlab import congruences, harmonic, scanner
 from congrlab import (
     CongrlabError,
     ScanConfig,
+    ScanReport,
     UsageError,
+    Valuation,
+    Verdict,
     emit_report,
     run_scan,
     sieve_primes,
 )
 from congrlab.cli import main, parse_config
-from congrlab.congruences import PrimeContext
-from congrlab.scanner import DEFAULT_ALPHA_SWEEP, _record_dict, odd_primes_between
+from congrlab.congruences import PrimeContext, verify_case
+from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from oracles import json_records, record_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -172,7 +179,7 @@ class TestRunScan:
     def test_records_sorted_and_counted(self):
         cfg = ScanConfig(prime_min=3, prime_max=31, cases=("thm1", "babbage"))
         report = run_scan(cfg)
-        keys = [v.sort_key() for v in report.records]
+        keys = [(v.case, v.p, v.alpha or 0) for v in report.records]
         assert keys == sorted(keys)
         counted = sum(report.summary.values())
         assert counted == len(report.records)
@@ -244,6 +251,39 @@ class TestRunScan:
         with pytest.raises(UsageError, match="scan and verify only"):
             run_scan(ScanConfig(command="lemmas", prime_max=31, tightness=True))
 
+    @pytest.mark.parametrize(
+        "alphas", [(Fraction(2), Fraction(1, 2), Fraction(2)), (2, Fraction(2))]
+    )
+    def test_repeated_alpha_rejected(self, alphas):
+        # a repeated alpha would give two identical records
+        config = ScanConfig(prime_min=5, prime_max=5, cases=("rel26",), alphas=alphas)
+        with pytest.raises(UsageError, match="repeated alpha"):
+            config.validate()
+        with pytest.raises(UsageError, match="repeated alpha"):
+            run_scan(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_alphas_evaluated_in_ascending_order(self, workers):
+        # the (case, p) sort keeps each group in evaluation order
+        given = (Fraction(2), Fraction(-1, 2), 7, Fraction(1, 3), Fraction(0))
+        ascending = tuple(sorted(given))
+        cases = ("rel26", "thm1", "babbage")
+        reports = [
+            run_scan(
+                ScanConfig(
+                    prime_min=3, prime_max=13, cases=cases, alphas=alphas, workers=workers
+                )
+            )
+            for alphas in (given, ascending)
+        ]
+        assert emit_report(reports[0], "json") == emit_report(reports[1], "json")
+        assert reports[0].config["alphas"] == ["-1/2", "0", "1/3", "2", "7"]
+        for case in ("rel26", "thm1"):
+            for p in (3, 5, 7, 11, 13):
+                group = [v.alpha for v in reports[0].records if (v.case, v.p) == (case, p)]
+                assert group == list(ascending), (case, p)
+                assert all(type(alpha) is Fraction for alpha in group)
+
 
 # sha256 of the JSON reports of `scan --primes 3..47` and
 # `lemmas --primes 3..47`, the same at any worker count
@@ -285,6 +325,64 @@ class TestStartMethods:
             config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=1)
             serial = hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest()
             assert pooled[command] == serial == pinned, command
+
+
+# `scan --primes 3..97 --claimed-ranges --tightness`: failures, skip
+# reasons, floor and exact valuations, anomalies
+CLAIMED_3_97 = ScanConfig(prime_min=3, prime_max=97, tightness=True, claimed_ranges=True)
+PINNED_CLAIMED_3_97_JSON = "0c3c58b329046267b8ba2d64dfe4944f69624d60fb89e4ae0dec3a6a2dd3a29e"
+
+
+class TestPoolRecords:
+    """Records cross the pool as plain tuples and are rebuilt in the parent."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {w: run_scan(replace(CLAIMED_3_97, workers=w)) for w in (1, 2)}
+
+    def test_pooled_records_equal_serial_ones_field_by_field(self, reports):
+        serial, pooled = reports[1].records, reports[2].records
+        assert len(serial) == len(pooled) > 0
+        for a, b in zip(serial, pooled):
+            # tuple equality alone takes Fraction(2) for 2 and a Valuation
+            # for a plain pair, so compare the types as well
+            assert a == b
+            assert [type(x) for x in a] == [type(x) for x in b], a
+        assert reports[1].anomalies == reports[2].anomalies
+        assert reports[1].summary == reports[2].summary
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_are_typed(self, reports, workers):
+        report = reports[workers]
+        floors = set()
+        for v in report.records:
+            assert type(v) is Verdict
+            assert v.alpha is None or type(v.alpha) is Fraction
+            if v.skipped:
+                assert (v.m, v.lhs, v.rhs, v.valuation) == (None,) * 4
+                assert v.reason
+                continue
+            assert (type(v.m), type(v.lhs), type(v.rhs)) == (int, int, int)
+            assert type(v.valuation) is Valuation
+            assert type(v.valuation.value) is int
+            assert type(v.valuation.is_floor) is bool
+            floors.add(v.valuation.is_floor)
+        assert floors == {True, False}
+        assert report.summary["fail"] == 6
+        assert len(report.anomalies) > report.summary["fail"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_equal_verify_case(self, reports, workers):
+        contexts = {}
+        for v in reports[workers].records:
+            if v.p not in contexts:
+                contexts[v.p] = PrimeContext(v.p, 8)
+            assert verify_case(v.case, v.p, v.alpha, True, contexts[v.p], True) == v
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_json_pinned(self, reports, workers):
+        data = emit_report(reports[workers], "json")
+        assert hashlib.sha256(data).hexdigest() == PINNED_CLAIMED_3_97_JSON
 
 
 class TestWolstenholmePrime:
@@ -453,6 +551,27 @@ PINNED_3_47_TIGHTNESS = {
 }
 
 
+# text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates, among any other characters
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀\ud800') | st.characters(),
+    max_size=12,
+)
+_RESIDUES = st.none() | st.integers(-(10**400), 10**400)
+VERDICTS = st.builds(
+    Verdict,
+    case=_TEXT,
+    p=st.integers(0, 10**30),
+    alpha=st.none() | st.fractions(),
+    m=st.none() | st.integers(0, 10**30),
+    lhs=_RESIDUES,
+    rhs=_RESIDUES,
+    status=_TEXT,
+    valuation=st.none() | st.builds(Valuation, st.integers(0, 100), st.booleans()),
+    reason=_TEXT,
+)
+
+
 class TestEmission:
     def test_empty_report_json(self):
         cfg = ScanConfig(prime_min=3, prime_max=3, cases=("mestrovic80",))
@@ -520,9 +639,24 @@ class TestEmission:
         report = run_scan(cfg)
         payload = {
             "config": report.config,
-            "records": [_record_dict(v) for v in report.records],
+            "records": [record_dict(v) for v in report.records],
             "summary": report.summary,
-            "anomalies": [_record_dict(v) for v in report.anomalies],
+            "anomalies": [record_dict(v) for v in report.anomalies],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert emit_report(report, "json") == expected.encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(VERDICTS, max_size=4), st.lists(VERDICTS, max_size=2))
+    def test_json_template_matches_the_encoder(self, records, anomalies):
+        # strings that need escaping, huge residues, every field None or not
+        report = ScanReport({"command": "scan"}, records, {"pass": 1}, anomalies)
+        assert scanner._json_records(records) == json_records(records)
+        payload = {
+            "config": report.config,
+            "records": [record_dict(v) for v in records],
+            "summary": report.summary,
+            "anomalies": [record_dict(v) for v in anomalies],
         }
         expected = json.dumps(payload, indent=2) + "\n"
         assert emit_report(report, "json") == expected.encode()
