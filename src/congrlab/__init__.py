@@ -18,7 +18,6 @@ from .congruences import (
     verify_case,
 )
 from .harmonic import (
-    DomainTooSmall,
     HarmonicTable,
     PowerSumTable,
     check_harmonic_congruences,

@@ -40,7 +40,6 @@ from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
 
 __all__ = [
-    "DomainTooSmall",
     "HarmonicTable",
     "PowerSumTable",
     "check_harmonic_congruences",
@@ -52,10 +51,6 @@ __all__ = [
     "power_sum_table",
     "power_sums_from_harmonic",
 ]
-
-
-class DomainTooSmall(CongrlabError):
-    """Raised when a harmonic number with index below 0 is requested."""
 
 
 def inverse_table(p: int, modulus: int) -> list:
@@ -76,17 +71,10 @@ def inverse_table(p: int, modulus: int) -> list:
 
 @dataclass(frozen=True)
 class HarmonicTable:
-    """Residues of H_0 .. H_{p-1} in Z/p^m; queries past the end return 0."""
+    """Residues of H_0 .. H_{p-1} in Z/p^m, indexed by k in `h`."""
 
     modulus: PrimePowerModulus
     h: tuple
-
-    def value(self, k: int) -> int:
-        if k < 0:
-            raise DomainTooSmall(f"harmonic index must be >= 0, got {k}")
-        if k >= self.modulus.p:
-            return 0
-        return self.h[k]
 
     def reduced(self, modulus: PrimePowerModulus) -> "HarmonicTable":
         """The same table in Z/p^m, for a p^m that divides this table's modulus."""
@@ -277,6 +265,10 @@ def power_sums_from_harmonic(table: HarmonicTable, n: int) -> PowerSumTable:
 # ---------------------------------------------------------------------------
 
 
+# H_k = 0 for k >= p; the suites' top pairs read up to H_{p+3}
+_PAST_THE_END = (0,) * 4
+
+
 def _shift_by_p(s: list, p: int, pm: int) -> list:
     """The coefficients of sum_k s_k (x + p)^k, exactly, for 0 <= s_k < pm.
 
@@ -344,14 +336,14 @@ def check_reflection_identity(p: int, table: HarmonicTable | None = None) -> lis
     modulus = PrimePowerModulus(p, m_work)
     pm = modulus.pm
     table = harmonic_table(modulus) if table is None else table.reduced(modulus)
-    h = table.h
+    h = table.h + _PAST_THE_END
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-    mirror, sums = _shifted_sums(h, p, pm)
+    mirror, sums = _shifted_sums(table.h, p, pm)
 
     out = []
     for m in range(1, (p - 1) // 2 + 3):
         r = 2 * m - 1
-        lhs = (table.value(r) - m * p * table.value(r + 1)) % pm
+        lhs = (h[r] - m * p * h[r + 1]) % pm
         rhs = half_p2 * sums[r] % pm if r < p else 0
         out.append(judge(f"reflection.pair[m={m}]", p, None, m_work, lhs, rhs, modulus))
     for j, mirrored in enumerate(mirror):
@@ -375,39 +367,36 @@ def check_harmonic_congruences(p: int, table: HarmonicTable | None = None) -> li
     modulus = PrimePowerModulus(p, 4)
     pm = modulus.pm
     table = harmonic_table(modulus) if table is None else table.reduced(modulus)
+    h = table.h + _PAST_THE_END
     out = []
 
     for m in range(1, p - 1):
-        out.append(
-            judge(f"harmonic.h_mod_p[m={m}]", p, None, 1, table.h[m], 0, modulus)
-        )
+        out.append(judge(f"harmonic.h_mod_p[m={m}]", p, None, 1, h[m], 0, modulus))
 
     for m in range(1, p, 2):
         if m == p - 2:
             continue
-        out.append(
-            judge(f"harmonic.h_mod_p2[m={m}]", p, None, 2, table.h[m], 0, modulus)
-        )
+        out.append(judge(f"harmonic.h_mod_p2[m={m}]", p, None, 2, h[m], 0, modulus))
 
     for m in range(1, (p + 1) // 2 + 2):
         if 2 * m + 1 == p - 2:
             # boundary pair handled by the -p^3/4 case below
             continue
-        lhs = (table.value(2 * m - 1) - m * p * table.value(2 * m)) % pm
+        lhs = (h[2 * m - 1] - m * p * h[2 * m]) % pm
         out.append(
             judge(f"harmonic.pair_mod_p4[m={m}]", p, None, 4, lhs, 0, modulus)
         )
 
     if p >= 5:
-        lhs = (table.value(p - 4) - (p - 3) // 2 * p * table.value(p - 3)) % pm
+        lhs = (h[p - 4] - (p - 3) // 2 * p * h[p - 3]) % pm
         rhs = residue_of_rational(-Fraction(p**3, 4), modulus)
         out.append(judge("harmonic.pair_boundary", p, None, 4, lhs, rhs, modulus))
     else:
         out.append(skip("harmonic.pair_boundary", p, None, "needs index p-4 >= 1"))
 
     rhs = residue_of_rational(Fraction(p, 2), modulus)
-    out.append(judge("harmonic.h_p_minus_2", p, None, 2, table.h[p - 2], rhs, modulus))
-    out.append(judge("harmonic.h_p_minus_1", p, None, 1, table.h[p - 1], -1, modulus))
+    out.append(judge("harmonic.h_p_minus_2", p, None, 2, h[p - 2], rhs, modulus))
+    out.append(judge("harmonic.h_p_minus_1", p, None, 1, h[p - 1], -1, modulus))
     return out
 
 
@@ -431,9 +420,9 @@ def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> l
     pm = modulus.pm
     top = 2 * (p - 1) + 1
     table = harmonic_table(modulus) if table is None else table.reduced(modulus)
-    sums = power_sums_from_harmonic(table, top + 2)
+    s = (None,) + power_sums_from_harmonic(table, top + 2).sums  # s[m] is S_m
     direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
-    if sums.value(top + 2) != direct:
+    if s[top + 2] != direct:
         raise CongrlabError(f"power sum S_{top + 2} mismatch at p={p}")
     inv2 = pow(2, -1, pm)
     # 12 is a unit only for p >= 5, and at p = 3 every triple is skipped
@@ -442,19 +431,15 @@ def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> l
 
     for m in range(1, top + 1):
         rhs = -1 % pm if m % (p - 1) == 0 else 0
-        out.append(
-            judge(f"power_sum.mod_p[m={m}]", p, None, 1, sums.value(m), rhs, modulus)
-        )
+        out.append(judge(f"power_sum.mod_p[m={m}]", p, None, 1, s[m], rhs, modulus))
 
         if m % 2 == 0:
             continue
 
         rhs = m * p * inv2 % pm if (m + 1) % (p - 1) == 0 else 0
-        out.append(
-            judge(f"power_sum.mod_p2[m={m}]", p, None, 2, sums.value(m), rhs, modulus)
-        )
+        out.append(judge(f"power_sum.mod_p2[m={m}]", p, None, 2, s[m], rhs, modulus))
 
-        pair = (2 * sums.value(m) + m * p * sums.value(m + 1)) % pm
+        pair = (2 * s[m] + m * p * s[m + 1]) % pm
         out.append(judge(f"power_sum.pair_mod_p3[m={m}]", p, None, 3, pair, 0, modulus))
         if (m + 3) % (p - 1) == 0:
             rhs = residue_of_rational(
@@ -471,9 +456,9 @@ def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> l
             out.append(skip(name, p, None, f"excluded: {p - 1} divides m+5"))
         else:
             triple = (
-                sums.value(m)
-                + m * inv2 * p * sums.value(m + 1)
-                + m * (m + 1) * inv12 * p * p * sums.value(m + 2)
+                s[m]
+                + m * inv2 * p * s[m + 1]
+                + m * (m + 1) * inv12 * p * p * s[m + 2]
             ) % pm
             out.append(judge(name, p, None, 6, triple, 0, modulus))
 

@@ -14,10 +14,11 @@ grows with p and the pool's last chunk should be a cheap one.  Workers only
 read immutable inputs and inherit nothing from the parent.  A pool worker
 sends its verdicts back as plain tuples, which pickle cheaply, and the
 parent rebuilds each record once.  Each unit evaluates its alphas in
-ascending order, so a stable sort by (case, p) orders the merged records by
-(case, p, alpha), and a report is byte-identical no matter how many workers
-produced it, in what order, or under which start method.  Residues are
-serialized as decimal strings because they routinely exceed 64 bits.
+ascending order and the units' records are merged in ascending p, so a
+stable sort on case alone orders them by (case, p, alpha), and a report is
+byte-identical no matter how many workers produced it, in what order, or
+under which start method.  Residues are serialized as decimal strings
+because they routinely exceed 64 bits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -295,13 +295,16 @@ def _verdicts(rows) -> list:
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
+    """Every task's verdicts, the tasks' batches in the order of `tasks`."""
     if workers <= 1 or len(tasks) <= 1:
         return [verdict for task in tasks for verdict in worker(task)]
+    import multiprocessing  # only a pool needs it, so a serial run skips it
+
     with multiprocessing.Pool(min(workers, len(tasks))) as pool:
         # tasks arrive in ascending p from the sieve and cost grows with p,
-        # so hand out the dearest first; run_scan sorts the records
+        # so hand out the dearest first and put the batches back after
         batches = pool.map(partial(_rows, worker), tasks[::-1])
-    return [verdict for batch in batches for verdict in _verdicts(batch)]
+    return [verdict for batch in reversed(batches) for verdict in _verdicts(batch)]
 
 
 def _summarize(records) -> dict:
@@ -342,8 +345,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
         ]
         records = _run_tasks(_scan_one_prime, tasks, config.workers)
 
-    # stable: a (case, p) group comes from one task, alphas ascending
-    records.sort(key=itemgetter(0, 1))
+    # stable: the records arrive in ascending p, and a (case, p) group comes
+    # from one task with its alphas ascending
+    records.sort(key=itemgetter(0))
     return ScanReport(
         config=config.echo(),
         records=records,
@@ -371,12 +375,7 @@ def emit_report(report: ScanReport, fmt: str) -> bytes:
     if fmt == "json":
         return _emit_json(report)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_COLUMNS[:-1])
-        # the csv module writes None as an empty cell and str() of the rest
-        writer.writerows(v[:-1] for v in report.records)
-        return buf.getvalue().encode()
+        return _emit_csv(report.records)
     if fmt == "text":
         return _emit_text(report)
     raise UsageError(f"unknown output format {fmt!r}")
@@ -421,13 +420,61 @@ def _emit_json(report: ScanReport) -> bytes:
     ).encode()
 
 
+def _cells(records):
+    """Each record's cells as strings, "" for None, in `_COLUMNS` order.
+
+    An rhs equal to its lhs (every passing record) reuses the lhs's decimal
+    string, and each distinct valuation is formatted once.
+    """
+    valuations = {None: ""}
+    for case, p, alpha, m, lhs, rhs, status, val, reason in records:
+        left = "" if lhs is None else str(lhs)
+        shown = valuations.get(val)
+        if shown is None:
+            shown = valuations[val] = str(val)
+        yield (
+            case, str(p), "" if alpha is None else str(alpha),
+            "" if m is None else str(m), left,
+            left if rhs == lhs else "" if rhs is None else str(rhs),
+            status, shown, reason or "",
+        )
+
+
+class _CsvCell(dict):
+    """A string -> its cell as the csv module writes it, quoted only if it
+    must be.  Each distinct string goes through the module once."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, None])
+        cell = self[text] = buf.getvalue()[:-2]  # less the ",\n" of the None
+        return cell
+
+
+# A CSV row is a record less its reason.  Only case and status are free
+# text; alpha ("a/b"), the valuation ("v", ">=v") and the numbers never need
+# quoting, so they go in as they are.
+_CSV_ROW = ",".join(["%s"] * (len(_COLUMNS) - 1)) + "\n"
+
+
+def _emit_csv(records) -> bytes:
+    # bytes row by row, so the report exists once in memory, not also as str
+    quote = _CsvCell()
+    buf = io.BytesIO()
+    write = buf.write
+    write((",".join(_COLUMNS[:-1]) + "\n").encode())
+    for case, p, alpha, m, lhs, rhs, status, val, _ in _cells(records):
+        row = _CSV_ROW % (quote[case], p, alpha, m, lhs, rhs, quote[status], val)
+        write(row.encode())
+    return buf.getvalue()
+
+
 def _emit_text(report: ScanReport) -> bytes:
-    rows = [["" if x is None else str(x) for x in v] for v in report.records]
+    rows = list(_cells(report.records))
     widths = [max(map(len, column)) for column in zip(_COLUMNS, *rows)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(_COLUMNS, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    row = "  ".join(f"%-{w}s" for w in widths)  # each cell left-justified
+    lines = [(row % _COLUMNS).rstrip(), "  ".join("-" * w for w in widths)]
+    lines += [(row % cells).rstrip() for cells in rows]
     s = report.summary
     lines.append("")
     lines.append(f"summary: pass={s['pass']} fail={s['fail']} skip={s['skip']}")

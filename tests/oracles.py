@@ -12,11 +12,14 @@ H_k, by the incremental loop that the suite's Taylor shift replaced.
 `binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
 table.  `record_dict` and `json_records` write a report's records through
-json.JSONEncoder, the route the scanner's JSON template replaced.
+json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
+str.ljust, the routes the scanner's templates replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -278,3 +281,38 @@ def json_records(records) -> str:
         for v in records
     )
     return "[\n" + body + "\n  ]"
+
+
+def csv_report(records) -> bytes:
+    """A report's CSV, every record less its reason, through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORD_KEYS[:-1])
+    # the csv module writes None as an empty cell and str() of the rest
+    writer.writerows(v[:-1] for v in records)
+    return buf.getvalue().encode()
+
+
+def text_report(report) -> bytes:
+    """A report as text: the records as a table, each cell ljust to its
+    column's width, then the summary and the anomalies."""
+    rows = [["" if x is None else str(x) for x in v] for v in report.records]
+    widths = [max(map(len, column)) for column in zip(RECORD_KEYS, *rows)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(RECORD_KEYS, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    s = report.summary
+    lines.append("")
+    lines.append(f"summary: pass={s['pass']} fail={s['fail']} skip={s['skip']}")
+    if report.anomalies:
+        lines.append("anomalies:")
+        for v in report.anomalies:
+            alpha = "" if v.alpha is None else f" alpha={v.alpha}"
+            lines.append(
+                f"  {v.case} p={v.p}{alpha} status={v.status} "
+                f"m={v.m} valuation={v.valuation}"
+            )
+    else:
+        lines.append("anomalies: none")
+    return ("\n".join(lines) + "\n").encode()

@@ -41,3 +41,15 @@ def test_package_imports_resolve():
     for module_name, name in imports:
         assert hasattr(importlib.import_module(module_name), name), (module_name, name)
         assert hasattr(congrlab, name), name
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(congrlab.harmonic, "DomainTooSmall"), (congrlab.HarmonicTable, "value")],
+    ids=["DomainTooSmall", "HarmonicTable.value"],
+)
+def test_deleted_api_stays_deleted(owner, name):
+    # the lemma suites index a table's `h` tuple, zero-padded past H_{p-1},
+    # so no index check or past-the-end query is left to export
+    assert not hasattr(owner, name)
+    assert not hasattr(congrlab, name)

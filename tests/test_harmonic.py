@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from congrlab import (
-    DomainTooSmall,
     HarmonicTable,
     PrimeContext,
     PrimePowerModulus,
@@ -95,22 +94,26 @@ class TestHarmonicTable:
     def test_p5_mod_p2_penultimate(self):
         # H_3 = 5/12, and 5 * inv(12) = 5 * 23 = 115 == 15 mod 25, i.e. p/2
         table = harmonic_table(PrimePowerModulus(5, 2))
-        assert table.value(3) == 15
-        assert table.value(3) == residue_of_rational(Fraction(5, 2), table.modulus)
+        assert table.h[3] == 15
+        assert table.h[3] == residue_of_rational(Fraction(5, 2), table.modulus)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_empty_product_convention(self, p):
-        assert harmonic_table(PrimePowerModulus(p, 2)).value(0) == 1
+        assert harmonic_table(PrimePowerModulus(p, 2)).h[0] == 1
 
     def test_queries_past_the_end_are_zero(self):
-        table = harmonic_table(PrimePowerModulus(5, 2))
-        assert table.value(5) == 0
-        assert table.value(100) == 0
-
-    def test_negative_index(self):
-        table = harmonic_table(PrimePowerModulus(5, 2))
-        with pytest.raises(DomainTooSmall):
-            table.value(-1)
+        # the table stops at H_{p-1} and the suites read H_k = 0 past it, so
+        # every pair H_{2m-1} - m p H_{2m} with 2m - 1 >= p is 0 on both sides
+        for p in (3, 5, 7, 13):
+            assert len(harmonic_table(PrimePowerModulus(p, 2)).h) == p
+            suites = check_reflection_identity(p) + check_harmonic_congruences(p)
+            verdicts = {v.case: v for v in suites}
+            top = [
+                verdicts[f"{family}[m={m}]"]
+                for family in ("reflection.pair", "harmonic.pair_mod_p4")
+                for m in range((p + 1) // 2, (p + 1) // 2 + 2)
+            ]
+            assert all(v.passed and v.lhs == v.rhs == 0 for v in top), (p, top)
 
     @pytest.mark.parametrize("p", [3, 5, 13])
     def test_reduced_equals_a_table_built_lower(self, p):
@@ -155,7 +158,7 @@ class TestHarmonicTable:
     def test_last_value_is_minus_one_mod_p(self):
         for p in SMALL_PRIMES:
             table = harmonic_table(PrimePowerModulus(p, 1))
-            assert table.value(p - 1) == p - 1
+            assert table.h[p - 1] == p - 1
 
 
 def table_prefix(p, d):
@@ -272,7 +275,7 @@ class TestPowerSums:
         sums = power_sum_table(modulus, 2)
         half = residue_of_rational(Fraction(1, 2), modulus)
         s1, s2 = sums.value(1), sums.value(2)
-        assert table.value(2) == half * (s1 * s1 - s2) % modulus.pm
+        assert table.h[2] == half * (s1 * s1 - s2) % modulus.pm
 
 
 class TestReflectionIdentity:
@@ -477,7 +480,7 @@ class TestSharedTable:
 class TestHarmonicCongruences:
     def test_p11_h3_vanishes_mod_p2(self):
         table = harmonic_table(PrimePowerModulus(11, 2))
-        assert table.value(3) == 0
+        assert table.h[3] == 0
 
     def test_p5_penultimate_value(self):
         verdicts = {v.case: v for v in check_harmonic_congruences(5)}

@@ -32,7 +32,8 @@ from congrlab import (
 from congrlab.cli import main, parse_config
 from congrlab.congruences import PrimeContext, verify_case
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
-from oracles import json_records, record_dict
+from congrlab.verdicts import FAIL, PASS, SKIP
+from oracles import csv_report, json_records, record_dict, text_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -327,6 +328,33 @@ class TestStartMethods:
             assert pooled[command] == serial == pinned, command
 
 
+_SERIAL_RUN = """
+import sys
+import congrlab.cli
+from congrlab import ScanConfig, emit_report, run_scan
+
+for command in ("scan", "lemmas"):
+    config = ScanConfig(command=command, prime_min=3, prime_max=13, workers=1)
+    emit_report(run_scan(config), "csv")
+print(sorted(name for name in sys.modules if name.startswith("multiprocessing")))
+"""
+
+
+def test_serial_run_imports_no_pool():
+    # a 1-worker run starts no pool, so it need not pay for importing one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SERIAL_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # `scan --primes 3..97 --claimed-ranges --tightness`: failures, skip
 # reasons, floor and exact valuations, anomalies
 CLAIMED_3_97 = ScanConfig(prime_min=3, prime_max=97, tightness=True, claimed_ranges=True)
@@ -572,6 +600,34 @@ VERDICTS = st.builds(
 )
 
 
+# text the csv module quotes or passes through: delimiters, quotes, line
+# breaks, spaces and non-ASCII, among any other characters but surrogates,
+# which UTF-8 cannot encode
+_CSV_TEXT = st.text(
+    st.sampled_from(',"\r\n \t\'é€😀') | st.characters(exclude_categories=("Cs",)),
+    max_size=12,
+)
+
+
+@st.composite
+def csv_verdicts(draw):
+    """Verdicts with free-text case, status and reason, every nullable field
+    None or not, and residues to 10^400 whose two sides are often equal."""
+    lhs = draw(_RESIDUES)
+    return Verdict(
+        case=draw(_CSV_TEXT),
+        p=draw(st.integers(0, 10**30)),
+        alpha=draw(st.none() | st.fractions()),
+        m=draw(st.none() | st.integers(0, 10**30)),
+        lhs=lhs,
+        rhs=lhs if draw(st.booleans()) else draw(_RESIDUES),
+        status=draw(st.sampled_from([PASS, FAIL, SKIP]) | _CSV_TEXT),
+        # few values, so exact and floor valuations of one value meet
+        valuation=draw(st.none() | st.builds(Valuation, st.integers(0, 3), st.booleans())),
+        reason=draw(_CSV_TEXT),
+    )
+
+
 class TestEmission:
     def test_empty_report_json(self):
         cfg = ScanConfig(prime_min=3, prime_max=3, cases=("mestrovic80",))
@@ -660,6 +716,32 @@ class TestEmission:
         }
         expected = json.dumps(payload, indent=2) + "\n"
         assert emit_report(report, "json") == expected.encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(csv_verdicts(), max_size=4))
+    def test_csv_template_matches_the_writer(self, records):
+        report = ScanReport({"command": "scan"}, records, {"pass": 1}, [])
+        assert emit_report(report, "csv") == csv_report(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(csv_verdicts(), max_size=4), st.lists(csv_verdicts(), max_size=2))
+    def test_text_template_matches_ljust(self, records, anomalies):
+        summary = {"pass": 1, "fail": 2, "skip": 3}
+        report = ScanReport({"command": "scan"}, records, summary, anomalies)
+        assert emit_report(report, "text") == text_report(report)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScanConfig(command="lemmas", prime_min=3, prime_max=23),
+            ScanConfig(prime_min=3, prime_max=23, tightness=True, claimed_ranges=True),
+        ],
+        ids=["lemmas", "anomalies"],
+    )
+    def test_csv_and_text_match_the_oracles(self, cfg):
+        report = run_scan(cfg)
+        assert emit_report(report, "csv") == csv_report(report.records)
+        assert emit_report(report, "text") == text_report(report)
 
     def test_unknown_format_rejected(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("babbage",))
