@@ -7,9 +7,16 @@ Three subcommands share the report machinery:
   lemmas  -- run the harmonic/power-sum/Bernoulli verdict suites
 
 Exit status is 0 when nothing failed, 1 when any congruence failed, 2 for
-usage or I/O errors, and 3 for an internal error.  CONGRLAB_WORKERS in the
-environment overrides the worker count, including an explicit --workers
-flag; either is clamped to the CPUs this process may run on.
+usage or I/O errors, and 3 for an internal error: a failed cross-check, an
+exhausted resource such as memory, or a bug.
+
+The worker count is an upper bound.  CONGRLAB_WORKERS in the environment
+overrides it, including an explicit --workers flag, and either is clamped
+to the CPUs this process may run on.  A run starts a pool of that many
+workers (at most one per prime) only when the work it estimates before
+running, split among them, saves more than the pool costs to start and to
+send the records back; otherwise it runs in this process.  `verify` always
+does.
 """
 
 from __future__ import annotations
@@ -55,8 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            help="parallel worker processes, at most the CPUs this process "
-            "may run on (default: that many); CONGRLAB_WORKERS overrides it",
+            help="the most worker processes to use, at most the CPUs this "
+            "process may run on (default: that many); CONGRLAB_WORKERS "
+            "overrides it.  A pool starts only when the run's estimated work "
+            "saves more than the pool costs",
         )
         p.add_argument(
             "--tightness",
@@ -230,6 +239,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except CongrlabError as exc:
         print(f"congrlab: internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # never exit 1, which means a congruence failed
+        print(f"congrlab: internal error: {exc!r}", file=sys.stderr)
         return 3
     try:
         if config.output:

@@ -200,12 +200,7 @@ class PowerSumTable:
     """Residues of S_m = sum_{k=1}^{p-1} 1/k^m for 1 <= m <= len(sums)."""
 
     modulus: PrimePowerModulus
-    sums: tuple
-
-    def value(self, exponent: int) -> int:
-        if not 1 <= exponent <= len(self.sums):
-            raise ValueError(f"exponent {exponent} outside table range")
-        return self.sums[exponent - 1]
+    sums: tuple  # S_m at sums[m - 1]
 
 
 def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTable:

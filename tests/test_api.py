@@ -45,11 +45,16 @@ def test_package_imports_resolve():
 
 @pytest.mark.parametrize(
     "owner, name",
-    [(congrlab.harmonic, "DomainTooSmall"), (congrlab.HarmonicTable, "value")],
-    ids=["DomainTooSmall", "HarmonicTable.value"],
+    [
+        (congrlab.harmonic, "DomainTooSmall"),
+        (congrlab.HarmonicTable, "value"),
+        (congrlab.PowerSumTable, "value"),
+    ],
+    ids=["DomainTooSmall", "HarmonicTable.value", "PowerSumTable.value"],
 )
 def test_deleted_api_stays_deleted(owner, name):
     # the lemma suites index a table's `h` tuple, zero-padded past H_{p-1},
-    # so no index check or past-the-end query is left to export
+    # and every reader of a power-sum table indexes its `sums` tuple, so no
+    # index check or past-the-end query is left to export
     assert not hasattr(owner, name)
     assert not hasattr(congrlab, name)

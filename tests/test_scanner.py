@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -36,6 +37,26 @@ from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import csv_report, json_records, record_dict, text_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def spy_pools(monkeypatch, force: bool = False) -> list:
+    """The sizes of the pools the run starts, in order.
+
+    With `force`, a pool costs nothing in the scanner's cost model, so every
+    run that may use more than one worker starts one: a test that exists to
+    exercise the pool then cannot compare a serial run with a serial run.
+    """
+    started = []
+    pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    if force:
+        monkeypatch.setattr(scanner, "_POOL_S", -math.inf)
+    return started
 
 
 class TestSieve:
@@ -185,15 +206,18 @@ class TestRunScan:
         counted = sum(report.summary.values())
         assert counted == len(report.records)
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        started = spy_pools(monkeypatch, force=True)
         blobs = []
         for workers in (1, 2, 4):
             cfg = ScanConfig(prime_min=3, prime_max=61, workers=workers)
             blobs.append(emit_report(run_scan(cfg), "json"))
         assert blobs[0] == blobs[1] == blobs[2]
+        assert started == [2, 4]
 
-    def test_lemmas_deterministic_across_workers(self):
+    def test_lemmas_deterministic_across_workers(self, monkeypatch):
         # the pool takes its primes in the opposite order to the serial path
+        started = spy_pools(monkeypatch, force=True)
         blobs = [
             emit_report(
                 run_scan(
@@ -204,6 +228,7 @@ class TestRunScan:
             for w in (1, 2)
         ]
         assert blobs[0] == blobs[1]
+        assert started == [2]
 
     def test_claimed_range_failure_is_anomalous(self):
         cfg = ScanConfig(
@@ -264,8 +289,9 @@ class TestRunScan:
             run_scan(config)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_alphas_evaluated_in_ascending_order(self, workers):
+    def test_alphas_evaluated_in_ascending_order(self, monkeypatch, workers):
         # the (case, p) sort keeps each group in evaluation order
+        started = spy_pools(monkeypatch, force=True)
         given = (Fraction(2), Fraction(-1, 2), 7, Fraction(1, 3), Fraction(0))
         ascending = tuple(sorted(given))
         cases = ("rel26", "thm1", "babbage")
@@ -284,6 +310,7 @@ class TestRunScan:
                 group = [v.alpha for v in reports[0].records if (v.case, v.p) == (case, p)]
                 assert group == list(ascending), (case, p)
                 assert all(type(alpha) is Fraction for alpha in group)
+        assert started == ([2, 2] if workers == 2 else [])
 
 
 # sha256 of the JSON reports of `scan --primes 3..47` and
@@ -293,14 +320,20 @@ PINNED_JSON_3_47 = {
     "lemmas": "83cd985ad99edc60808393624d0930556f349ef15b7c31f93fbe1003283d5114",
 }
 
+# Both runs are too small for a pool to pay, so the script makes the pool
+# free and counts the pools started.
 _START_METHOD_RUN = """
 import hashlib, multiprocessing, sys
-from congrlab import ScanConfig, emit_report, run_scan
+from congrlab import ScanConfig, emit_report, run_scan, scanner
 
 multiprocessing.set_start_method(sys.argv[1])
+scanner._POOL_S = float("-inf")
+pool, started = multiprocessing.Pool, []
+multiprocessing.Pool = lambda n: started.append(n) or pool(n)
 for command in ("scan", "lemmas"):
     config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=2)
     print(command, hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest())
+print("pools", started)
 """
 
 
@@ -321,7 +354,9 @@ class TestStartMethods:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        pooled = dict(line.split() for line in result.stdout.splitlines())
+        *lines, pools = result.stdout.splitlines()
+        assert pools == "pools [2, 2]"
+        pooled = dict(line.split() for line in lines)
         for command, pinned in PINNED_JSON_3_47.items():
             config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=1)
             serial = hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest()
@@ -355,6 +390,88 @@ def test_serial_run_imports_no_pool():
     assert result.stdout == "[]\n"
 
 
+def two_cpus(monkeypatch):
+    """A CLI run that may use two workers, on any host and environment."""
+    monkeypatch.setattr(congrlab.cli, "_available_cpus", lambda: 2)
+    monkeypatch.delenv("CONGRLAB_WORKERS", raising=False)
+
+
+@pytest.mark.parametrize("command", ["scan", "lemmas"])
+def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
+    # --workers is an upper bound: 3..47 is too little work to pay for a pool
+    two_cpus(monkeypatch)
+    calls = []
+    monkeypatch.setattr(
+        scanner, "_run_tasks", lambda worker, tasks, w: calls.append(w) or []
+    )
+    assert main([command, "--primes", "3..47", "--workers", "2"]) == 0
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (
+            ["scan", "--primes", "3..499", "--format", "json"],
+            "5f489a1ea85ca9240778d38d2ebbe6460a595bb58f0487aecffa8bf716bde5ce",
+        ),
+        (
+            ["lemmas", "--primes", "3..199", "--format", "csv"],
+            "997c668ec2f70429b0d34c0ab8ff128a1b82de53b2e88abdff9b782ef5a93e37",
+        ),
+    ],
+    ids=["catalog", "lemmas"],
+)
+def test_pool_started_where_it_pays(monkeypatch, capsysbinary, argv, pinned):
+    # the catalog and the lemma suites do enough work per prime to pay
+    two_cpus(monkeypatch)
+    started = spy_pools(monkeypatch)
+    assert main(argv + ["--workers", "2"]) == 0
+    assert started == [2]
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == pinned
+
+
+def test_verify_never_starts_a_pool(monkeypatch, capsysbinary):
+    # one prime is one task, even where a pool would cost nothing
+    two_cpus(monkeypatch)
+    started = spy_pools(monkeypatch, force=True)
+    assert main(["verify", "--case", "rel26", "--p", "499", "--workers", "2"]) == 0
+    assert started == []
+    assert b"summary: pass=18 fail=0 skip=0" in capsysbinary.readouterr().out
+
+
+_CLI_RUN = """
+import sys
+import congrlab.cli
+
+congrlab.cli._available_cpus = lambda: 2
+code = congrlab.cli.main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.startswith("multiprocessing")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_wolstenholme_sweep_runs_in_one_process():
+    # the tree leaves each prime too little work to pay for a pool; the whole
+    # CLI in a fresh process, on the request the benchmark and CI pin
+    env = dict(os.environ)
+    env.pop("CONGRLAB_WORKERS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["scan", "--primes", "5..10000", "--case", "wolstenholme_rel70"]
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN, *argv, "--tightness", "--workers", "2"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b"[]\n"
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "4a936a947f2a8d520066d5359c5313ff5574a7e538097446741e4a378c2fbe4a"
+    )
+
+
 # `scan --primes 3..97 --claimed-ranges --tightness`: failures, skip
 # reasons, floor and exact valuations, anomalies
 CLAIMED_3_97 = ScanConfig(prime_min=3, prime_max=97, tightness=True, claimed_ranges=True)
@@ -366,7 +483,11 @@ class TestPoolRecords:
 
     @pytest.fixture(scope="class")
     def reports(self):
-        return {w: run_scan(replace(CLAIMED_3_97, workers=w)) for w in (1, 2)}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            started = spy_pools(monkeypatch, force=True)
+            reports = {w: run_scan(replace(CLAIMED_3_97, workers=w)) for w in (1, 2)}
+        assert started == [2]
+        return reports
 
     def test_pooled_records_equal_serial_ones_field_by_field(self, reports):
         serial, pooled = reports[1].records, reports[2].records
@@ -675,9 +796,11 @@ class TestEmission:
                 assert d["reason"] == (v.reason or None)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_text_and_csv_pinned(self, workers):
+    def test_text_and_csv_pinned(self, monkeypatch, workers):
+        started = spy_pools(monkeypatch, force=True)
         config = ScanConfig(prime_min=3, prime_max=47, tightness=True, workers=workers)
         report = run_scan(config)
+        assert started == ([2] if workers == 2 else [])
         for fmt, pinned in PINNED_3_47_TIGHTNESS.items():
             data = emit_report(report, fmt)
             assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned, fmt
@@ -791,6 +914,25 @@ class TestCliContract:
         assert main(["scan", "--primes", "5..5", "--case", "morley"]) == 3
         err = capsys.readouterr().err
         assert err == "congrlab: internal error: central binomial transfer mismatch at p=5\n"
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError(), "MemoryError()"),
+            (RuntimeError("no such ingredient"), "RuntimeError('no such ingredient')"),
+        ],
+        ids=["memory", "bug"],
+    )
+    def test_exit_three_on_any_other_exception(self, monkeypatch, capsys, error, line):
+        # exit 1 would claim that a congruence failed
+        def broken(config):
+            raise error
+
+        monkeypatch.setattr(congrlab.cli, "run_scan", broken)
+        assert main(["scan", "--primes", "5..5", "--case", "morley"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"congrlab: internal error: {line}\n"
+        assert captured.out == ""
 
     def test_argparse_exits_two_on_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
