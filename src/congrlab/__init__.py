@@ -19,7 +19,6 @@ from .congruences import (
 )
 from .harmonic import (
     HarmonicTable,
-    PowerSumTable,
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,

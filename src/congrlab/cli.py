@@ -152,12 +152,13 @@ def _parse_alphas(values) -> tuple:
     names = _split_repeatable(values)
     if not names:
         return DEFAULT_ALPHA_SWEEP
-    alphas = set()
+    alphas = []
     for name in names:
         try:
-            alphas.add(parse_rational(name))
+            alphas.append(parse_rational(name))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    # ascending, however spelled; `ScanConfig.validate` rejects a repeat
     return tuple(sorted(alphas))
 
 
@@ -168,9 +169,9 @@ def _parse_cases(values) -> tuple:
     for name in names:
         if name not in CATALOG:
             raise UsageError(f"unknown congruence case {name!r}")
-    # preserve catalog order regardless of how the flags were spelled
-    wanted = set(names)
-    return tuple(cid for cid in CATALOG if cid in wanted)
+    # catalog order, however spelled; `ScanConfig.validate` rejects a repeat
+    order = {cid: i for i, cid in enumerate(CATALOG)}
+    return tuple(sorted(names, key=order.__getitem__))
 
 
 def _available_cpus() -> int:

@@ -21,6 +21,16 @@ alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
 each case then reduces to its own modulus.  Contexts are built per prime
 and never mutated after their lazy fields fill in, so sharing one across
 the cases and alpha values of a single prime is safe.
+
+The catalog writes each alpha-polynomial once.  Seven parametric cases
+(rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
+the only copies of their right sides, and seventeen fixed cases are those
+rows at alpha = 2 (C(2p-1, p-1) on the left) or alpha = 1/2 (the central
+binomial on the left, every right term times 4^(p-1)), made by `_at`.
+Three rows stay literal: rel34 and rel63 are power-sum identities, not
+binomial ones, and carlitz leaves 4^(p-1) off its B term.  That is the same
+congruence mod p^4 as coro_rel2 at 1/2, but not one power up, where
+`--tightness` compares it.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_mod, bernoulli_pm3_faulhaber
-from .harmonic import PowerSumTable, power_sum_table
+from .harmonic import power_sum_table
 from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
 from .verdicts import Verdict, judge, skip
 
@@ -119,7 +129,7 @@ class PrimeContext:
         self._powers = {0: 1, exponent: self.pm}
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
-        self._sums: Optional[PowerSumTable] = None
+        self._sums: Optional[tuple] = None
         self._binoms: dict = {}
         self._sides: dict = {}
         self._fact_inv: Optional[int] = None
@@ -138,8 +148,8 @@ class PrimeContext:
             self._moduli[m] = PrimePowerModulus(self.p, m)
         return self._moduli[m]
 
-    def power_sums(self) -> PowerSumTable:
-        """S_1, S_2 and S_3, from one O(p) pass built on first use."""
+    def power_sums(self) -> tuple:
+        """(S_1, S_2, S_3), from one O(p) pass built on first use."""
         if self._sums is None:
             self._sums = power_sum_table(self.modulus, 3)
         return self._sums
@@ -214,24 +224,23 @@ class PrimeContext:
                 self._bern = bernoulli_pm3_faulhaber(self.p)
         return self._bern
 
-    def ingredient(self, x: str, alpha: Optional[Fraction]) -> int:
-        """The residue a catalog term names (see `Term`)."""
+    def ingredient(self, x: str) -> int:
+        """The residue a catalog term names (see `Term`), other than "binom",
+        which depends on alpha and which `side` keeps apart."""
         if x == "one":
             return 1
         if x == "S1":
-            return self.power_sums().sums[0]
+            return self.power_sums()[0]
         if x == "S2":
-            return self.power_sums().sums[1]
+            return self.power_sums()[1]
         if x == "S3":
-            return self.power_sums().sums[2]
+            return self.power_sums()[2]
         if x == "H2":
             # Newton's identity: H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2
-            s1, s2, _ = self.power_sums().sums
+            s1, s2, _ = self.power_sums()
             return (s1 * s1 - s2) * self.rat(_HALF) % self.pm
         if x == "B":
             return self.bernoulli_pm3()
-        if x == "binom":
-            return self.binom_w(alpha)
         if x == "binom2":
             return self.binom_w(_TWO)
         if x == "central":
@@ -249,7 +258,7 @@ class PrimeContext:
             polys = ([], [])
             for coef, k, x, four in side:
                 binom = x == "binom"
-                factor = self.power(k) * (1 if binom else self.ingredient(x, None))
+                factor = self.power(k) * (1 if binom else self.ingredient(x))
                 if four:
                     factor *= self.four_pow()
                 poly = polys[binom]
@@ -330,45 +339,74 @@ _FOUR = (Term((1,), 0, "one", True),)
 _BINOM = (Term((1,), 0, "binom"),)
 _BINOM2 = (Term((1,), 0, "binom2"),)
 _CENTRAL = (Term((1,), 0, "central"),)
-# -a(a-1)(a^2-a-1) and a^2(a-1)^2, the coefficients of Theorem 1
+
+# The right sides of the seven parametric cases, C(ap-1, p-1) on the left.
+# -a(a-1)(a^2-a-1) is the S_1 coefficient of Theorem 1 and of rel38.
 _MINUS_A1 = (0, -1, 0, 2, -1)
-_A2 = (0, 0, 1, -2, 1)
-# -a(a-1)/3, the Bernoulli coefficient of Glaisher's congruence
-_GLAISHER_B = (0, Fraction(1, 3), Fraction(-1, 3))
+_REL26 = _ONE
+_CORO_REL2 = _ONE + (Term((0, Fraction(1, 3), Fraction(-1, 3)), 3, "B"),)
+_CORO_REL5B = _ONE + (Term((0, -1, 1), 1, "S1"),)
+_CORO_REL5 = _ONE + (Term((0, Fraction(1, 2), Fraction(-1, 2)), 2, "S2"),)
+_THM1 = _ONE + (Term(_MINUS_A1, 1, "S1"), Term((0, 0, 1, -2, 1), 2, "H2"))
+_REL38 = _ONE + (
+    Term(_MINUS_A1, 1, "S1"),
+    Term((0, 0, Fraction(-1, 2), 1, Fraction(-1, 2)), 2, "S2"),
+)
+_CORO_63 = _CORO_REL5B + (
+    Term((0, 0, Fraction(1, 6), Fraction(-1, 3), Fraction(1, 6)), 3, "S3"),
+)
+
+
+def _at(rhs: tuple, alpha: Fraction) -> tuple:
+    """(lhs, rhs) of a parametric right side specialized to alpha = 2 or 1/2.
+
+    At 2 the left side is C(2p-1, p-1).  At 1/2 it is the signed central
+    binomial, which is 4^(p-1) C(p/2 - 1, p - 1) exactly, so every right
+    term takes the factor 4^(p-1).  Each coefficient is its polynomial at
+    alpha, by Horner's rule.
+    """
+    if alpha not in (_TWO, _HALF):
+        raise ValueError(f"no fixed left side at alpha = {alpha}")
+    terms = []
+    for coef, k, x, _ in rhs:
+        c = Fraction(0)
+        for q in reversed(coef):
+            c = c * alpha + q
+        terms.append(Term((c,), k, x, alpha == _HALF))
+    return (_BINOM2 if alpha == _TWO else _CENTRAL), tuple(terms)
+
 
 _CASES = (
     # -- fixed central/binomial congruences, in historical order ------------
     CongruenceCase(
         "babbage",
         "C(2p-1, p-1) == 1 (mod p^2), p >= 3",
-        3, 3, "none", 2, _BINOM2, _ONE,
+        3, 3, "none", 2, *_at(_REL26, _TWO),
     ),
     CongruenceCase(
         "wolstenholme_rel70",
         "C(2p-1, p-1) == 1 (mod p^3), p >= 5",
-        5, 5, "none", 3, _BINOM2, _ONE,
+        5, 5, "none", 3, *_at(_REL26, _TWO),
     ),
     CongruenceCase(
         "morley",
         "(-1)^((p-1)/2) C(p-1, (p-1)/2) == 4^(p-1) (mod p^3), p >= 5",
-        5, 5, "none", 3, _CENTRAL, _FOUR,
+        5, 5, "none", 3, *_at(_REL26, _HALF),
     ),
     CongruenceCase(
         "glaisher_rel74",
         "C(np-1, p-1) == 1 (mod p^3), p >= 5, integer n >= 1",
-        5, 5, "integer", 3, _BINOM, _ONE,
+        5, 5, "integer", 3, _BINOM, _REL26,
     ),
     CongruenceCase(
         "glaisher_rel3",
         "C(np-1, p-1) == 1 - n(n-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
-        5, 5, "integer", 4, _BINOM,
-        _ONE + (Term(_GLAISHER_B, 3, "B"),),
+        5, 5, "integer", 4, _BINOM, _CORO_REL2,
     ),
     CongruenceCase(
         "glaisher1900_p4",
         "C(2p-1, p-1) == 1 + 2p S_1 (mod p^4), p >= 3",
-        3, 3, "none", 4, _BINOM2,
-        _ONE + (Term((2,), 1, "S1"),),
+        3, 3, "none", 4, *_at(_CORO_REL5B, _TWO),
     ),
     CongruenceCase(
         "carlitz",
@@ -379,42 +417,36 @@ _CASES = (
     CongruenceCase(
         "mcintosh",
         "C(2p-1, p-1) == 1 - p^2 S_2 (mod p^5), p >= 7",
-        7, 7, "none", 5, _BINOM2,
-        _ONE + (Term((-1,), 2, "S2"),),
+        7, 7, "none", 5, *_at(_CORO_REL5, _TWO),
     ),
     CongruenceCase(
         "zhao",
         "C(2p-1, p-1) == 1 + 2p S_1 (mod p^5), p >= 7",
-        7, 7, "none", 5, _BINOM2,
-        _ONE + (Term((2,), 1, "S1"),),
+        7, 7, "none", 5, *_at(_CORO_REL5B, _TWO),
     ),
     CongruenceCase(
         "tauraso92",
         "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 7",
-        7, 7, "none", 6, _BINOM2,
-        _ONE + (Term((2,), 1, "S1"), Term((Fraction(2, 3),), 3, "S3")),
+        7, 7, "none", 6, *_at(_CORO_63, _TWO),
         note="stated from p >= 7; the p >= 11 reading is a sub-range",
     ),
     CongruenceCase(
         "tauraso93",
         "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6), p >= 7",
-        7, 7, "none", 6, _BINOM2,
-        _ONE + (Term((-2,), 1, "S1"), Term((-2,), 2, "S2")),
+        7, 7, "none", 6, *_at(_REL38, _TWO),
         note="stated from p >= 7; the p >= 11 reading is a sub-range",
     ),
     CongruenceCase(
         "mestrovic80",
         "C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^7), p >= 11",
-        11, 11, "none", 7, _BINOM2,
-        _ONE + (Term((-2,), 1, "S1"), Term((4,), 2, "H2")),
+        11, 11, "none", 7, *_at(_THM1, _TWO),
     ),
     # -- the generalized congruence and its specializations -----------------
     CongruenceCase(
         "thm1",
         "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 + a^2(a-1)^2 p^2 H_2 "
         "(mod p^m), m = 7 except m = 6 at p = 7",
-        3, 3, "sweep", 7, _BINOM,
-        _ONE + (Term(_MINUS_A1, 1, "S1"), Term(_A2, 2, "H2")),
+        3, 3, "sweep", 7, _BINOM, _THM1,
         note="claimed for every odd prime; proof range is p = 7 and "
         "p >= 11, so outcomes at p = 3, 5 are findings",
         drops_at_seven=True,
@@ -422,62 +454,44 @@ _CASES = (
     CongruenceCase(
         "rel30",
         "thm1 at alpha = 2: C(2p-1, p-1) == 1 - 2p S_1 + 4 p^2 H_2 (mod p^m)",
-        3, 3, "none", 7, _BINOM2,
-        _ONE + (Term((-2,), 1, "S1"), Term((4,), 2, "H2")),
+        3, 3, "none", 7, *_at(_THM1, _TWO),
         drops_at_seven=True,
     ),
     CongruenceCase(
         "rel31",
         "central == 4^(p-1) (1 - (5/16) p S_1 + (1/16) p^2 H_2) (mod p^m)",
-        3, 3, "none", 7, _CENTRAL,
-        _FOUR
-        + (
-            Term((Fraction(-5, 16),), 1, "S1", True),
-            Term((Fraction(1, 16),), 2, "H2", True),
-        ),
+        3, 3, "none", 7, *_at(_THM1, _HALF),
         drops_at_seven=True,
     ),
     CongruenceCase(
         "rel26",
         "C(ap-1, p-1) == 1 (mod p^3), p >= 5, any p-integer a",
-        5, 5, "sweep", 3, _BINOM, _ONE,
+        5, 5, "sweep", 3, _BINOM, _REL26,
     ),
     CongruenceCase(
         "rel38",
         "C(ap-1, p-1) == 1 - a(a-1)(a^2-a-1) p S_1 - (1/2) a^2(a-1)^2 p^2 S_2 "
         "(mod p^6)",
-        5, 3, "sweep", 6, _BINOM,
-        _ONE
-        + (
-            Term(_MINUS_A1, 1, "S1"),
-            Term((0, 0, Fraction(-1, 2), 1, Fraction(-1, 2)), 2, "S2"),
-        ),
+        5, 3, "sweep", 6, _BINOM, _REL38,
         note="stated for every odd prime but fails at p = 3 (difference "
         "valuation 4); needs S_1 == 0 mod p^2, hence p >= 5",
     ),
     CongruenceCase(
         "rel36",
         "C(2p-1, p-1) == 1 - 2p S_1 - 2 p^2 S_2 (mod p^6)",
-        5, 3, "none", 6, _BINOM2,
-        _ONE + (Term((-2,), 1, "S1"), Term((-2,), 2, "S2")),
+        5, 3, "none", 6, *_at(_REL38, _TWO),
         note="alpha = 2 instance of rel38; same p = 3 caveat",
     ),
     CongruenceCase(
         "rel37",
         "central == 4^(p-1) (1 - (5/16) p S_1 - (1/32) p^2 S_2) (mod p^6)",
-        5, 3, "none", 6, _CENTRAL,
-        _FOUR
-        + (
-            Term((Fraction(-5, 16),), 1, "S1", True),
-            Term((Fraction(-1, 32),), 2, "S2", True),
-        ),
+        5, 3, "none", 6, *_at(_REL38, _HALF),
         note="alpha = 1/2 instance of rel38; same p = 3 caveat",
     ),
     CongruenceCase(
         "coro_rel2",
         "C(ap-1, p-1) == 1 - a(a-1) p^3 B_{p-3} / 3 (mod p^4), p >= 5",
-        5, 5, "sweep", 4, _BINOM,
-        _ONE + (Term(_GLAISHER_B, 3, "B"),),
+        5, 5, "sweep", 4, _BINOM, _CORO_REL2,
     ),
     CongruenceCase(
         "rel34",
@@ -489,26 +503,22 @@ _CASES = (
     CongruenceCase(
         "coro_rel5b",
         "C(ap-1, p-1) == 1 + a(a-1) p S_1 (mod p^5), p >= 7",
-        7, 7, "sweep", 5, _BINOM,
-        _ONE + (Term((0, -1, 1), 1, "S1"),),
+        7, 7, "sweep", 5, _BINOM, _CORO_REL5B,
     ),
     CongruenceCase(
         "coro_rel5",
         "C(ap-1, p-1) == 1 - (1/2) a(a-1) p^2 S_2 (mod p^5), p >= 7",
-        7, 7, "sweep", 5, _BINOM,
-        _ONE + (Term((0, Fraction(1, 2), Fraction(-1, 2)), 2, "S2"),),
+        7, 7, "sweep", 5, _BINOM, _CORO_REL5,
     ),
     CongruenceCase(
         "coro_rel6b",
         "central == 4^(p-1) (1 - (1/4) p S_1) (mod p^5), p >= 7",
-        7, 7, "none", 5, _CENTRAL,
-        _FOUR + (Term((Fraction(-1, 4),), 1, "S1", True),),
+        7, 7, "none", 5, *_at(_CORO_REL5B, _HALF),
     ),
     CongruenceCase(
         "coro_rel6",
         "central == 4^(p-1) (1 + (1/8) p^2 S_2) (mod p^5), p >= 7",
-        7, 7, "none", 5, _CENTRAL,
-        _FOUR + (Term((Fraction(1, 8),), 2, "S2", True),),
+        7, 7, "none", 5, *_at(_CORO_REL5, _HALF),
     ),
     CongruenceCase(
         "rel63",
@@ -527,32 +537,20 @@ _CASES = (
         "coro_63_alpha",
         "C(ap-1, p-1) == 1 + a(a-1) p S_1 + (1/6) a^2(a-1)^2 p^3 S_3 "
         "(mod p^6), p >= 11",
-        11, 11, "sweep", 6, _BINOM,
-        _ONE
-        + (
-            Term((0, -1, 1), 1, "S1"),
-            Term((0, 0, Fraction(1, 6), Fraction(-1, 3), Fraction(1, 6)), 3, "S3"),
-        ),
+        11, 11, "sweep", 6, _BINOM, _CORO_63,
     ),
     CongruenceCase(
         "coro_63_alpha2",
         "C(2p-1, p-1) == 1 + 2p S_1 + (2/3) p^3 S_3 (mod p^6), p >= 11",
-        11, 11, "none", 6, _BINOM2,
-        _ONE + (Term((2,), 1, "S1"), Term((Fraction(2, 3),), 3, "S3")),
+        11, 11, "none", 6, *_at(_CORO_63, _TWO),
     ),
     CongruenceCase(
         "coro_63_half",
         "central == 4^(p-1) (1 - (1/4) p S_1 + (1/96) p^3 S_3) (mod p^6), "
         "p >= 11",
-        11, 11, "none", 6, _CENTRAL,
-        _FOUR
-        + (
-            Term((Fraction(-1, 4),), 1, "S1", True),
-            Term((Fraction(1, 96),), 3, "S3", True),
-        ),
+        11, 11, "none", 6, *_at(_CORO_63, _HALF),
     ),
 )
-
 
 def _catalog(cases) -> dict:
     """Cases by id; rejects a duplicate id and a "B" term read past p^2.

@@ -41,7 +41,6 @@ from .verdicts import judge, skip
 
 __all__ = [
     "HarmonicTable",
-    "PowerSumTable",
     "check_harmonic_congruences",
     "check_power_sum_congruences",
     "check_reflection_identity",
@@ -195,15 +194,8 @@ def harmonic_vectors(primes, exponents) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PowerSumTable:
-    """Residues of S_m = sum_{k=1}^{p-1} 1/k^m for 1 <= m <= len(sums)."""
-
-    modulus: PrimePowerModulus
-    sums: tuple  # S_m at sums[m - 1]
-
-
-def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTable:
+def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> tuple:
+    """Residues of S_m = sum_{k=1}^{p-1} 1/k^m, S_m at index m - 1."""
     p, pm = modulus.p, modulus.pm
     inv = inverse_table(p, pm)
     acc = [0] * max_exponent
@@ -213,10 +205,10 @@ def power_sum_table(modulus: PrimePowerModulus, max_exponent: int) -> PowerSumTa
         for e in range(max_exponent):
             w = w * ik % pm
             acc[e] += w
-    return PowerSumTable(modulus, tuple(a % pm for a in acc))
+    return tuple(a % pm for a in acc)
 
 
-def power_sums_from_harmonic(table: HarmonicTable, n: int) -> PowerSumTable:
+def power_sums_from_harmonic(table: HarmonicTable, n: int) -> tuple:
     """S_1 .. S_n modulo the table's modulus, read off H_0 .. H_{p-1}.
 
     Q(x) = sum_j (-1)^j H_j x^j (H_j = 0 for j >= p) has -x Q'/Q =
@@ -252,7 +244,7 @@ def power_sums_from_harmonic(table: HarmonicTable, n: int) -> PowerSumTable:
         r += [-c % pm for c in rf]
     minus_xdq = _pack([-j * c % pm for j, c in enumerate(q)], width)
     s = low(minus_xdq * _pack(r, width), n + 1)
-    return PowerSumTable(table.modulus, tuple(s[1:]))
+    return tuple(s[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +407,7 @@ def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> l
     pm = modulus.pm
     top = 2 * (p - 1) + 1
     table = harmonic_table(modulus) if table is None else table.reduced(modulus)
-    s = (None,) + power_sums_from_harmonic(table, top + 2).sums  # s[m] is S_m
+    s = (None,) + power_sums_from_harmonic(table, top + 2)  # s[m] is S_m
     direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
     if s[top + 2] != direct:
         raise CongrlabError(f"power sum S_{top + 2} mismatch at p={p}")

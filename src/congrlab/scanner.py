@@ -159,6 +159,8 @@ class ScanConfig:
         for cid in self.cases:
             if cid not in CATALOG:
                 raise UsageError(f"unknown congruence case {cid!r}")
+        if len(set(self.cases)) != len(self.cases):
+            raise UsageError("repeated case")
         if not self.alphas:
             raise UsageError("empty alpha set")
         if len(set(self.alphas)) != len(self.alphas):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -48,13 +49,33 @@ def test_package_imports_resolve():
     [
         (congrlab.harmonic, "DomainTooSmall"),
         (congrlab.HarmonicTable, "value"),
-        (congrlab.PowerSumTable, "value"),
+        (congrlab.harmonic, "PowerSumTable"),
     ],
-    ids=["DomainTooSmall", "HarmonicTable.value", "PowerSumTable.value"],
+    ids=["DomainTooSmall", "HarmonicTable.value", "PowerSumTable"],
 )
 def test_deleted_api_stays_deleted(owner, name):
     # the lemma suites index a table's `h` tuple, zero-padded past H_{p-1},
-    # and every reader of a power-sum table indexes its `sums` tuple, so no
-    # index check or past-the-end query is left to export
+    # and the power sums are a plain tuple, so no index check, past-the-end
+    # query or wrapper class is left to export
     assert not hasattr(owner, name)
     assert not hasattr(congrlab, name)
+
+
+def _bench_spans():
+    """bench/spans.py, loaded by path; importing it imports no congrlab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("span_name", sorted(_bench_spans().TARGETS))
+def test_benchmark_span_targets_resolve(span_name):
+    # the tracer's own lookup: congrlab.<layer>, then one attribute per
+    # dotted part; a target it cannot resolve comes out as a null metric
+    layer, *path = span_name.split(".")
+    owner = importlib.import_module(f"congrlab.{layer}")
+    for attr in path:
+        owner = getattr(owner, attr, None)
+    assert callable(owner), span_name

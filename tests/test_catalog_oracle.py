@@ -7,6 +7,10 @@ math.comb, the power sums and H_2 from their defining sums and recurrence,
 and B_{p-3} from the exact Bernoulli recurrence.  Reduction happens only at
 the end, through the p-adic valuation of the exact difference.
 
+Seventeen fixed cases are generated from the rows of seven parametric
+cases at alpha = 2 or 1/2 (`congruences._at`); their sides are checked
+against the parent's, over Q, at every prime p <= 47.
+
 The mutation tests give each term of each row a unit change -- one more in
 the constant coefficient, or one more power of p -- and require the mutated
 case to fail at some prime p <= 47.  A mutant that survives would mark a
@@ -27,6 +31,7 @@ from congrlab import (
     signed_central_binomial,
     verify_case,
 )
+from congrlab.congruences import _at
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from oracles import (
     binom_exact,
@@ -129,6 +134,48 @@ def test_thm1_row_carries_the_reduction_coefficients(alpha):
     assert (s1.k, s1.x, h2.k, h2.x) == (1, "S1", 2, "H2")
     assert poly(s1.coef, alpha) == c.a1
     assert poly(h2.coef, alpha) == c.a2
+
+
+TWO, HALF = Fraction(2), Fraction(1, 2)
+
+# parent -> the fixed cases that are its row at alpha = 2 and at alpha = 1/2
+SPECIALIZATIONS = {
+    "rel26": (("babbage", "wolstenholme_rel70"), ("morley",)),
+    "coro_rel2": ((), ()),  # carlitz agrees with its 1/2 row only mod p^4
+    "coro_rel5b": (("glaisher1900_p4", "zhao"), ("coro_rel6b",)),
+    "coro_rel5": (("mcintosh",), ("coro_rel6",)),
+    "thm1": (("mestrovic80", "rel30"), ("rel31",)),
+    "rel38": (("tauraso93", "rel36"), ("rel37",)),
+    "coro_63_alpha": (("tauraso92", "coro_63_alpha2"), ("coro_63_half",)),
+}
+
+
+@pytest.mark.parametrize("alpha", [TWO, HALF], ids=["2", "1/2"])
+@pytest.mark.parametrize("parent", SPECIALIZATIONS)
+def test_specialized_sides_equal_the_parent_at_alpha(parent, alpha):
+    # central = 4^(p-1) C(p/2 - 1, p - 1) exactly, so at 1/2 both of the
+    # parent's sides are scaled by 4^(p-1)
+    case = CATALOG[parent]
+    lhs, rhs = _at(case.rhs, alpha)
+    assert all(len(t.coef) == 1 and t.x != "binom" for t in lhs + rhs)
+    for p in PRIMES:
+        scale = exact_ingredients(p)["four"] if alpha == HALF else 1
+        assert exact_side(lhs, p, None) == scale * exact_side(case.lhs, p, alpha), p
+        assert exact_side(rhs, p, None) == scale * exact_side(case.rhs, p, alpha), p
+
+
+@pytest.mark.parametrize("parent", SPECIALIZATIONS)
+def test_fixed_cases_are_generated_from_their_parent(parent):
+    at_two, at_half = SPECIALIZATIONS[parent]
+    for alpha, children in ((TWO, at_two), (HALF, at_half)):
+        sides = _at(CATALOG[parent].rhs, alpha)
+        for child in children:
+            assert (CATALOG[child].lhs, CATALOG[child].rhs) == sides, child
+
+
+def test_specialization_needs_a_fixed_left_side():
+    with pytest.raises(ValueError, match="no fixed left side"):
+        _at(CATALOG["thm1"].rhs, Fraction(3))
 
 
 def mutants():

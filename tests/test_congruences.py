@@ -420,8 +420,8 @@ class TestPrimeContext:
         ctx = PrimeContext(p, 8)
         sums = power_sum_table(ctx.modulus, 3)
         for e in (1, 2, 3):
-            assert ctx.ingredient(f"S{e}", None) == sums.sums[e - 1]
-        assert ctx.ingredient("H2", None) == harmonic_table(ctx.modulus).h[2]
+            assert ctx.ingredient(f"S{e}") == sums[e - 1]
+        assert ctx.ingredient("H2") == harmonic_table(ctx.modulus).h[2]
 
     def test_corrupted_half_binomial_fails_the_central_check(self):
         p, d = 13, 4

@@ -126,8 +126,9 @@ class TestParseConfig:
         assert cfg.workers >= 1
 
     def test_comma_separated_lists(self):
+        # canonical order however spelled: the benchmark permutes both lists
         cfg = parse_config(
-            ["scan", "--case", "babbage,morley", "--alpha", "2,1/2", "--primes", "5..7"],
+            ["scan", "--case", "morley,babbage", "--alpha", "2,1/2", "--primes", "5..7"],
             {},
         )
         assert cfg.cases == ("babbage", "morley")
@@ -286,6 +287,14 @@ class TestRunScan:
         with pytest.raises(UsageError, match="repeated alpha"):
             config.validate()
         with pytest.raises(UsageError, match="repeated alpha"):
+            run_scan(config)
+
+    def test_repeated_case_rejected(self):
+        # a repeated case would give each of its records twice
+        config = ScanConfig(prime_min=7, prime_max=11, cases=("zhao", "zhao"))
+        with pytest.raises(UsageError, match="repeated case"):
+            config.validate()
+        with pytest.raises(UsageError, match="repeated case"):
             run_scan(config)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -873,6 +882,9 @@ class TestEmission:
             emit_report(report, "yaml")
 
 
+SMALL_SCAN = ("scan", "--primes", "7..11")
+
+
 class TestCliContract:
     def test_exit_zero_on_clean_scan(self, capsysbinary):
         code = main(["scan", "--primes", "5..13", "--case", "morley"])
@@ -898,6 +910,23 @@ class TestCliContract:
     def test_exit_two_on_usage_error(self, capsys):
         assert main(["scan", "--primes", "banana"]) == 2
         assert "congrlab:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([*SMALL_SCAN, "--alpha", "2,2"], "repeated alpha"),
+            ([*SMALL_SCAN, "--alpha", "2,4/2"], "repeated alpha"),
+            ([*SMALL_SCAN, "--alpha", "2", "--alpha", "1/2,2"], "repeated alpha"),
+            (["verify", "--case", "thm1", "--p", "7", "--alpha", "2,2"], "repeated alpha"),
+            ([*SMALL_SCAN, "--case", "zhao,zhao"], "repeated case"),
+            ([*SMALL_SCAN, "--case", "zhao", "--case", "morley,zhao"], "repeated case"),
+        ],
+    )
+    def test_exit_two_on_a_repeat(self, capsysbinary, argv, error):
+        assert main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"congrlab: {error}\n".encode()
 
     def test_exit_two_on_unwritable_output(self, capsys):
         code = main(
