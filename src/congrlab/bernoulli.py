@@ -13,8 +13,9 @@ numbers serve the lemma link suite and p = 5.  Each process extends its own
 list on demand, so a pool worker needs nothing from the process that
 started it.
 
-The catalog only needs B_{p-3} modulo p^2, which Faulhaber's formula gives
-in O(p) modular powers without any exact number (`bernoulli_pm3_faulhaber`).
+The catalog only needs B_{p-3} modulo p^2.  `bernoulli_pm3` gives it from
+p = 7 by Faulhaber's formula, in O(p) modular powers without any exact
+number, and reduces the exact B_2 at p = 5.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "NonPIntegerBernoulli",
     "bernoulli_exact",
     "bernoulli_mod",
-    "bernoulli_pm3_faulhaber",
+    "bernoulli_pm3",
     "check_bernoulli_power_sums",
     "warm_bernoulli_cache",
 ]
@@ -104,16 +105,21 @@ def bernoulli_mod(p: int, n: int, j: int) -> int:
     return residue_of_rational(b, PrimePowerModulus(p, j))
 
 
-def bernoulli_pm3_faulhaber(p: int) -> int:
-    """B_{p-3} mod p^2 for p >= 7, read off sum_{k<p} k^(p-3) mod p^3.
+def bernoulli_pm3(p: int) -> int:
+    """B_{p-3} mod p^2, for a prime p >= 5.
 
-    The sum is p B_{p-3} modulo p^3.  In Faulhaber's formula for it, the
-    p^2 term carries B_{p-4} = 0, the next is (p-3)(p-4)/6 B_{p-5} p^3, and
-    every later term carries at least p^4 times a p-integral Bernoulli
-    number.  At p = 5 the B_1 term survives, so p = 5 needs the exact route.
+    Modulo p^2 is all the catalog can read: a "B" term carries p^3 and is
+    compared at most at p^5 (`congruences._catalog` rejects any finer read).
+    From p = 7 it is read off sum_{k<p} k^(p-3) mod p^3, which is p B_{p-3}
+    modulo p^3: in Faulhaber's formula for the sum, the p^2 term carries
+    B_{p-4} = 0, the next is (p-3)(p-4)/6 B_{p-5} p^3, and every later term
+    carries at least p^4 times a p-integral Bernoulli number.  At p = 5 the
+    B_1 term survives (1 + 4 + 9 + 16 = 30), so the exact B_2 is reduced.
     """
-    if p < 7:
-        raise ValueError(f"Faulhaber's route to B_(p-3) needs p >= 7, got {p}")
+    if p < 5:
+        raise ValueError(f"B_(p-3) is read only for p >= 5, got p={p}")
+    if p == 5:
+        return bernoulli_mod(p, p - 3, 2)
     p3 = p**3
     total = sum(pow(k, p - 3, p3) for k in range(1, p)) % p3
     if total % p:

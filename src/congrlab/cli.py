@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--case",
         action="append",
-        help="catalog case id, repeatable or comma-separated (default: all)",
+        help="catalog case id, repeatable or comma-separated, or all on its "
+        "own (default: all)",
     )
     scan.add_argument(
         "--alpha",
@@ -164,8 +165,10 @@ def _parse_alphas(values) -> tuple:
 
 def _parse_cases(values) -> tuple:
     names = _split_repeatable(values)
-    if not names or "all" in names:
+    if names == ["all"]:
         return ()
+    if "all" in names:
+        raise UsageError("--case all takes no other case id")
     for name in names:
         if name not in CATALOG:
             raise UsageError(f"unknown congruence case {name!r}")
@@ -208,6 +211,8 @@ def parse_config(argv: Sequence[str], env: Mapping[str, str]) -> ScanConfig:
     if ns.command == "verify":
         if ns.p < 3 or ns.p % 2 == 0 or not is_prime(ns.p):
             raise UsageError(f"--p expects an odd prime, got {ns.p}")
+        if ns.case not in CATALOG:
+            raise UsageError(f"verify takes one catalog case id, got {ns.case!r}")
         lo = hi = ns.p
         cases = [ns.case]
         workers = 1

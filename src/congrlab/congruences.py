@@ -15,12 +15,16 @@ vectors.  The exact-rational product formula that serves as the independent
 oracle of both lives with the tests, in tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, which
-a `PrimeContext` folds once into polynomials in alpha.  The context caches the
-per-prime ingredients (S_1, S_2, S_3 and H_2 in O(p), the binomials per
-alpha, 4^(p-1), B_{p-3} modulo p^2) at one working exponent;
-each case then reduces to its own modulus.  Contexts are built per prime
-and never mutated after their lazy fields fill in, so sharing one across
-the cases and alpha values of a single prime is safe.
+a `PrimeContext` folds once into polynomials in alpha.  The context holds
+one ingredient record per prime, a dict from each name X to its residue at
+one working exponent: S_1, S_2, S_3 and H_2 from one O(p) pass (`SUMS`),
+4^(p-1), B_{p-3} modulo p^2, C(2p-1, p-1) and the central binomial.  A name
+is computed the first time a side reads it, since a context is shared by
+cases that read different names and is built before they are known; the
+binomials per alpha sit beside the record, keyed by alpha's residue.  Each
+case then reduces to its own modulus.  A filled entry never changes, so
+sharing one context across the cases and alpha values of a single prime is
+safe.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .bernoulli import bernoulli_mod, bernoulli_pm3_faulhaber
+from .bernoulli import bernoulli_pm3
 from .harmonic import power_sum_table
 from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
 from .verdicts import Verdict, judge, skip
@@ -110,10 +114,16 @@ def signed_central_binomial(p: int) -> int:
 _TWO = Fraction(2)
 _HALF = Fraction(1, 2)
 
+# The ingredients that one `power_sum_table` pass fills in together: S_1,
+# S_2, S_3 and, by Newton's identity, H_2.
+SUMS = ("S1", "S2", "S3", "H2")
+
 
 class PrimeContext:
-    """Lazily computed per-prime ingredients at one working exponent.
+    """Per-prime ingredients at one working exponent, each computed once.
 
+    `record` maps an ingredient name (see `Term`) to its residue mod
+    p^exponent; `ingredient` fills a name the first time a side reads it.
     `h`, when given, is (H_0, .., H_{exponent-1}) modulo p^exponent, and the
     binomials are read off it; without it they take the product route.
     """
@@ -125,34 +135,19 @@ class PrimeContext:
         self.p = p
         self.exponent = exponent
         self.pm = self.modulus.pm
+        self.record = {"one": 1}
         self._h = h
-        self._powers = {0: 1, exponent: self.pm}
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
-        self._sums: Optional[tuple] = None
         self._binoms: dict = {}
         self._sides: dict = {}
         self._fact_inv: Optional[int] = None
-        self._central: Optional[int] = None
-        self._four: Optional[int] = None
-        self._bern: Optional[int] = None
-
-    def power(self, e: int) -> int:
-        if e not in self._powers:
-            self._powers[e] = self.p**e
-        return self._powers[e]
 
     def modulus_at(self, m: int) -> PrimePowerModulus:
         """The ring Z/p^m, built once per context."""
         if m not in self._moduli:
             self._moduli[m] = PrimePowerModulus(self.p, m)
         return self._moduli[m]
-
-    def power_sums(self) -> tuple:
-        """(S_1, S_2, S_3), from one O(p) pass built on first use."""
-        if self._sums is None:
-            self._sums = power_sum_table(self.modulus, 3)
-        return self._sums
 
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
@@ -185,67 +180,41 @@ class PrimeContext:
             self._binoms[a] = value
         return self._binoms[a]
 
-    def four_pow(self) -> int:
-        if self._four is None:
-            self._four = pow(4, self.p - 1, self.pm)
-        return self._four
-
     def central_binomial(self) -> int:
         """Signed central binomial residue, checked along both routes.
 
         The direct reduction of the exact integer must agree with the
         4^(p-1) * C(p/2 - 1, p - 1) transfer; a mismatch would mean the ring
         arithmetic is broken, so it is treated as an internal error rather
-        than a verdict.
+        than a verdict.  `ingredient("central")` keeps the result.
         """
-        if self._central is None:
-            direct = signed_central_binomial(self.p) % self.pm
-            transfer = self.four_pow() * self.binom_w(Fraction(1, 2)) % self.pm
-            if direct != transfer:
-                raise CongrlabError(
-                    f"central binomial transfer mismatch at p={self.p}"
-                )
-            self._central = direct
-        return self._central
-
-    def bernoulli_pm3(self) -> int:
-        """B_{p-3} for p >= 5, defined only modulo p^2 whatever the exponent.
-
-        That is all the catalog can read: a "B" term carries p^3 and is
-        compared at most at p^5 (see `_catalog`).  p >= 7 takes Faulhaber's
-        route; p = 5 reduces the exact B_2.
-        """
-        if self.p < 5:
-            raise ValueError(f"B_(p-3) is read only for p >= 5, got p={self.p}")
-        if self._bern is None:
-            if self.p == 5:
-                self._bern = bernoulli_mod(self.p, self.p - 3, 2)
-            else:
-                self._bern = bernoulli_pm3_faulhaber(self.p)
-        return self._bern
+        direct = signed_central_binomial(self.p) % self.pm
+        transfer = self.ingredient("four") * self.binom_w(_HALF) % self.pm
+        if direct != transfer:
+            raise CongrlabError(f"central binomial transfer mismatch at p={self.p}")
+        return direct
 
     def ingredient(self, x: str) -> int:
-        """The residue a catalog term names (see `Term`), other than "binom",
-        which depends on alpha and which `side` keeps apart."""
-        if x == "one":
-            return 1
-        if x == "S1":
-            return self.power_sums()[0]
-        if x == "S2":
-            return self.power_sums()[1]
-        if x == "S3":
-            return self.power_sums()[2]
-        if x == "H2":
-            # Newton's identity: H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2
-            s1, s2, _ = self.power_sums()
-            return (s1 * s1 - s2) * self.rat(_HALF) % self.pm
-        if x == "B":
-            return self.bernoulli_pm3()
-        if x == "binom2":
-            return self.binom_w(_TWO)
-        if x == "central":
-            return self.central_binomial()
-        raise ValueError(f"unknown catalog ingredient {x!r}")
+        """`record[x]`, filled on first read.  "binom" depends on alpha, so
+        `side` keeps it apart, and any other unknown name raises."""
+        record = self.record
+        if x not in record:
+            if x in SUMS:
+                s1, s2, s3 = power_sum_table(self.modulus, 3)
+                # Newton's identity: H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2
+                h2 = (s1 * s1 - s2) * self.rat(_HALF) % self.pm
+                record.update(zip(SUMS, (s1, s2, s3, h2)))
+            elif x == "four":
+                record[x] = pow(4, self.p - 1, self.pm)
+            elif x == "B":
+                record[x] = bernoulli_pm3(self.p)
+            elif x == "binom2":
+                record[x] = self.binom_w(_TWO)
+            elif x == "central":
+                record[x] = self.central_binomial()
+            else:
+                raise ValueError(f"unknown catalog ingredient {x!r}")
+        return record[x]
 
     def side(self, side: tuple) -> tuple:
         """(side, P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
@@ -258,9 +227,9 @@ class PrimeContext:
             polys = ([], [])
             for coef, k, x, four in side:
                 binom = x == "binom"
-                factor = self.power(k) * (1 if binom else self.ingredient(x))
+                factor = self.p**k * (1 if binom else self.ingredient(x))
                 if four:
-                    factor *= self.four_pow()
+                    factor *= self.ingredient("four")
                 poly = polys[binom]
                 poly.extend([0] * (len(coef) - len(poly)))
                 for j, q in enumerate(coef):
@@ -282,7 +251,8 @@ class Term(NamedTuple):
     Fraction coefficients.  `x` names the ingredient X: "one" (1), "S1",
     "S2", "S3" (inverse power sums), "H2" (harmonic number), "B" (B_{p-3}),
     "binom" (C(alpha*p - 1, p - 1)), "binom2" (C(2p - 1, p - 1)) or
-    "central" (the signed central binomial).
+    "central" (the signed central binomial).  `four` takes the record's
+    "four", 4^(p-1).
     """
 
     coef: tuple

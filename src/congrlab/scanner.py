@@ -1,7 +1,7 @@
 """Prime-range sweeps, parallel orchestration and report emission.
 
 Work is fanned out one prime per unit: all cases and alpha values for a
-prime share that prime's context (S_1, S_2, S_3, H_2, B_{p-3}, cached
+prime share that prime's context (its ingredient record and cached
 binomials), which the unit builds from its task.  Before anything runs,
 each prime gets a plan read off the request: its working exponent, the
 binomials and other O(p) ingredients its cases read, and its record count.
@@ -35,7 +35,6 @@ serialized as decimal strings because they routinely exceed 64 bits.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -47,7 +46,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bernoulli import check_bernoulli_power_sums
-from .congruences import CATALOG, PrimeContext, binom_alpha_mod, verify_case
+from .congruences import CATALOG, SUMS, PrimeContext, binom_alpha_mod, verify_case
 from .harmonic import (
     check_harmonic_congruences,
     check_power_sum_congruences,
@@ -215,9 +214,9 @@ _TREE_FACTORS = 2.5e-3
 
 # Serial task work, in seconds, from figures measured later than those
 # above, with the host busier.  A factor of the product route took
-# _FACTOR_S (p = 10^2..10^5, m = 3..8).  A task computes each other O(p)
-# ingredient its cases name (_PASSES) once, at so many factors per k < p:
-#   sums     S_1, S_2, S_3 and H_2 from them, one `power_sum_table` pass:
+# _FACTOR_S (p = 10^2..10^5, m = 3..8).  A task runs each other O(p) pass
+# its cases read once, at so many factors per k < p:
+#   sums     the names in `congruences.SUMS`, one `power_sum_table` pass:
 #            15 (2.3 us per k over the primes 3..2999);
 #   central  the exact central binomial: 1 below p = 2000 (math.comb grows
 #            past it: 18 at p = 10^5);
@@ -234,10 +233,6 @@ _TREE_FACTORS = 2.5e-3
 # 1.35 s for `--primes 3..2999 --case zhao` and 1.84 s (2.01 s estimated)
 # for `--primes 5..2999 --case carlitz`.
 _FACTOR_S = 1.5e-7
-_PASSES = {
-    "S1": "sums", "S2": "sums", "S3": "sums", "H2": "sums",
-    "central": "central", "B": "B",
-}
 _PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
 _TASK_S = 15e-6
 _CASE_S = 14e-6
@@ -279,12 +274,14 @@ def _plan(p: int, cases, alphas, tightness: bool, claimed: bool) -> _Plan:
         read.add(_TWO)
     if "central" in names:
         read.add(_HALF)
+    # the other O(p) passes their terms read; the `SUMS` share one
+    passes = {"sums" if x in SUMS else x for x in names} & {"sums", "central", "B"}
     return _Plan(
         p,
         max((case.modulus_exponent(p) + extra for case in applicable), default=1),
         len(applicable),
         len(read),
-        frozenset(_PASSES[x] for x in names if x in _PASSES),
+        frozenset(passes),
         sum(1 if case.alpha_mode == "none" else len(alphas) for case in cases),
     )
 
@@ -550,32 +547,20 @@ def _cells(records):
         )
 
 
-class _CsvCell(dict):
-    """A string -> its cell as the csv module writes it, quoted only if it
-    must be.  Each distinct string goes through the module once."""
-
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text, None])
-        cell = self[text] = buf.getvalue()[:-2]  # less the ",\n" of the None
-        return cell
-
-
-# A CSV row is a record less its reason.  Only case and status are free
-# text; alpha ("a/b"), the valuation ("v", ">=v") and the numbers never need
-# quoting, so they go in as they are.
+# A CSV row is a record less its reason, each cell as it is.  No cell needs
+# quoting: alpha ("a/b"), the valuation ("v", ">=v") and the numbers hold
+# no comma, quote or line break, and neither do the case ids, the lemma
+# names and the three statuses (tests/test_scanner.py checks every name).
 _CSV_ROW = ",".join(["%s"] * (len(_COLUMNS) - 1)) + "\n"
 
 
 def _emit_csv(records) -> bytes:
     # bytes row by row, so the report exists once in memory, not also as str
-    quote = _CsvCell()
     buf = io.BytesIO()
     write = buf.write
     write((",".join(_COLUMNS[:-1]) + "\n").encode())
     for case, p, alpha, m, lhs, rhs, status, val, _ in _cells(records):
-        row = _CSV_ROW % (quote[case], p, alpha, m, lhs, rhs, quote[status], val)
-        write(row.encode())
+        write((_CSV_ROW % (case, p, alpha, m, lhs, rhs, status, val)).encode())
     return buf.getvalue()
 
 

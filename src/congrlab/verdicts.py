@@ -32,18 +32,6 @@ class Verdict(NamedTuple):
     valuation: Optional[Valuation] = None
     reason: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
-    @property
-    def skipped(self) -> bool:
-        return self.status == SKIP
-
 
 def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:
     return Verdict(case, p, alpha, None, None, None, SKIP, None, reason)

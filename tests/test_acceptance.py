@@ -23,6 +23,7 @@ from congrlab import (
 )
 from congrlab.cli import main
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from congrlab.verdicts import PASS, SKIP
 from oracles import (
     binom_alpha_expansion,
     binom_exact,
@@ -51,11 +52,11 @@ def test_criterion_01_generalized_congruence_sweep():
     assert report.summary["fail"] == 0
     # outcome below the derivation range is a reported finding, not silence:
     # at p = 3 and p = 5 every applicable sweep alpha passes outright
-    small = [v for v in report.records if v.p in (3, 5) and not v.skipped]
-    assert small and all(v.passed for v in small)
-    seven = [v for v in report.records if v.p == 7 and not v.skipped]
+    small = [v for v in report.records if v.p in (3, 5) and v.status != SKIP]
+    assert small and all(v.status == PASS for v in small)
+    seven = [v for v in report.records if v.p == 7 and v.status != SKIP]
     assert seven and all(v.m == 6 for v in seven)
-    rest = [v for v in report.records if v.p not in (7,) and not v.skipped]
+    rest = [v for v in report.records if v.p not in (7,) and v.status != SKIP]
     assert all(v.m == 7 for v in rest)
     print(
         f"  finding: all {len(small)} instances at p in (3, 5) hold although "
@@ -123,11 +124,11 @@ def test_criterion_05_lemma_suites():
     for v in report.records:
         by_case.setdefault(v.case, []).append(v)
     # boundary identities are present and pass wherever applicable
-    assert all(v.passed for v in by_case["harmonic.h_p_minus_1"])
-    assert all(v.passed for v in by_case["harmonic.h_p_minus_2"])
+    assert all(v.status == PASS for v in by_case["harmonic.h_p_minus_1"])
+    assert all(v.status == PASS for v in by_case["harmonic.h_p_minus_2"])
     boundary = by_case["harmonic.pair_boundary"]
-    assert all(v.passed for v in boundary if v.p >= 5)
-    assert all(v.skipped for v in boundary if v.p == 3)
+    assert all(v.status == PASS for v in boundary if v.p >= 5)
+    assert all(v.status == SKIP for v in boundary if v.p == 3)
     report_line(5, "lemma suites p <= 199", elapsed < 30, elapsed)
 
 
@@ -157,7 +158,7 @@ def test_criterion_06_historical_catalog():
     assert report.summary["fail"] == 0
     passes = {}
     for v in report.records:
-        if v.passed:
+        if v.status == PASS:
             passes.setdefault(v.case, set()).add((v.p, v.alpha))
 
     primes = odd_primes_between(3, 499)

@@ -50,13 +50,24 @@ def test_package_imports_resolve():
         (congrlab.harmonic, "DomainTooSmall"),
         (congrlab.HarmonicTable, "value"),
         (congrlab.harmonic, "PowerSumTable"),
+        (congrlab.Verdict, "passed"),
+        (congrlab.Verdict, "failed"),
+        (congrlab.Verdict, "skipped"),
+        (congrlab.bernoulli, "bernoulli_pm3_faulhaber"),
+        (congrlab.PrimeContext, "power_sums"),
     ],
-    ids=["DomainTooSmall", "HarmonicTable.value", "PowerSumTable"],
+    ids=[
+        "DomainTooSmall", "HarmonicTable.value", "PowerSumTable",
+        "Verdict.passed", "Verdict.failed", "Verdict.skipped",
+        "bernoulli_pm3_faulhaber", "PrimeContext.power_sums",
+    ],
 )
 def test_deleted_api_stays_deleted(owner, name):
     # the lemma suites index a table's `h` tuple, zero-padded past H_{p-1},
     # and the power sums are a plain tuple, so no index check, past-the-end
-    # query or wrapper class is left to export
+    # query or wrapper class is left to export; a verdict's `status` is
+    # compared with PASS, FAIL and SKIP, and a context's ingredients are
+    # read through its one record
     assert not hasattr(owner, name)
     assert not hasattr(congrlab, name)
 

@@ -15,9 +15,10 @@ from congrlab import (
     residue_of_rational,
 )
 from congrlab import bernoulli
-from congrlab.bernoulli import bernoulli_pm3_faulhaber
+from congrlab.bernoulli import bernoulli_pm3
 from congrlab.congruences import PrimeContext
 from congrlab.scanner import odd_primes_between
+from congrlab.verdicts import PASS, SKIP
 from oracles import bernoulli_recurrence, power_sum_exact, von_staudt_clausen_defect
 
 
@@ -129,12 +130,8 @@ class TestFaulhaber:
     def test_catalog_route_matches_exact(self, p):
         # Faulhaber's sum for p >= 7, the exact B_2 at p = 5
         exact = bernoulli_mod(p, p - 3, 2)
-        assert PrimeContext(p, 2).bernoulli_pm3() == exact
-
-    def test_needs_p_at_least_seven(self):
-        # at p = 5 the B_1 term survives: 1 + 4 + 9 + 16 = 30, not 5 * B_2
-        with pytest.raises(ValueError):
-            bernoulli_pm3_faulhaber(5)
+        assert bernoulli_pm3(p) == exact
+        assert PrimeContext(p, 2).ingredient("B") == exact
 
 
 class TestPowerSumLinks:
@@ -158,7 +155,7 @@ class TestPowerSumLinks:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_suite_all_pass(self, p):
         verdicts = check_bernoulli_power_sums(p)
-        assert all(v.passed for v in verdicts), verdicts
+        assert all(v.status == PASS for v in verdicts), verdicts
 
     def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
         # a spawned pool worker starts from B_0 and B_1 and builds the rest
@@ -167,11 +164,11 @@ class TestPowerSumLinks:
         fresh = check_bernoulli_power_sums(199)
         assert len(bernoulli._BERNOULLI) == 197
         assert fresh == warm
-        assert all(v.passed for v in fresh), fresh
+        assert all(v.status == PASS for v in fresh), fresh
 
     def test_skipped_below_p5(self):
         verdicts = check_bernoulli_power_sums(3)
-        assert all(v.skipped for v in verdicts)
+        assert all(v.status == SKIP for v in verdicts)
 
     def test_rhs_recorded_exactly(self):
         verdicts = {v.case: v for v in check_bernoulli_power_sums(7)}

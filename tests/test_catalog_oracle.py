@@ -33,6 +33,7 @@ from congrlab import (
 )
 from congrlab.congruences import _at
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (
     binom_exact,
     harmonic_numbers_exact,
@@ -114,12 +115,12 @@ def test_every_case_matches_exact_oracle(p, claimed):
             got = verify_case(case, p, alpha, ctx=context(p), claimed_ranges=claimed)
             where = (case.id, p, alpha)
             if expected_skip(case, p, alpha, claimed):
-                assert got.skipped, where
+                assert got.status == SKIP, where
                 continue
-            assert not got.skipped, where
+            assert got.status != SKIP, where
             diff = exact_side(case.lhs, p, alpha) - exact_side(case.rhs, p, alpha)
             v = rational_valuation(diff, p)
-            assert got.passed == (v is None or v >= m), where
+            assert (got.status == PASS) == (v is None or v >= m), where
             if v is None or v >= m:
                 assert got.valuation == Valuation(m, True), where
             else:
@@ -195,7 +196,7 @@ def mutants():
 def first_failure(case):
     for p in PRIMES:
         for alpha in alphas_for(case):
-            if verify_case(case, p, alpha, ctx=context(p)).failed:
+            if verify_case(case, p, alpha, ctx=context(p)).status == FAIL:
                 return p, alpha
     return None
 

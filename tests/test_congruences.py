@@ -24,6 +24,7 @@ from congrlab import (
 )
 from congrlab.congruences import Term, _catalog, _factorial_inverse
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (
     binom_alpha_expansion,
     binom_exact,
@@ -260,30 +261,30 @@ class TestCatalog:
 class TestVerifyCase:
     def test_wolstenholme_p5(self):
         v = verify_case("wolstenholme_rel70", 5)
-        assert v.passed and (v.lhs, v.rhs) == (1, 1)
+        assert v.status == PASS and (v.lhs, v.rhs) == (1, 1)
         assert str(v.valuation) == ">=3"
 
     def test_morley_p5(self):
         v = verify_case("morley", 5)
-        assert v.passed and v.lhs == v.rhs == 6
+        assert v.status == PASS and v.lhs == v.rhs == 6
 
     def test_babbage_p3(self):
         v = verify_case("babbage", 3)
-        assert v.passed and v.lhs == 1  # C(5, 2) = 10 == 1 mod 9
+        assert v.status == PASS and v.lhs == 1  # C(5, 2) = 10 == 1 mod 9
 
     def test_skip_below_range(self):
         v = verify_case("wolstenholme_rel70", 3)
-        assert v.skipped and v.reason == "requires p >= 5"
+        assert v.status == SKIP and v.reason == "requires p >= 5"
 
     def test_skip_non_p_integer_alpha(self):
         v = verify_case("thm1", 7, Fraction(1, 7))
-        assert v.skipped and "7-integer" in v.reason
+        assert v.status == SKIP and "7-integer" in v.reason
 
     def test_skip_non_integer_alpha_on_integer_case(self):
         v = verify_case("glaisher_rel74", 7, Fraction(1, 2))
-        assert v.skipped and "integer" in v.reason
+        assert v.status == SKIP and "integer" in v.reason
         v = verify_case("glaisher_rel74", 7, Fraction(-2))
-        assert v.skipped
+        assert v.status == SKIP
 
     def test_parametric_case_requires_alpha(self):
         with pytest.raises(ValueError):
@@ -295,7 +296,7 @@ class TestVerifyCase:
 
     def test_alpha_ignored_on_fixed_cases(self):
         v = verify_case("morley", 7, Fraction(5))
-        assert v.alpha is None and v.passed
+        assert v.alpha is None and v.status == PASS
 
     def test_context_exponent_guard(self):
         ctx = PrimeContext(5, 2)
@@ -304,28 +305,28 @@ class TestVerifyCase:
 
     def test_tightness_reports_exact_valuation(self):
         v = verify_case("wolstenholme_rel70", 5, tightness=True)
-        assert v.passed and str(v.valuation) == "3"
+        assert v.status == PASS and str(v.valuation) == "3"
         # babbage strengthens: the gap already has valuation 3 > m = 2
         v = verify_case("babbage", 5, tightness=True)
-        assert v.passed and v.valuation.value == 3 and v.m == 2
+        assert v.status == PASS and v.valuation.value == 3 and v.m == 2
 
     def test_documented_failure_rel38_at_3(self):
         # the mod p^6 power-sum form is claimed for every odd prime but its
         # derivation needs S_1 == 0 mod p^2, which fails at p = 3: the gap
         # has 3-adic valuation exactly 4
         v = verify_case("rel38", 3, Fraction(2), claimed_ranges=True)
-        assert v.failed and v.valuation.value == 4
+        assert v.status == FAIL and v.valuation.value == 4
         default = verify_case("rel38", 3, Fraction(2))
-        assert default.skipped
+        assert default.status == SKIP
 
     def test_rel38_holds_from_p5(self):
         for p in (5, 7, 11, 13):
-            assert verify_case("rel38", p, Fraction(2)).passed
+            assert verify_case("rel38", p, Fraction(2)).status == PASS
 
     def test_tauraso_cases_hold_at_p7(self):
         # stated from p >= 7; the stricter p >= 11 reading is a sub-range
-        assert verify_case("tauraso92", 7).passed
-        assert verify_case("tauraso93", 7).passed
+        assert verify_case("tauraso92", 7).status == PASS
+        assert verify_case("tauraso93", 7).status == PASS
 
     @pytest.mark.parametrize("p", odd_primes_between(5, 97))
     def test_derivation_chain_per_prime(self, p):
@@ -334,10 +335,10 @@ class TestVerifyCase:
         # transfer), so their verdicts must never diverge
         base2 = verify_case("rel38", p, Fraction(2))
         base_half = verify_case("rel38", p, Fraction(1, 2))
-        if base2.passed:
-            assert verify_case("rel36", p).passed
-        if base_half.passed:
-            assert verify_case("rel37", p).passed
+        if base2.status == PASS:
+            assert verify_case("rel36", p).status == PASS
+        if base_half.status == PASS:
+            assert verify_case("rel37", p).status == PASS
 
     def test_thm1_modulus_exponent_recorded(self):
         assert verify_case("thm1", 7, 2).m == 6
@@ -345,14 +346,14 @@ class TestVerifyCase:
 
     def test_spot_exactness(self):
         v = verify_case("thm1", 5, 2)
-        assert v.passed and v.lhs == v.rhs == 126
+        assert v.status == PASS and v.lhs == v.rhs == 126
 
     def test_central_transfer_guard_is_internal(self):
         # a context that has already verified the central binomial routes
-        # exposes the cached value; the guard exists but never fires
+        # keeps the value in its record; the guard exists but never fires
         ctx = PrimeContext(11, 4)
-        first = ctx.central_binomial()
-        assert ctx.central_binomial() == first
+        first = ctx.ingredient("central")
+        assert ctx.record["central"] == ctx.central_binomial() == first
 
 
 class TestPrimeContext:
@@ -360,11 +361,6 @@ class TestPrimeContext:
         ctx = PrimeContext(7, 6)
         a = Fraction(2)
         assert ctx.binom_w(a) == ctx.binom_w(a) == 1716 % 7**6
-
-    def test_power_cache(self):
-        ctx = PrimeContext(5, 7)
-        assert ctx.power(3) == 125
-        assert ctx.power(7) == ctx.pm
 
     def test_bernoulli_residue(self):
         # B_4 = -1/30; the exact route reduces it to any power, the context
@@ -374,13 +370,19 @@ class TestPrimeContext:
             b4, PrimePowerModulus(7, 4)
         )
         ctx = PrimeContext(7, 4)
-        assert ctx.bernoulli_pm3() == residue_of_rational(
+        assert ctx.ingredient("B") == residue_of_rational(
             b4, PrimePowerModulus(7, 2)
         )
 
+    def test_unknown_ingredient_raises(self):
+        ctx = PrimeContext(7, 4)
+        with pytest.raises(ValueError, match="unknown catalog ingredient 'nope'"):
+            ctx.ingredient("nope")
+        assert ctx.record == {"one": 1}
+
     def test_bernoulli_needs_p_at_least_five(self):
         with pytest.raises(ValueError, match="p >= 5"):
-            PrimeContext(3, 4).bernoulli_pm3()
+            PrimeContext(3, 4).ingredient("B")
 
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
     def test_binomials_match_the_oracle(self, p):

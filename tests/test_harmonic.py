@@ -30,13 +30,14 @@ from congrlab import bernoulli, harmonic, scanner
 from congrlab.cli import main
 from congrlab.harmonic import power_sums_from_harmonic
 from congrlab.scanner import odd_primes_between
+from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import harmonic_numbers_exact, power_sum_exact, reflection_pair_sum
 
 SMALL_PRIMES = odd_primes_between(3, 31)
 
 
 def assert_all_pass(verdicts):
-    bad = [v for v in verdicts if v.failed]
+    bad = [v for v in verdicts if v.status == FAIL]
     assert not bad, bad[:5]
 
 
@@ -113,7 +114,7 @@ class TestHarmonicTable:
                 for family in ("reflection.pair", "harmonic.pair_mod_p4")
                 for m in range((p + 1) // 2, (p + 1) // 2 + 2)
             ]
-            assert all(v.passed and v.lhs == v.rhs == 0 for v in top), (p, top)
+            assert all(v.status == PASS and v.lhs == v.rhs == 0 for v in top), (p, top)
 
     @pytest.mark.parametrize("p", [3, 5, 13])
     def test_reduced_equals_a_table_built_lower(self, p):
@@ -337,7 +338,7 @@ class TestReflectionIdentity:
         # indices at or past p make both sides vanish
         verdicts = check_reflection_identity(5)
         boundary = [v for v in verdicts if v.case == "reflection.pair[m=4]"]
-        assert boundary and boundary[0].passed
+        assert boundary and boundary[0].status == PASS
         assert boundary[0].lhs == 0 and boundary[0].rhs == 0
 
 
@@ -350,27 +351,27 @@ class TestReflectionChecksCanFail:
         # two sides of mirror[j] move in opposite directions
         corrupt_table(monkeypatch, j)
         verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
-        assert verdicts[f"reflection.mirror[j={j}]"].failed
+        assert verdicts[f"reflection.mirror[j={j}]"].status == FAIL
 
     @pytest.mark.parametrize("p,j", [(5, 2), (13, 8), (31, 30), (61, 40)])
     def test_mirror_fails_below_a_corrupted_even_index(self, monkeypatch, p, j):
         # H_j enters mirror[j-1] as j p H_j, which p^(p+2) does not absorb
         corrupt_table(monkeypatch, j)
         verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
-        assert verdicts[f"reflection.mirror[j={j - 1}]"].failed
+        assert verdicts[f"reflection.mirror[j={j - 1}]"].status == FAIL
 
     @pytest.mark.parametrize("p,j", [(7, 3), (13, 5), (31, 11), (61, 59)])
     def test_pair_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
         corrupt_table(monkeypatch, j)
         verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
-        failed = {case for case, v in verdicts.items() if v.failed}
+        failed = {case for case, v in verdicts.items() if v.status == FAIL}
         assert f"reflection.pair[m={(j + 1) // 2}]" in failed
 
     @pytest.mark.parametrize("p", [5, 13, 31])
     def test_harmonic_congruences_flag_a_corrupted_last_entry(self, monkeypatch, p):
         corrupt_table(monkeypatch, p - 1)
         verdicts = suite_verdicts(monkeypatch, p, "check_harmonic_congruences")
-        assert verdicts["harmonic.h_p_minus_1"].failed
+        assert verdicts["harmonic.h_p_minus_1"].status == FAIL
 
     @pytest.mark.parametrize(
         "p,j,case",
@@ -385,7 +386,7 @@ class TestReflectionChecksCanFail:
         # S_1 = H_1 and S_2 = H_1^2 - 2 H_2 are read off the shared table
         corrupt_table(monkeypatch, j)
         verdicts = suite_verdicts(monkeypatch, p, "check_bernoulli_power_sums")
-        assert verdicts[case].failed
+        assert verdicts[case].status == FAIL
 
     def test_corrupted_shared_table_is_an_internal_error(self, monkeypatch, capsys):
         # with every suite running, the power-sum cross-check stops the run
@@ -475,7 +476,7 @@ class TestHarmonicCongruences:
     def test_p5_penultimate_value(self):
         verdicts = {v.case: v for v in check_harmonic_congruences(5)}
         v = verdicts["harmonic.h_p_minus_2"]
-        assert v.passed and v.lhs == 15
+        assert v.status == PASS and v.lhs == 15
 
     def test_p7_boundary_pair_equals_minus_p3_over_4(self):
         # exact oracle: H_3 - 2*7*H_4 + 343/4 has 7-adic valuation >= 4
@@ -484,16 +485,16 @@ class TestHarmonicCongruences:
         assert diff.numerator % 7**4 == 0
         verdicts = {v.case: v for v in check_harmonic_congruences(7)}
         v = verdicts["harmonic.pair_boundary"]
-        assert v.passed
+        assert v.status == PASS
         assert v.rhs == residue_of_rational(-Fraction(343, 4), PrimePowerModulus(7, 4))
 
     def test_boundary_pair_also_holds_at_p5(self):
         verdicts = {v.case: v for v in check_harmonic_congruences(5)}
-        assert verdicts["harmonic.pair_boundary"].passed
+        assert verdicts["harmonic.pair_boundary"].status == PASS
 
     def test_boundary_pair_skipped_at_p3(self):
         verdicts = {v.case: v for v in check_harmonic_congruences(3)}
-        assert verdicts["harmonic.pair_boundary"].skipped
+        assert verdicts["harmonic.pair_boundary"].status == SKIP
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
@@ -527,12 +528,12 @@ class TestPowerSumCongruences:
         # even though it sits below the usual application range
         verdicts = {v.case: v for v in check_power_sum_congruences(5)}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
-        assert v.passed
+        assert v.status == PASS
 
     def test_triple_skip_reason_recorded(self):
         verdicts = {v.case: v for v in check_power_sum_congruences(7)}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
-        assert v.skipped and "divides m+5" in v.reason
+        assert v.status == SKIP and "divides m+5" in v.reason
 
     def test_divisibility_branches_both_hit(self):
         verdicts = check_power_sum_congruences(7)

@@ -79,7 +79,7 @@ class TestRingOps:
         assert inv[4] == 94  # 4 * 94 = 376 = 3*125 + 1
 
     def test_pow_example(self):
-        assert PrimeContext(5, 3).four_pow() == 6  # 4^4 = 256 mod 125
+        assert PrimeContext(5, 3).ingredient("four") == 6  # 4^4 = 256 mod 125
 
     def test_canonical_form(self):
         m = PrimePowerModulus(7, 2)

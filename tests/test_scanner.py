@@ -1,6 +1,8 @@
 """Configuration parsing, scanning, report emission and the CLI contract."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -188,8 +190,8 @@ class TestRunScan:
         cfg = ScanConfig(prime_min=3, prime_max=13, cases=("wolstenholme_rel70",))
         report = run_scan(cfg)
         by_p = {v.p: v for v in report.records}
-        assert by_p[3].skipped and by_p[3].reason == "requires p >= 5"
-        assert all(by_p[p].passed for p in (5, 7, 11, 13))
+        assert by_p[3].status == SKIP and by_p[3].reason == "requires p >= 5"
+        assert all(by_p[p].status == PASS for p in (5, 7, 11, 13))
 
     def test_non_p_integer_alpha_recorded(self):
         cfg = ScanConfig(
@@ -516,7 +518,7 @@ class TestPoolRecords:
         for v in report.records:
             assert type(v) is Verdict
             assert v.alpha is None or type(v.alpha) is Fraction
-            if v.skipped:
+            if v.status == SKIP:
                 assert (v.m, v.lhs, v.rhs, v.valuation) == (None,) * 4
                 assert v.reason
                 continue
@@ -543,6 +545,36 @@ class TestPoolRecords:
         assert hashlib.sha256(data).hexdigest() == PINNED_CLAIMED_3_97_JSON
 
 
+class TestIngredientRecord:
+    """Each O(p) pass of a context runs once per prime whose cases read it."""
+
+    def test_each_pass_runs_once_per_prime_that_reads_it(self, monkeypatch):
+        calls = {}
+        for name in ("power_sum_table", "bernoulli_pm3", "signed_central_binomial"):
+            real, seen = getattr(congruences, name), calls.setdefault(name, [])
+
+            def spy(arg, *rest, real=real, seen=seen):
+                seen.append(getattr(arg, "p", arg))  # a modulus or a prime
+                return real(arg, *rest)
+
+            monkeypatch.setattr(congruences, name, spy)
+        run_scan(ScanConfig(prime_min=3, prime_max=47, workers=1))
+
+        def readers(names):
+            return [
+                p for p in odd_primes_between(3, 47)
+                if any(
+                    p >= case.min_p and names & {t.x for t in case.lhs + case.rhs}
+                    for case in congruences.CATALOG.values()
+                )
+            ]
+
+        assert calls["power_sum_table"] == readers(set(congruences.SUMS))
+        assert calls["bernoulli_pm3"] == readers({"B"})
+        assert calls["signed_central_binomial"] == readers({"central"})
+        assert 3 not in calls["bernoulli_pm3"] and 47 in calls["bernoulli_pm3"]
+
+
 class TestWolstenholmePrime:
     """Known answers at 16843, the first Wolstenholme prime (McIntosh 1995)."""
 
@@ -555,8 +587,8 @@ class TestWolstenholmePrime:
         return {(v.case, v.alpha) for v in report.anomalies}
 
     def test_bernoulli_vanishes_mod_p_only_there(self):
-        assert PrimeContext(16843, 2).bernoulli_pm3() % 16843 == 0
-        assert PrimeContext(16829, 2).bernoulli_pm3() % 16829 != 0
+        assert PrimeContext(16843, 2).ingredient("B") % 16843 == 0
+        assert PrimeContext(16829, 2).ingredient("B") % 16829 != 0
 
     def test_b_zero_mod_p_strengthens_the_catalog(self):
         found = self._anomalies(16843)
@@ -737,21 +769,30 @@ _CSV_TEXT = st.text(
     st.sampled_from(',"\r\n \t\'é€😀') | st.characters(exclude_categories=("Cs",)),
     max_size=12,
 )
+# the same less what the csv module quotes, which no case id, lemma name or
+# status holds (`TestEmission.test_no_emitted_name_needs_csv_quoting`)
+_CSV_NAME = st.text(
+    st.sampled_from(" \t'é€😀")
+    | st.characters(exclude_categories=("Cs",), exclude_characters=',"\r\n'),
+    max_size=12,
+)
 
 
 @st.composite
 def csv_verdicts(draw):
     """Verdicts with free-text case, status and reason, every nullable field
-    None or not, and residues to 10^400 whose two sides are often equal."""
+    None or not, and residues to 10^400 whose two sides are often equal.
+    Case and status need no CSV quoting; the reason, which CSV leaves out,
+    may."""
     lhs = draw(_RESIDUES)
     return Verdict(
-        case=draw(_CSV_TEXT),
+        case=draw(_CSV_NAME),
         p=draw(st.integers(0, 10**30)),
         alpha=draw(st.none() | st.fractions()),
         m=draw(st.none() | st.integers(0, 10**30)),
         lhs=lhs,
         rhs=lhs if draw(st.booleans()) else draw(_RESIDUES),
-        status=draw(st.sampled_from([PASS, FAIL, SKIP]) | _CSV_TEXT),
+        status=draw(st.sampled_from([PASS, FAIL, SKIP]) | _CSV_NAME),
         # few values, so exact and floor valuations of one value meet
         valuation=draw(st.none() | st.builds(Valuation, st.integers(0, 3), st.booleans())),
         reason=draw(_CSV_TEXT),
@@ -773,6 +814,17 @@ class TestEmission:
         lines = data.splitlines()
         assert lines[0] == "case,p,alpha,m,lhs,rhs,status,valuation"
         assert lines[1] == "wolstenholme_rel70,5,,3,1,1,pass,>=3"
+
+    def test_no_emitted_name_needs_csv_quoting(self):
+        # `_emit_csv` writes case and status as they are, which is what the
+        # csv module writes for text with no comma, quote or line break
+        names = set(congruences.CATALOG) | {PASS, FAIL, SKIP}
+        for p in (3, 5, 7, 11, 13, 31):
+            names.update(v.case for v in scanner.run_lemma_suites(p))
+        for name in names:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([name, None])
+            assert buf.getvalue() == name + ",\n", name
 
     def test_text_contains_summary_and_anomalies(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("morley",))
@@ -927,6 +979,33 @@ class TestCliContract:
         captured = capsysbinary.readouterr()
         assert captured.out == b""
         assert captured.err == f"congrlab: {error}\n".encode()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([*SMALL_SCAN, "--case", "zhao,all"], "--case all takes no other case id"),
+            ([*SMALL_SCAN, "--case", "all", "--case", "all"],
+             "--case all takes no other case id"),
+            (["verify", "--case", "all", "--p", "7", "--alpha", "2"],
+             "verify takes one catalog case id, got 'all'"),
+            (["verify", "--case", "zhao,mcintosh", "--p", "11"],
+             "verify takes one catalog case id, got 'zhao,mcintosh'"),
+            (["verify", "--case", "nonesuch", "--p", "11"],
+             "verify takes one catalog case id, got 'nonesuch'"),
+        ],
+    )
+    def test_exit_two_on_a_bad_case_list(self, capsysbinary, argv, error):
+        assert main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"congrlab: {error}\n".encode()
+
+    def test_case_all_on_its_own_is_the_catalog(self, capsysbinary):
+        argv = [*SMALL_SCAN, "--alpha", "2", "--format", "json"]
+        assert main([*argv, "--case", "all"]) == 0
+        every = capsysbinary.readouterr().out
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == every
 
     def test_exit_two_on_unwritable_output(self, capsys):
         code = main(
