@@ -13,10 +13,9 @@ exhausted resource such as memory, or a bug.
 The worker count is an upper bound.  CONGRLAB_WORKERS in the environment
 overrides it, including an explicit --workers flag, and either is clamped
 to the CPUs this process may run on.  A run starts a pool of that many
-workers (at most one per prime) only when the work it estimates before
-running, split among them, saves more than the pool costs to start and to
-send the records back; otherwise it runs in this process.  `verify` always
-does.
+workers (at most one per prime) only when its O(p) work outside the
+remainder tree is above one measured threshold; otherwise it runs in this
+process.  `verify` always does.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="the most worker processes to use, at most the CPUs this "
             "process may run on (default: that many); CONGRLAB_WORKERS "
-            "overrides it.  A pool starts only when the run's estimated work "
-            "saves more than the pool costs",
+            "overrides it.  A pool starts only when the run's O(p) work "
+            "outside the remainder tree is above one measured threshold",
         )
         p.add_argument(
             "--tightness",
@@ -142,16 +141,20 @@ def _parse_prime_range(text: str):
     return lo, hi
 
 
-def _split_repeatable(values) -> list:
-    out = []
-    for chunk in values or []:
-        out.extend(part.strip() for part in chunk.split(",") if part.strip())
-    return out
+def _split_repeatable(values, flag: str) -> Optional[list]:
+    """The names a repeatable flag gives, comma-separated or not, or None
+    where the flag is absent; a flag given that names nothing is an error."""
+    if values is None:
+        return None
+    names = [n for chunk in values for part in chunk.split(",") if (n := part.strip())]
+    if not names:
+        raise UsageError(f"{flag} names nothing")
+    return names
 
 
 def _parse_alphas(values) -> tuple:
-    names = _split_repeatable(values)
-    if not names:
+    names = _split_repeatable(values, "--alpha")
+    if names is None:
         return DEFAULT_ALPHA_SWEEP
     alphas = []
     for name in names:
@@ -164,8 +167,8 @@ def _parse_alphas(values) -> tuple:
 
 
 def _parse_cases(values) -> tuple:
-    names = _split_repeatable(values)
-    if names == ["all"]:
+    names = _split_repeatable(values, "--case")
+    if names is None or names == ["all"]:
         return ()
     if "all" in names:
         raise UsageError("--case all takes no other case id")

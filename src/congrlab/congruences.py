@@ -114,6 +114,10 @@ def signed_central_binomial(p: int) -> int:
 _TWO = Fraction(2)
 _HALF = Fraction(1, 2)
 
+# The alpha at which each fixed left side reads C(alpha*p - 1, p - 1); the
+# central binomial is 4^(p-1) C(p/2 - 1, p - 1).
+FIXED_ALPHAS = {"binom2": _TWO, "central": _HALF}
+
 # The ingredients that one `power_sum_table` pass fills in together: S_1,
 # S_2, S_3 and, by Newton's identity, H_2.
 SUMS = ("S1", "S2", "S3", "H2")
@@ -189,8 +193,8 @@ class PrimeContext:
         than a verdict.  `ingredient("central")` keeps the result.
         """
         direct = signed_central_binomial(self.p) % self.pm
-        transfer = self.ingredient("four") * self.binom_w(_HALF) % self.pm
-        if direct != transfer:
+        transfer = self.ingredient("four") * self.binom_w(FIXED_ALPHAS["central"])
+        if direct != transfer % self.pm:
             raise CongrlabError(f"central binomial transfer mismatch at p={self.p}")
         return direct
 
@@ -209,7 +213,7 @@ class PrimeContext:
             elif x == "B":
                 record[x] = bernoulli_pm3(self.p)
             elif x == "binom2":
-                record[x] = self.binom_w(_TWO)
+                record[x] = self.binom_w(FIXED_ALPHAS[x])
             elif x == "central":
                 record[x] = self.central_binomial()
             else:

@@ -3,9 +3,9 @@
 Work is fanned out one prime per unit: all cases and alpha values for a
 prime share that prime's context (its ingredient record and cached
 binomials), which the unit builds from its task.  Before anything runs,
-each prime gets a plan read off the request: its working exponent, the
-binomials and other O(p) ingredients its cases read, and its record count.
-One cost model prices the plans and makes two choices from them.
+each prime gets a plan read off the request: its working exponent and the
+binomials and other O(p) ingredients its cases read.  One cost model, in
+factors of the product route, prices the plans and makes two choices.
 
 The binomials take one of two routes.  On a wide enough range the parent
 builds every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one
@@ -14,17 +14,18 @@ puts each vector in its prime's task; the unit reads each binomial off it
 in O(D).  Otherwise (a single prime, say) the task carries no vector and
 the unit multiplies an O(p) product per alpha.
 
-The worker count is an upper bound.  A pool of up to that many processes
-starts only when the estimated serial seconds of the units, split among
-them, save more than the pool's measured cost to start and to send the
-records back; otherwise the parent runs every unit itself and never
-imports `multiprocessing`.  A range served by the tree leaves each unit
-almost no work, so such a sweep usually runs in one process.  A pool takes
-the units largest prime first, because a unit's cost grows with p and the
-last chunk should be a cheap one.  Workers only read immutable inputs and
-inherit nothing from the parent.  A pool worker sends its verdicts back as
-plain tuples, which pickle cheaply, and the parent rebuilds each record
-once.
+The worker count is an upper bound: a pool of up to that many processes
+starts only when the units' O(p) work outside the tree is above one
+measured threshold, and otherwise the parent runs every unit itself and
+never imports `multiprocessing`.  That work is the product-route binomials,
+the other O(p) ingredients and, for `lemmas`, the suites; records and
+per-unit overhead do not count, since a pool does not run them faster.  A
+range served by the tree leaves each unit almost none of it, so such a
+sweep runs in one process.  A pool takes the units largest prime first,
+because a unit's cost grows with p and the last chunk should be a cheap
+one.  Workers only read immutable inputs and inherit nothing from the
+parent.  A pool worker sends its verdicts back as plain tuples, which
+pickle cheaply, and the parent rebuilds each record once.
 
 Each unit evaluates its alphas in ascending order and the units' records
 are merged in ascending p, so a stable sort on case alone orders them by
@@ -46,7 +47,9 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bernoulli import check_bernoulli_power_sums
-from .congruences import CATALOG, SUMS, PrimeContext, binom_alpha_mod, verify_case
+from .congruences import (
+    CATALOG, FIXED_ALPHAS, SUMS, PrimeContext, binom_alpha_mod, verify_case
+)
 from .harmonic import (
     check_harmonic_congruences,
     check_power_sum_congruences,
@@ -130,7 +133,8 @@ class ScanConfig:
     `workers` and `output` are execution details: they affect where and how
     fast the report is produced, never its contents, and are therefore not
     echoed into the report.  `workers` is the most processes a run may use;
-    `run_scan` starts a pool only when its cost estimate says one pays.
+    `run_scan` starts a pool only when the run's O(p) work outside the tree
+    is above one measured threshold.
     """
 
     command: str = "scan"  # "scan", "verify" or "lemmas"
@@ -196,26 +200,20 @@ class ScanReport:
         return self.summary["fail"] > 0
 
 
-_TWO = Fraction(2)
-_HALF = Fraction(1, 2)
-
-
-# The cost model.  Every figure was measured on a 2-core sandbox (Python
-# 3.11.7), one core per process; only their ratios decide anything.
+# The cost model, in factors of the product route.  One factor of
+# `binom_alpha_mod` took 0.06-0.08 us at p = 10^4..10^6 on a 2-core sandbox
+# (Python 3.11.7, one core per process), and 0.15 us at p = 10^2..10^5 in a
+# later, busier series; the figures below timed in seconds use the latter.
 #
-# Route.  The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors of
-# the product route, whatever the range's lower end: `harmonic_vectors` for
-# every prime 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s /
-# 12 s at D = 8, about 2e-10 s * D^2 * p_max^1.8, and `binom_alpha_mod`
-# took 0.06-0.08 us per factor at p = 10^4..10^6.  The product route costs
-# (binomials read + 1) * p factors at each prime, the one being its
-# 1/(p-1)!.
+# Route.  The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors,
+# whatever the range's lower end: `harmonic_vectors` for every prime
+# 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8,
+# about 2e-10 s * D^2 * p_max^1.8.  The product route costs (binomials read
+# + 1) * p factors at each prime, the one being its 1/(p-1)!.
 _TREE_FACTORS = 2.5e-3
 
-# Serial task work, in seconds, from figures measured later than those
-# above, with the host busier.  A factor of the product route took
-# _FACTOR_S (p = 10^2..10^5, m = 3..8).  A task runs each other O(p) pass
-# its cases read once, at so many factors per k < p:
+# A task runs each other O(p) pass its cases read once, at so many factors
+# per k < p:
 #   sums     the names in `congruences.SUMS`, one `power_sum_table` pass:
 #            15 (2.3 us per k over the primes 3..2999);
 #   central  the exact central binomial: 1 below p = 2000 (math.comb grows
@@ -224,32 +222,20 @@ _TREE_FACTORS = 2.5e-3
 #            bits of p and d 30-bit digits of p^3 (measured 5, 8, 24, 30
 #            and 33 at p = 101, 499, 1999, 10007 and 100003).
 # On the tree route a binomial is a few Horner steps, part of its record.
-# A task also costs _TASK_S, _CASE_S per applicable case (folded once into
-# polynomials) and _RECORD_S per record.  The model comes within 10% of
-# these serial run times in fresh processes (median of five): 0.044 s for
-# the 1,227 one-record tasks of `--primes 5..10000 --case wolstenholme_rel70`,
-# 0.240 s for the default scan's 94 tasks and 17,108 records, 0.138 s for
-# the same with one alpha (2,726 records), 0.025 s for `--primes 3..47`,
-# 1.35 s for `--primes 3..2999 --case zhao` and 1.84 s (2.01 s estimated)
-# for `--primes 5..2999 --case carlitz`.
-_FACTOR_S = 1.5e-7
 _PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
-_TASK_S = 15e-6
-_CASE_S = 14e-6
-_RECORD_S = 7e-6
 
-# The lemma suites at one prime took about _LEMMA_P_S * p + _LEMMA_P3_S * p^3
-# seconds (0.5 ms at p = 3, 12 ms at 101, 47 ms at 199, 0.58 s at 499, best
-# of three) and gave 9.5 p + 4 records (1,893 at p = 199).
-_LEMMA_P_S = 60e-6
-_LEMMA_P3_S = 4.5e-9
-_LEMMA_RECORDS = 10
+# The lemma suites at one prime took about 60 us * p + 4.5 ns * p^3 (0.5 ms
+# at p = 3, 12 ms at 101, 47 ms at 199, 0.58 s at 499, best of three): so
+# many factors per p and per p^3.
+_LEMMA_FACTORS = (400, 0.03)
 
-# A pool of two: importing `multiprocessing` took 13-16 ms, starting the
-# workers 21-31 ms and closing them 3-11 ms; rebuilding the records it sends
-# back 1.3-3.3 us each (17,108 catalog records, 40,251 lemma records).
-_POOL_S = 0.045
-_POOL_RECORD_S = 2e-6
+# Pool.  A run starts one only when the tasks' O(p) work above is more than
+# _POOL_FACTORS.  Records, cases and per-task overhead do not count, since a
+# pool does not run them faster.  At `--workers 1` against 2, the default
+# scan (0.53 M factors) ran no faster pooled and took more CPU, while
+# `scan --primes 3..999` (1.95 M) and `lemmas --primes 3..199` (4.3 M) ran
+# about 10% faster.
+_POOL_FACTORS = 1e6
 
 
 class _Plan(NamedTuple):
@@ -257,32 +243,24 @@ class _Plan(NamedTuple):
 
     p: int
     exponent: int  # the working exponent of p's context
-    cases: int  # applicable cases
     reads: int  # alphas at which they read C(alpha*p - 1, p - 1), at most
     ingredients: frozenset  # the other O(p) ingredients they read
-    records: int
 
 
 def _plan(p: int, cases, alphas, tightness: bool, claimed: bool) -> _Plan:
-    """p's plan.  Its context works at the most any applicable case needs,
-    and every case gives a record per alpha (one without), applicable or not."""
+    """p's plan.  Its context works at the most any applicable case needs."""
     applicable = [c for c in cases if p >= (c.claimed_min_p if claimed else c.min_p)]
     extra = 1 if tightness else 0
     names = {term.x for case in applicable for term in case.lhs + case.rhs}
     read = set(alphas) if "binom" in names else set()
-    if "binom2" in names:
-        read.add(_TWO)
-    if "central" in names:
-        read.add(_HALF)
+    read.update(FIXED_ALPHAS[x] for x in names & FIXED_ALPHAS.keys())
     # the other O(p) passes their terms read; the `SUMS` share one
     passes = {"sums" if x in SUMS else x for x in names} & {"sums", "central", "B"}
     return _Plan(
         p,
         max((case.modulus_exponent(p) + extra for case in applicable), default=1),
-        len(applicable),
         len(read),
         frozenset(passes),
-        sum(1 if case.alpha_mode == "none" else len(alphas) for case in cases),
     )
 
 
@@ -292,48 +270,30 @@ def _tree_pays(plans) -> bool:
     return _TREE_FACTORS * exponent**2 * plans[-1].p ** 1.8 < product
 
 
-def _task_seconds(plan: _Plan, tree: bool) -> float:
-    """The serial seconds of one prime's scan task, estimated."""
+def _factors(plan: _Plan, tree: bool) -> float:
+    """One prime's O(p) scan work outside the tree, in product-route factors."""
     factors = sum(_PASS_FACTORS.get(x, 0) for x in plan.ingredients)
     if "B" in plan.ingredients:
         bits = plan.p.bit_length()
         factors += bits * -(-3 * bits // 30)
     if plan.reads and not tree:
         factors += plan.reads + 1
-    return (
-        _TASK_S + _CASE_S * plan.cases + _RECORD_S * plan.records
-        + _FACTOR_S * factors * plan.p
-    )
-
-
-def _lemma_seconds(p: int) -> float:
-    """The serial seconds of one prime's lemma suites, estimated."""
-    return _LEMMA_P_S * p + _LEMMA_P3_S * p**3
-
-
-def _pool_pays(seconds: float, records: int, workers: int) -> bool:
-    """Whether `workers` processes sharing `seconds` of serial work save
-    more than their pool costs to start and to send `records` back."""
-    return workers > 1 and seconds * (1 - 1 / workers) > (
-        _POOL_S + _POOL_RECORD_S * records
-    )
+    return factors * plan.p
 
 
 def _harmonic_vectors(plans) -> list:
-    """Each prime's harmonic vector, or all None where the product route pays.
+    """Each prime's harmonic vector, from the remainder tree.
 
     A case that applies at p applies at every larger prime, so the largest
     prime reads a binomial if any does.  Its vector depends on every
     product along the tree's right spine, so its C(2p - 1, p - 1) is
     checked against the product route; a mismatch is an internal error.
     """
-    if not any(plan.reads for plan in plans) or not _tree_pays(plans):
-        return [None] * len(plans)
     primes, exponents = [plan.p for plan in plans], [plan.exponent for plan in plans]
     vectors = harmonic_vectors(primes, exponents)
     p, e = primes[-1], exponents[-1]
-    tree = PrimeContext(p, e, vectors[-1]).binom_w(_TWO)
-    if tree != binom_alpha_mod(_TWO, PrimePowerModulus(p, e)):
+    tree = PrimeContext(p, e, vectors[-1]).ingredient("binom2")
+    if tree != binom_alpha_mod(FIXED_ALPHAS["binom2"], PrimePowerModulus(p, e)):
         raise CongrlabError(f"harmonic vector mismatch at p={p}")
     return vectors
 
@@ -427,29 +387,25 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
     if config.command == "lemmas":
         worker, tasks = run_lemma_suites, primes
-        seconds = sum(map(_lemma_seconds, primes))
-        count = _LEMMA_RECORDS * sum(primes)
+        per_p, per_p3 = _LEMMA_FACTORS
+        work = sum(per_p * p + per_p3 * p**3 for p in primes)
     else:
         case_ids, alphas = config.case_ids(), tuple(sorted(config.alphas))
         tightness, claimed = config.tightness, config.claimed_ranges
         cases = [CATALOG[cid] for cid in case_ids]
         plans = [_plan(p, cases, alphas, tightness, claimed) for p in primes]
-        vectors = _harmonic_vectors(plans)
+        tree = any(plan.reads for plan in plans) and _tree_pays(plans)
+        vectors = _harmonic_vectors(plans) if tree else [None] * len(plans)
         worker = _scan_one_prime
         tasks = [
             (plan.p, plan.exponent, h, case_ids, alphas, tightness, claimed)
             for plan, h in zip(plans, vectors)
         ]
-        seconds = sum(
-            _task_seconds(plan, h is not None) for plan, h in zip(plans, vectors)
-        )
-        count = sum(plan.records for plan in plans)
+        work = sum(_factors(plan, tree) for plan in plans)
 
     # the worker count is an upper bound: a pool of at most one worker per
-    # task starts only where it pays
-    workers = min(config.workers, len(tasks))
-    if not _pool_pays(seconds, count, workers):
-        workers = 1
+    # task starts only where the O(p) work is enough to pay for it
+    workers = min(config.workers, len(tasks)) if work > _POOL_FACTORS else 1
     records = _run_tasks(worker, tasks, workers)
 
     # stable: the records arrive in ascending p, and a (case, p) group comes

@@ -44,9 +44,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def spy_pools(monkeypatch, force: bool = False) -> list:
     """The sizes of the pools the run starts, in order.
 
-    With `force`, a pool costs nothing in the scanner's cost model, so every
-    run that may use more than one worker starts one: a test that exists to
-    exercise the pool then cannot compare a serial run with a serial run.
+    With `force`, the scanner's pool threshold is -inf, so every run that
+    may use more than one worker starts one: a test that exists to exercise
+    the pool then cannot compare a serial run with a serial run.
     """
     started = []
     pool = multiprocessing.Pool
@@ -57,7 +57,7 @@ def spy_pools(monkeypatch, force: bool = False) -> list:
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     if force:
-        monkeypatch.setattr(scanner, "_POOL_S", -math.inf)
+        monkeypatch.setattr(scanner, "_POOL_FACTORS", -math.inf)
     return started
 
 
@@ -331,14 +331,14 @@ PINNED_JSON_3_47 = {
     "lemmas": "83cd985ad99edc60808393624d0930556f349ef15b7c31f93fbe1003283d5114",
 }
 
-# Both runs are too small for a pool to pay, so the script makes the pool
-# free and counts the pools started.
+# Both runs are too small for a pool to pay, so the script sets the pool
+# threshold to -inf and counts the pools started.
 _START_METHOD_RUN = """
 import hashlib, multiprocessing, sys
 from congrlab import ScanConfig, emit_report, run_scan, scanner
 
 multiprocessing.set_start_method(sys.argv[1])
-scanner._POOL_S = float("-inf")
+scanner._POOL_FACTORS = float("-inf")
 pool, started = multiprocessing.Pool, []
 multiprocessing.Pool = lambda n: started.append(n) or pool(n)
 for command in ("scan", "lemmas"):
@@ -423,8 +423,8 @@ def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
     "argv, pinned",
     [
         (
-            ["scan", "--primes", "3..499", "--format", "json"],
-            "5f489a1ea85ca9240778d38d2ebbe6460a595bb58f0487aecffa8bf716bde5ce",
+            ["scan", "--primes", "3..999", "--format", "csv"],
+            "f98ea5a610633a7ccd7d833fd70a1bdda50442fb1a73707c008dfe5526780075",
         ),
         (
             ["lemmas", "--primes", "3..199", "--format", "csv"],
@@ -434,12 +434,62 @@ def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
     ids=["catalog", "lemmas"],
 )
 def test_pool_started_where_it_pays(monkeypatch, capsysbinary, argv, pinned):
-    # the catalog and the lemma suites do enough work per prime to pay
+    # the catalog to 999 and the lemma suites do enough O(p) work to pay
     two_cpus(monkeypatch)
     started = spy_pools(monkeypatch)
     assert main(argv + ["--workers", "2"]) == 0
     assert started == [2]
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == pinned
+
+
+def test_default_catalog_scan_stays_in_one_process(monkeypatch, capsysbinary):
+    # its records and cases are most of its work, and a pool does not run
+    # them faster; the request the benchmark and CI pin
+    two_cpus(monkeypatch)
+    started = spy_pools(monkeypatch)
+    argv = ["scan", "--primes", "3..499", "--format", "json", "--workers", "2"]
+    assert main(argv) == 0
+    assert started == []
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == (
+        "5f489a1ea85ca9240778d38d2ebbe6460a595bb58f0487aecffa8bf716bde5ce"
+    )
+
+
+WOLSTENHOLME_SWEEP = ("--case", "wolstenholme_rel70", "--tightness")
+
+
+@pytest.mark.parametrize(
+    "argv, workers",
+    [
+        (["scan", "--primes", "3..97", "--tightness"], 1),
+        (["scan", "--primes", "3..199"], 1),
+        (["scan", "--primes", "3..499"], 1),
+        (["lemmas", "--primes", "3..61"], 1),
+        (["scan", "--primes", "5..10000", *WOLSTENHOLME_SWEEP], 1),
+        (["scan", "--primes", "5..100000", *WOLSTENHOLME_SWEEP], 1),
+        (["scan", "--primes", "16800..16900", *WOLSTENHOLME_SWEEP], 1),
+        (["verify", "--case", "thm1", "--p", "10007"], 1),
+        (["scan", "--primes", "3..999"], 2),
+        (["scan", "--primes", "3..1999", "--case", "thm1"], 2),
+        (["scan", "--primes", "3..2999", "--case", "zhao"], 2),
+        (["lemmas", "--primes", "3..199"], 2),
+        (["lemmas", "--primes", "200..300"], 2),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_pool_decided_from_the_work(monkeypatch, capsysbinary, argv, workers):
+    # the decision alone: no tree is built and no task runs (3..47 is in
+    # test_small_runs_stay_in_one_process)
+    two_cpus(monkeypatch)
+    calls = []
+    monkeypatch.setattr(
+        scanner, "harmonic_vectors", lambda primes, exponents: [None] * len(primes)
+    )
+    monkeypatch.setattr(
+        scanner, "_run_tasks", lambda worker, tasks, w: calls.append(w) or []
+    )
+    assert main(argv + ["--workers", "2"]) == 0
+    assert calls == [workers]
 
 
 def test_verify_never_starts_a_pool(monkeypatch, capsysbinary):
@@ -995,6 +1045,25 @@ class TestCliContract:
         ],
     )
     def test_exit_two_on_a_bad_case_list(self, capsysbinary, argv, error):
+        assert main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == f"congrlab: {error}\n".encode()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["scan", "--case", ",", "--primes", "7..7", "--alpha", "2"],
+             "--case names nothing"),
+            ([*SMALL_SCAN, "--case", " , ", "--case", ""], "--case names nothing"),
+            ([*SMALL_SCAN, "--alpha", ""], "--alpha names nothing"),
+            ([*SMALL_SCAN, "--alpha", ",,"], "--alpha names nothing"),
+            (["verify", "--case", "thm1", "--p", "7", "--alpha", ""],
+             "--alpha names nothing"),
+        ],
+    )
+    def test_exit_two_on_a_flag_naming_nothing(self, capsysbinary, argv, error):
+        # an empty list is not the flag left out, which keeps its default
         assert main(argv) == 2
         captured = capsysbinary.readouterr()
         assert captured.out == b""
