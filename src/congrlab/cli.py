@@ -8,7 +8,9 @@ Three subcommands share the report machinery:
 
 Exit status is 0 when nothing failed, 1 when any congruence failed, 2 for
 usage or I/O errors, and 3 for an internal error: a failed cross-check, an
-exhausted resource such as memory, or a bug.
+exhausted resource such as memory, or a bug.  The report streams to -o or
+stdout once the scan is done, so an error before that leaves -o as it was;
+a report left behind by exit 2 or 3 may be incomplete.
 
 The worker count is an upper bound.  CONGRLAB_WORKERS in the environment
 overrides it, including an explicit --workers flag, and either is clamped
@@ -21,6 +23,8 @@ process.  `verify` always does.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from typing import Mapping, Optional, Sequence
@@ -236,13 +240,29 @@ def parse_config(argv: Sequence[str], env: Mapping[str, str]) -> ScanConfig:
     ).validate()
 
 
+def _open_output(path: Optional[str]):
+    """The report's destination, a buffered binary file: `path` or stdout."""
+    if path:
+        return open(path, "wb")
+    try:  # not sys.stdout.buffer, which `python -u` leaves raw: writes may be short
+        return open(sys.stdout.fileno(), "wb", closefd=False)
+    except io.UnsupportedOperation:  # a stdout held in memory
+        return contextlib.nullcontext(sys.stdout.buffer)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         config = parse_config(argv, os.environ)
         report = run_scan(config)
-        data = emit_report(report, config.fmt)
+        # the destination opens only now, so an error above leaves -o as it was
+        try:
+            with _open_output(config.output) as out:
+                emit_report(report, config.fmt, out)
+        except OSError as exc:
+            print(f"congrlab: cannot write report: {exc}", file=sys.stderr)
+            return 2
     except UsageError as exc:
         print(f"congrlab: {exc}", file=sys.stderr)
         return 2
@@ -252,16 +272,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # never exit 1, which means a congruence failed
         print(f"congrlab: internal error: {exc!r}", file=sys.stderr)
         return 3
-    try:
-        if config.output:
-            with open(config.output, "wb") as handle:
-                handle.write(data)
-        else:
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-    except OSError as exc:
-        print(f"congrlab: cannot write report: {exc}", file=sys.stderr)
-        return 2
     return 1 if report.failed else 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 __all__ = [
@@ -132,17 +133,20 @@ class Valuation(NamedTuple):
         return f">={self.value}" if self.is_floor else str(self.value)
 
 
+_valuation = cache(Valuation)  # one object per distinct valuation, shared
+
+
 def valuation_of_difference(a: int, b: int, modulus: PrimePowerModulus) -> Valuation:
     """Largest j <= m with p^j | (a - b) in Z/p^m; reported as a floor when a == b."""
     p = modulus.p
     d = (a - b) % modulus.pm
     if d == 0:
-        return Valuation(modulus.m, True)
+        return _valuation(modulus.m, True)
     v = 0
     while d % p == 0:
         d //= p
         v += 1
-    return Valuation(v, False)
+    return _valuation(v, False)
 
 
 def residue_of_rational(q, modulus: PrimePowerModulus) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from sys import intern
 from typing import NamedTuple, Optional
 
 from .residues import PrimePowerModulus, Valuation, valuation_of_difference
@@ -19,7 +20,8 @@ class Verdict(NamedTuple):
     two sides modulo p^m and `valuation` measures p^v | (lhs - rhs) at the
     evaluation modulus (which is p^(m+1) when tightness reporting is on).
     Skip verdicts carry only the reason.  A plain tuple, so a scan's
-    thousands of records cost little to build, sort and slice.
+    thousands of records cost little to build, sort and slice, and lean: the
+    name is interned and a pass holds one residue for both sides.
     """
 
     case: str
@@ -34,7 +36,7 @@ class Verdict(NamedTuple):
 
 
 def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:
-    return Verdict(case, p, alpha, None, None, None, SKIP, None, reason)
+    return Verdict(intern(case), p, alpha, None, None, None, SKIP, None, reason)
 
 
 def judge(
@@ -54,5 +56,7 @@ def judge(
     """
     val = valuation_of_difference(lhs, rhs, eval_modulus)
     pm = p**m
-    status = PASS if val.value >= m else FAIL
-    return Verdict(case, p, alpha, m, lhs % pm, rhs % pm, status, val)
+    lhs %= pm
+    if val.value >= m:  # the sides agree modulo p^m: one residue serves both
+        return Verdict(intern(case), p, alpha, m, lhs, lhs, PASS, val)
+    return Verdict(intern(case), p, alpha, m, lhs, rhs % pm, FAIL, val)

@@ -13,7 +13,8 @@ H_k, by the incremental loop that the suite's Taylor shift replaced.
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
 table.  `record_dict` and `json_records` write a report's records through
 json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
-str.ljust, the routes the scanner's templates replaced.
+str.ljust, the routes the scanner's templates replaced.  `emitted` catches
+the bytes `emit_report` writes in memory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from congrlab import (
     NotPInteger,
     PrimePowerModulus,
     bernoulli_exact,
+    emit_report,
     is_prime,
     residue_of_rational,
 )
@@ -316,3 +318,10 @@ def text_report(report) -> bytes:
     else:
         lines.append("anomalies: none")
     return ("\n".join(lines) + "\n").encode()
+
+
+def emitted(report, fmt: str) -> bytes:
+    """The bytes `emit_report` writes for a report, caught in memory."""
+    buf = io.BytesIO()
+    assert emit_report(report, fmt, buf) == buf.tell()
+    return buf.getvalue()

@@ -14,7 +14,6 @@ from congrlab import (
     PrimePowerModulus,
     ScanConfig,
     binom_alpha_mod,
-    emit_report,
     harmonic_table,
     residue_of_rational,
     run_scan,
@@ -28,6 +27,7 @@ from oracles import (
     binom_alpha_expansion,
     binom_exact,
     central_binomial_identity,
+    emitted,
     p7_residual,
     reduction_coefficients,
 )
@@ -221,7 +221,7 @@ def test_criterion_09_scanner_contract(capsys):
     blobs = []
     for workers in (1, 4, 8):
         report = run_scan(ScanConfig(workers=workers))
-        blobs.append(emit_report(report, "json"))
+        blobs.append(emitted(report, "json"))
     assert blobs[0] == blobs[1] == blobs[2]
 
     assert main(["scan", "--primes", "5..13", "--case", "morley"]) == 0

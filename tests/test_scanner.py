@@ -14,6 +14,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from congrlab.cli import main, parse_config
 from congrlab.congruences import PrimeContext, verify_case
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
-from oracles import csv_report, json_records, record_dict, text_report
+from oracles import csv_report, emitted, json_records, record_dict, text_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -214,7 +215,7 @@ class TestRunScan:
         blobs = []
         for workers in (1, 2, 4):
             cfg = ScanConfig(prime_min=3, prime_max=61, workers=workers)
-            blobs.append(emit_report(run_scan(cfg), "json"))
+            blobs.append(emitted(run_scan(cfg), "json"))
         assert blobs[0] == blobs[1] == blobs[2]
         assert started == [2, 4]
 
@@ -222,7 +223,7 @@ class TestRunScan:
         # the pool takes its primes in the opposite order to the serial path
         started = spy_pools(monkeypatch, force=True)
         blobs = [
-            emit_report(
+            emitted(
                 run_scan(
                     ScanConfig(command="lemmas", prime_min=3, prime_max=47, workers=w)
                 ),
@@ -314,7 +315,7 @@ class TestRunScan:
             )
             for alphas in (given, ascending)
         ]
-        assert emit_report(reports[0], "json") == emit_report(reports[1], "json")
+        assert emitted(reports[0], "json") == emitted(reports[1], "json")
         assert reports[0].config["alphas"] == ["-1/2", "0", "1/3", "2", "7"]
         for case in ("rel26", "thm1"):
             for p in (3, 5, 7, 11, 13):
@@ -334,7 +335,7 @@ PINNED_JSON_3_47 = {
 # Both runs are too small for a pool to pay, so the script sets the pool
 # threshold to -inf and counts the pools started.
 _START_METHOD_RUN = """
-import hashlib, multiprocessing, sys
+import hashlib, io, multiprocessing, sys
 from congrlab import ScanConfig, emit_report, run_scan, scanner
 
 multiprocessing.set_start_method(sys.argv[1])
@@ -343,7 +344,9 @@ pool, started = multiprocessing.Pool, []
 multiprocessing.Pool = lambda n: started.append(n) or pool(n)
 for command in ("scan", "lemmas"):
     config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=2)
-    print(command, hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest())
+    report = io.BytesIO()
+    emit_report(run_scan(config), "json", report)
+    print(command, hashlib.sha256(report.getvalue()).hexdigest())
 print("pools", started)
 """
 
@@ -370,18 +373,18 @@ class TestStartMethods:
         pooled = dict(line.split() for line in lines)
         for command, pinned in PINNED_JSON_3_47.items():
             config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=1)
-            serial = hashlib.sha256(emit_report(run_scan(config), "json")).hexdigest()
+            serial = hashlib.sha256(emitted(run_scan(config), "json")).hexdigest()
             assert pooled[command] == serial == pinned, command
 
 
 _SERIAL_RUN = """
-import sys
+import io, sys
 import congrlab.cli
 from congrlab import ScanConfig, emit_report, run_scan
 
 for command in ("scan", "lemmas"):
     config = ScanConfig(command=command, prime_min=3, prime_max=13, workers=1)
-    emit_report(run_scan(config), "csv")
+    emit_report(run_scan(config), "csv", io.BytesIO())
 print(sorted(name for name in sys.modules if name.startswith("multiprocessing")))
 """
 
@@ -591,8 +594,39 @@ class TestPoolRecords:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_json_pinned(self, reports, workers):
-        data = emit_report(reports[workers], "json")
+        data = emitted(reports[workers], "json")
         assert hashlib.sha256(data).hexdigest() == PINNED_CLAIMED_3_97_JSON
+
+
+def assert_lean(records) -> None:
+    """A passing record holds one residue for both sides, and each distinct
+    case name and valuation is one object shared by every record with it."""
+    passes = [v for v in records if v.status == PASS]
+    assert passes and all(v.rhs is v.lhs for v in passes)
+    assert any(v.lhs > 256 for v in passes)  # past the small ints CPython shares
+    for name in ("case", "valuation"):
+        values = [getattr(v, name) for v in records]
+        assert len({id(x) for x in values}) == len(set(values)), name
+
+
+class TestLeanRecords:
+    def test_serial_scan_records_are_lean(self):
+        assert_lean(run_scan(CLAIMED_3_97).records)
+
+    def test_serial_lemma_records_are_lean(self):
+        config = ScanConfig(command="lemmas", prime_min=3, prime_max=61)
+        assert_lean(run_scan(config).records)
+
+    def test_pooled_lemma_records_are_lean(self, monkeypatch):
+        # pickling shares nothing between batches, so the parent must
+        started = spy_pools(monkeypatch, force=True)
+        config = ScanConfig(command="lemmas", prime_min=200, prime_max=300, workers=2)
+        report = run_scan(config)
+        assert started == [2]
+        assert_lean(report.records)
+        assert hashlib.sha256(emitted(report, "csv")).hexdigest() == (
+            "37db05458bfb99e77a0b2faa753f5f3568b9bfc23f07d6074c4e62707081d9ce"
+        )
 
 
 class TestIngredientRecord:
@@ -729,7 +763,7 @@ class TestBinomialRoutes:
         reports = {}
         for tree in (False, True):
             calls = force_route(monkeypatch, tree)
-            reports[tree] = emit_report(run_scan(config), "json")
+            reports[tree] = emitted(run_scan(config), "json")
             assert bool(calls) == tree
         assert reports[True] == reports[False]
 
@@ -743,7 +777,7 @@ class TestBinomialRoutes:
             calls = force_route(monkeypatch, tree)
             reports[tree] = run_scan(config)
             assert calls == ([9] if tree else [])  # 16811 .. 16889
-        texts = {tree: emit_report(r, "text") for tree, r in reports.items()}
+        texts = {tree: emitted(r, "text") for tree, r in reports.items()}
         assert texts[True] == texts[False]
         assert [v.p for v in reports[True].anomalies] == [16_843]
         assert reports[True].summary == {"pass": 9, "fail": 0, "skip": 0}
@@ -853,14 +887,14 @@ class TestEmission:
     def test_empty_report_json(self):
         cfg = ScanConfig(prime_min=3, prime_max=3, cases=("mestrovic80",))
         report = run_scan(cfg)  # single skip record
-        payload = json.loads(emit_report(report, "json"))
+        payload = json.loads(emitted(report, "json"))
         assert payload["summary"] == {"pass": 0, "fail": 0, "skip": 1}
         assert payload["anomalies"] == []
         assert payload["config"]["prime_min"] == 3
 
     def test_csv_line_for_wolstenholme(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("wolstenholme_rel70",))
-        data = emit_report(run_scan(cfg), "csv").decode()
+        data = emitted(run_scan(cfg), "csv").decode()
         lines = data.splitlines()
         assert lines[0] == "case,p,alpha,m,lhs,rhs,status,valuation"
         assert lines[1] == "wolstenholme_rel70,5,,3,1,1,pass,>=3"
@@ -878,7 +912,7 @@ class TestEmission:
 
     def test_text_contains_summary_and_anomalies(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("morley",))
-        text = emit_report(run_scan(cfg), "text").decode()
+        text = emitted(run_scan(cfg), "text").decode()
         assert "summary: pass=1 fail=0 skip=0" in text
         assert "anomalies: none" in text
         assert text.endswith("\n") and "\r" not in text
@@ -887,7 +921,7 @@ class TestEmission:
         # every field of every record and anomaly can be read back from JSON
         report = run_scan(ScanConfig(prime_min=3, prime_max=13, tightness=True))
         assert report.anomalies and any(v.reason for v in report.records)
-        payload = json.loads(emit_report(report, "json"))
+        payload = json.loads(emitted(report, "json"))
         assert payload["summary"] == report.summary
 
         def parsed(value, convert):
@@ -913,7 +947,7 @@ class TestEmission:
         report = run_scan(config)
         assert started == ([2] if workers == 2 else [])
         for fmt, pinned in PINNED_3_47_TIGHTNESS.items():
-            data = emit_report(report, fmt)
+            data = emitted(report, fmt)
             assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned, fmt
 
     @pytest.mark.parametrize(
@@ -934,14 +968,14 @@ class TestEmission:
             "anomalies": [record_dict(v) for v in report.anomalies],
         }
         expected = json.dumps(payload, indent=2) + "\n"
-        assert emit_report(report, "json") == expected.encode()
+        assert emitted(report, "json") == expected.encode()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(VERDICTS, max_size=4), st.lists(VERDICTS, max_size=2))
     def test_json_template_matches_the_encoder(self, records, anomalies):
         # strings that need escaping, huge residues, every field None or not
         report = ScanReport({"command": "scan"}, records, {"pass": 1}, anomalies)
-        assert scanner._json_records(records) == json_records(records)
+        assert "".join(scanner._json_records(records)) == json_records(records)
         payload = {
             "config": report.config,
             "records": [record_dict(v) for v in records],
@@ -949,20 +983,20 @@ class TestEmission:
             "anomalies": [record_dict(v) for v in anomalies],
         }
         expected = json.dumps(payload, indent=2) + "\n"
-        assert emit_report(report, "json") == expected.encode()
+        assert emitted(report, "json") == expected.encode()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(csv_verdicts(), max_size=4))
     def test_csv_template_matches_the_writer(self, records):
         report = ScanReport({"command": "scan"}, records, {"pass": 1}, [])
-        assert emit_report(report, "csv") == csv_report(records)
+        assert emitted(report, "csv") == csv_report(records)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(csv_verdicts(), max_size=4), st.lists(csv_verdicts(), max_size=2))
     def test_text_template_matches_ljust(self, records, anomalies):
         summary = {"pass": 1, "fail": 2, "skip": 3}
         report = ScanReport({"command": "scan"}, records, summary, anomalies)
-        assert emit_report(report, "text") == text_report(report)
+        assert emitted(report, "text") == text_report(report)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -974,14 +1008,37 @@ class TestEmission:
     )
     def test_csv_and_text_match_the_oracles(self, cfg):
         report = run_scan(cfg)
-        assert emit_report(report, "csv") == csv_report(report.records)
-        assert emit_report(report, "text") == text_report(report)
+        assert emitted(report, "csv") == csv_report(report.records)
+        assert emitted(report, "text") == text_report(report)
+
+    @pytest.mark.parametrize(
+        "config, fmt, size",
+        [
+            (ScanConfig(), "json", 3_701_999),
+            (ScanConfig(command="lemmas", prime_min=3, prime_max=199), "csv", 5_442_609),
+        ],
+        ids=["default-scan-json", "lemmas-csv"],
+    )
+    def test_emission_memory_is_bounded(self, config, fmt, size):
+        # a few hundred records at a time, never the whole report at once
+        report = run_scan(config)
+        discard = SimpleNamespace(write=len)
+        tracemalloc.start()
+        try:
+            written = emit_report(report, fmt, discard)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written == size
+        assert peak < 1 << 20
 
     def test_unknown_format_rejected(self):
         cfg = ScanConfig(prime_min=5, prime_max=5, cases=("babbage",))
         report = run_scan(cfg)
+        out = io.BytesIO()
         with pytest.raises(UsageError):
-            emit_report(report, "yaml")
+            emit_report(report, "yaml", out)
+        assert out.getvalue() == b""
 
 
 SMALL_SCAN = ("scan", "--primes", "7..11")
@@ -1111,6 +1168,50 @@ class TestCliContract:
         assert captured.err == f"congrlab: internal error: {line}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, broken, code",
+        [
+            (["scan", "--primes", "9..3"], None, 2),
+            (["scan", "--primes", "5..5"], CongrlabError("mismatch at p=5"), 3),
+            (["scan", "--primes", "5..5"], MemoryError(), 3),
+        ],
+        ids=["usage", "internal", "memory"],
+    )
+    def test_failed_run_leaves_output_untouched(
+        self, monkeypatch, capsys, tmp_path, argv, broken, code
+    ):
+        def refuse(config):
+            raise broken
+
+        if broken is not None:
+            monkeypatch.setattr(congrlab.cli, "run_scan", refuse)
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        assert main(argv + ["--case", "morley", "-o", str(target)]) == code
+        assert target.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (OSError(28, "No space left on device"), 2,
+             "congrlab: cannot write report: [Errno 28] No space left on device\n"),
+            (RuntimeError("bad cell"), 3,
+             "congrlab: internal error: RuntimeError('bad cell')\n"),
+        ],
+        ids=["os-error", "bug"],
+    )
+    def test_error_while_emitting(self, monkeypatch, capsys, tmp_path, error, code, line):
+        def broken(report, fmt, out):
+            out.write(b"case,p")
+            raise error
+
+        monkeypatch.setattr(congrlab.cli, "emit_report", broken)
+        target = tmp_path / "report.csv"
+        argv = ["scan", "--primes", "5..5", "--case", "morley", "-o", str(target)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == line
+        assert target.read_bytes() == b"case,p"  # what was written before the error
+
     def test_argparse_exits_two_on_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--frobnicate"])
@@ -1156,3 +1257,53 @@ class TestCliContract:
         code = main(["scan", "--alpha", "1/7", "--primes", "7..7", "--case", "thm1"])
         assert code == 0
         assert b"skip" in capsysbinary.readouterr().out
+
+
+# `python -u` makes sys.stdout.buffer a raw file, whose write may be short
+_UNBUFFERED = [
+    "-m", "congrlab", "scan", "--primes", "3..47", "--format", "json", "--workers", "1"
+]
+
+
+def unbuffered_cli() -> subprocess.Popen:
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, *_UNBUFFERED],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_unbuffered_stdout_gets_every_byte():
+    out, err = unbuffered_cli().communicate(timeout=120)
+    assert err == b""
+    assert hashlib.sha256(out).hexdigest() == PINNED_JSON_3_47["scan"]
+
+
+class ShortWrites(io.FileIO):
+    """A raw file that takes at most 4 KB a write, as a raw write may."""
+
+    def write(self, data):
+        return super().write(memoryview(data)[:4096])
+
+
+def test_raw_stdout_gets_every_byte(monkeypatch, tmp_path):
+    # sys.stdout as `python -u` sets it up, over a raw file that writes short
+    target = tmp_path / "stdout"
+    with ShortWrites(target, "w") as raw:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        assert main(_UNBUFFERED[2:]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_JSON_3_47["scan"]
+
+
+def test_unbuffered_stdout_closed_early_exits_two():
+    # the report (about 500 KB) is far more than a pipe holds
+    child = unbuffered_cli()
+    assert child.stdout.read(20) == b'{\n  "config": {\n    '
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 2
+    assert err == b"congrlab: cannot write report: [Errno 32] Broken pipe\n"
