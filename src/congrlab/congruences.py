@@ -14,8 +14,9 @@ factorial each multiplied in runs of 64 factors and reduced once per run;
 vectors.  The exact-rational product formula that serves as the independent
 oracle of both lives with the tests, in tests/oracles.py.
 
-Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X, which
-a `PrimeContext` folds once into polynomials in alpha.  The context holds
+Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
+`verify_case` folds each side of a case once into polynomials in alpha and
+then evaluates them at every alpha it is given.  Its `PrimeContext` holds
 one ingredient record per prime, a dict from each name X to its residue at
 one working exponent: S_1, S_2, S_3 and H_2 from one O(p) pass (`SUMS`),
 4^(p-1), B_{p-3} modulo p^2, C(2p-1, p-1) and the central binomial.  A name
@@ -23,8 +24,7 @@ is computed the first time a side reads it, since a context is shared by
 cases that read different names and is built before they are known; the
 binomials per alpha sit beside the record, keyed by alpha's residue.  Each
 case then reduces to its own modulus.  A filled entry never changes, so
-sharing one context across the cases and alpha values of a single prime is
-safe.
+the cases of a single prime may share one context.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 from .bernoulli import bernoulli_pm3
 from .harmonic import power_sum_table
 from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
-from .verdicts import Verdict, judge, skip
+from .verdicts import judge, skip
 
 __all__ = [
     "CATALOG",
@@ -144,7 +144,6 @@ class PrimeContext:
         self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
         self._binoms: dict = {}
-        self._sides: dict = {}
         self._fact_inv: Optional[int] = None
 
     def modulus_at(self, m: int) -> PrimePowerModulus:
@@ -221,26 +220,19 @@ class PrimeContext:
         return record[x]
 
     def side(self, side: tuple) -> tuple:
-        """(side, P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
-        alpha's residue, with residue coefficients highest degree first.
-
-        Built once per side; holding the side keeps its id from being reused.
-        """
-        entry = self._sides.get(id(side))
-        if entry is None:
-            polys = ([], [])
-            for coef, k, x, four in side:
-                binom = x == "binom"
-                factor = self.p**k * (1 if binom else self.ingredient(x))
-                if four:
-                    factor *= self.ingredient("four")
-                poly = polys[binom]
-                poly.extend([0] * (len(coef) - len(poly)))
-                for j, q in enumerate(coef):
-                    poly[j] = (poly[j] + self.rat(q) * factor) % self.pm
-            entry = (side, tuple(reversed(polys[0])), tuple(reversed(polys[1])))
-            self._sides[id(side)] = entry
-        return entry
+        """(P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
+        alpha's residue, with residue coefficients highest degree first."""
+        polys = ([], [])
+        for coef, k, x, four in side:
+            binom = x == "binom"
+            factor = self.p**k * (1 if binom else self.ingredient(x))
+            if four:
+                factor *= self.ingredient("four")
+            poly = polys[binom]
+            poly.extend([0] * (len(coef) - len(poly)))
+            for j, q in enumerate(coef):
+                poly[j] = (poly[j] + self.rat(q) * factor) % self.pm
+        return tuple(reversed(polys[0])), tuple(reversed(polys[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +257,13 @@ class Term(NamedTuple):
     four: bool = False
 
 
-def _evaluate(ctx: PrimeContext, side: tuple, alpha: Optional[Fraction], a: int) -> int:
-    """Sum of a side's terms at the context's working exponent, by Horner's
-    rule on a, alpha's residue (0 for None), on the polynomials of
-    `PrimeContext.side`: sound, since reduction mod p^e is a ring homomorphism
-    on p-integral rationals."""
-    _, plain, binom = ctx.side(side)
+def _horner(poly: tuple, a: int) -> int:
+    """A polynomial of `PrimeContext.side` at a, alpha's residue, unreduced:
+    sound, as reduction mod p^e is a ring homomorphism on p-integral Q."""
     total = 0
-    for c in plain:
+    for c in poly:
         total = total * a + c
-    if binom:
-        q = 0
-        for c in binom:
-            q = q * a + c
-        total += q * ctx.binom_w(alpha)
-    return total % ctx.pm
+    return total
 
 
 @dataclass(frozen=True)
@@ -551,58 +535,62 @@ CATALOG = _catalog(_CASES)
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
     ctx = PrimeContext(modulus.p, modulus.m)
-    return _evaluate(ctx, CATALOG["thm1"].rhs, alpha, ctx.rat(Fraction(alpha)))
+    return _horner(ctx.side(CATALOG["thm1"].rhs)[0], ctx.rat(Fraction(alpha))) % ctx.pm
 
 
 def verify_case(
-    case,
-    p: int,
-    alpha=None,
-    tightness: bool = False,
-    ctx: Optional[PrimeContext] = None,
-    claimed_ranges: bool = False,
-) -> Verdict:
-    """Evaluate one catalog case at one prime (and alpha, when parametric).
+    case, p: int, alphas=(None,), tightness: bool = False,
+    ctx: Optional[PrimeContext] = None, claimed_ranges: bool = False,
+) -> list:
+    """Evaluate one catalog case at one prime: one verdict per alpha, in order.
 
-    Returns a skip verdict when the case does not apply (prime below the
-    case's range, alpha not a p-integer, alpha outside an integer-only
-    case's domain).  With `tightness` the two sides are compared at exponent
-    m + 1 so the recorded valuation can reveal a congruence that holds one
-    power higher than stated.  Without `ctx` a fresh context is built.
+    A fixed case gives one verdict, alpha None, whatever `alphas` holds;
+    a parametric case raises ValueError on a None alpha, and an int
+    alpha becomes a Fraction.  A skip verdict means the case does not
+    apply: prime below its range, alpha outside an integer-only case's
+    domain, or alpha not a p-integer.  Each side is folded once per
+    call.  With `tightness` the sides are compared at exponent m + 1, so
+    the valuation can reveal a congruence that holds one power higher
+    than stated.  Without `ctx` a fresh context is built.
     """
     if isinstance(case, str):
         try:
             case = CATALOG[case]
         except KeyError:
             raise KeyError(f"unknown congruence case {case!r}") from None
-
-    if case.alpha_mode == "none":
-        alpha = None
-    else:
-        if alpha is None:
-            raise ValueError(f"case {case.id} requires an alpha parameter")
-        if not isinstance(alpha, Fraction):
-            alpha = Fraction(alpha)
-
+    parametric = case.alpha_mode != "none"
     min_p = case.claimed_min_p if claimed_ranges else case.min_p
-    if p < min_p:
-        return skip(case.id, p, alpha, f"requires p >= {min_p}")
-    if alpha is not None:
-        if case.alpha_mode == "integer" and (alpha.denominator != 1 or alpha < 1):
-            return skip(case.id, p, alpha, "requires an integer alpha >= 1")
-        if alpha.denominator % p == 0:
-            return skip(case.id, p, alpha, f"alpha is not a {p}-integer")
-
-    m = case.modulus_exponent(p)
-    m_eval = m + 1 if tightness else m
-    if ctx is None:
-        ctx = PrimeContext(p, m_eval)
-    if ctx.exponent < m_eval:
-        raise ValueError(
-            f"context exponent {ctx.exponent} below required {m_eval}"
-        )
-    eval_modulus = ctx.modulus_at(m_eval)
-    a = 0 if alpha is None else ctx.rat(alpha)
-    lhs = _evaluate(ctx, case.lhs, alpha, a) % eval_modulus.pm
-    rhs = _evaluate(ctx, case.rhs, alpha, a) % eval_modulus.pm
-    return judge(case.id, p, alpha, m, lhs, rhs, eval_modulus)
+    if p >= min_p:
+        m = case.modulus_exponent(p)
+        m_eval = m + 1 if tightness else m
+        if ctx is None:
+            ctx = PrimeContext(p, m_eval)
+        if ctx.exponent < m_eval:
+            raise ValueError(f"context exponent {ctx.exponent} below required {m_eval}")
+        modulus = ctx.modulus_at(m_eval)
+        (lhs_p, lhs_q), (rhs_p, rhs_q) = ctx.side(case.lhs), ctx.side(case.rhs)
+    verdicts, a, binom = [], 0, 0
+    for alpha in alphas if parametric else (None,):
+        if parametric:
+            if alpha is None:
+                raise ValueError(f"case {case.id} requires an alpha parameter")
+            if not isinstance(alpha, Fraction):
+                alpha = Fraction(alpha)
+        if p < min_p:
+            verdicts.append(skip(case.id, p, alpha, f"requires p >= {min_p}"))
+            continue
+        if parametric:
+            if case.alpha_mode == "integer" and (alpha.denominator != 1 or alpha < 1):
+                reason = "requires an integer alpha >= 1"
+                verdicts.append(skip(case.id, p, alpha, reason))
+                continue
+            if alpha.denominator % p == 0:
+                verdicts.append(skip(case.id, p, alpha, f"alpha is not a {p}-integer"))
+                continue
+            a = ctx.rat(alpha)
+        if lhs_q or rhs_q:
+            binom = ctx.binom_w(alpha)
+        lhs = (_horner(lhs_p, a) + _horner(lhs_q, a) * binom) % modulus.pm
+        rhs = (_horner(rhs_p, a) + _horner(rhs_q, a) * binom) % modulus.pm
+        verdicts.append(judge(case.id, p, alpha, m, lhs, rhs, modulus))
+    return verdicts

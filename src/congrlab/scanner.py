@@ -1,9 +1,9 @@
 """Prime-range sweeps, parallel orchestration and report emission.
 
-Work is fanned out one prime per unit: all cases and alpha values for a
-prime share that prime's context (its ingredient record and cached
-binomials), which the unit builds from its task.  Before anything runs,
-each prime gets a plan read off the request: its working exponent and the
+Work is fanned out one prime per unit, which builds that prime's context
+(its ingredient record and cached binomials) from its task and calls
+`verify_case` once per case, with every alpha.  Before anything runs, each
+prime gets a plan read off the request: its working exponent and the
 binomials and other O(p) ingredients its cases read.  One cost model, in
 factors of the product route, prices the plans and makes two choices.
 
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 from sys import intern
@@ -304,11 +304,9 @@ def _harmonic_vectors(plans) -> list:
 def _scan_one_prime(task) -> list:
     p, exponent, h, case_ids, alphas, tightness, claimed = task
     ctx = PrimeContext(p, exponent, h)
-    return [
-        verify_case(case, p, alpha, tightness, ctx, claimed)
-        for case in map(CATALOG.__getitem__, case_ids)
-        for alpha in ((None,) if case.alpha_mode == "none" else alphas)
-    ]
+    return list(chain.from_iterable(
+        verify_case(case, p, alphas, tightness, ctx, claimed) for case in case_ids
+    ))
 
 
 def run_lemma_suites(p: int) -> list:
@@ -464,7 +462,8 @@ _JSON_RECORD = "    {\n" + ",\n".join(
 
 
 def _json_records(records):
-    """A record list as the report lays it out, in pieces."""
+    """A record list as the report lays it out, in pieces.  An rhs that is
+    its lhs (every passing record) reuses the lhs's string."""
     if not records:
         yield "[]"
         return
@@ -472,13 +471,13 @@ def _json_records(records):
     yield from _joined((
         _JSON_RECORD % (
             _escape(case), p, "null" if alpha is None else f'"{alpha!s}"',
-            "null" if m is None else m,
-            "null" if lhs is None else f'"{lhs}"',
-            "null" if rhs is None else f'"{rhs}"',
+            "null" if m is None else m, left,
+            left if rhs is lhs else "null" if rhs is None else f'"{rhs}"',
             _escape(status), "null" if val is None else f'"{val!s}"',
             _escape(reason) if reason else "null",
         )
         for case, p, alpha, m, lhs, rhs, status, val, reason in records
+        for left in ["null" if lhs is None else f'"{lhs}"']
     ), ",\n")
     yield "\n  ]"
 

@@ -112,7 +112,7 @@ def test_every_case_matches_exact_oracle(p, claimed):
     for case in CATALOG.values():
         m = case.modulus_exponent(p)
         for alpha in alphas_for(case):
-            got = verify_case(case, p, alpha, ctx=context(p), claimed_ranges=claimed)
+            got = verify_case(case, p, [alpha], ctx=context(p), claimed_ranges=claimed)[0]
             where = (case.id, p, alpha)
             if expected_skip(case, p, alpha, claimed):
                 assert got.status == SKIP, where
@@ -196,7 +196,7 @@ def mutants():
 def first_failure(case):
     for p in PRIMES:
         for alpha in alphas_for(case):
-            if verify_case(case, p, alpha, ctx=context(p)).status == FAIL:
+            if verify_case(case, p, [alpha], ctx=context(p))[0].status == FAIL:
                 return p, alpha
     return None
 

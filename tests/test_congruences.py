@@ -260,30 +260,30 @@ class TestCatalog:
 
 class TestVerifyCase:
     def test_wolstenholme_p5(self):
-        v = verify_case("wolstenholme_rel70", 5)
+        v = verify_case("wolstenholme_rel70", 5)[0]
         assert v.status == PASS and (v.lhs, v.rhs) == (1, 1)
         assert str(v.valuation) == ">=3"
 
     def test_morley_p5(self):
-        v = verify_case("morley", 5)
+        v = verify_case("morley", 5)[0]
         assert v.status == PASS and v.lhs == v.rhs == 6
 
     def test_babbage_p3(self):
-        v = verify_case("babbage", 3)
+        v = verify_case("babbage", 3)[0]
         assert v.status == PASS and v.lhs == 1  # C(5, 2) = 10 == 1 mod 9
 
     def test_skip_below_range(self):
-        v = verify_case("wolstenholme_rel70", 3)
+        v = verify_case("wolstenholme_rel70", 3)[0]
         assert v.status == SKIP and v.reason == "requires p >= 5"
 
     def test_skip_non_p_integer_alpha(self):
-        v = verify_case("thm1", 7, Fraction(1, 7))
+        v = verify_case("thm1", 7, [Fraction(1, 7)])[0]
         assert v.status == SKIP and "7-integer" in v.reason
 
     def test_skip_non_integer_alpha_on_integer_case(self):
-        v = verify_case("glaisher_rel74", 7, Fraction(1, 2))
+        v = verify_case("glaisher_rel74", 7, [Fraction(1, 2)])[0]
         assert v.status == SKIP and "integer" in v.reason
-        v = verify_case("glaisher_rel74", 7, Fraction(-2))
+        v = verify_case("glaisher_rel74", 7, [Fraction(-2)])[0]
         assert v.status == SKIP
 
     def test_parametric_case_requires_alpha(self):
@@ -295,7 +295,7 @@ class TestVerifyCase:
             verify_case("nonesuch", 7)
 
     def test_alpha_ignored_on_fixed_cases(self):
-        v = verify_case("morley", 7, Fraction(5))
+        v = verify_case("morley", 7, [Fraction(5)])[0]
         assert v.alpha is None and v.status == PASS
 
     def test_context_exponent_guard(self):
@@ -304,48 +304,48 @@ class TestVerifyCase:
             verify_case("wolstenholme_rel70", 5, ctx=ctx)
 
     def test_tightness_reports_exact_valuation(self):
-        v = verify_case("wolstenholme_rel70", 5, tightness=True)
+        v = verify_case("wolstenholme_rel70", 5, tightness=True)[0]
         assert v.status == PASS and str(v.valuation) == "3"
         # babbage strengthens: the gap already has valuation 3 > m = 2
-        v = verify_case("babbage", 5, tightness=True)
+        v = verify_case("babbage", 5, tightness=True)[0]
         assert v.status == PASS and v.valuation.value == 3 and v.m == 2
 
     def test_documented_failure_rel38_at_3(self):
         # the mod p^6 power-sum form is claimed for every odd prime but its
         # derivation needs S_1 == 0 mod p^2, which fails at p = 3: the gap
         # has 3-adic valuation exactly 4
-        v = verify_case("rel38", 3, Fraction(2), claimed_ranges=True)
+        v = verify_case("rel38", 3, [Fraction(2)], claimed_ranges=True)[0]
         assert v.status == FAIL and v.valuation.value == 4
-        default = verify_case("rel38", 3, Fraction(2))
+        default = verify_case("rel38", 3, [Fraction(2)])[0]
         assert default.status == SKIP
 
     def test_rel38_holds_from_p5(self):
         for p in (5, 7, 11, 13):
-            assert verify_case("rel38", p, Fraction(2)).status == PASS
+            assert verify_case("rel38", p, [Fraction(2)])[0].status == PASS
 
     def test_tauraso_cases_hold_at_p7(self):
         # stated from p >= 7; the stricter p >= 11 reading is a sub-range
-        assert verify_case("tauraso92", 7).status == PASS
-        assert verify_case("tauraso93", 7).status == PASS
+        assert verify_case("tauraso92", 7)[0].status == PASS
+        assert verify_case("tauraso93", 7)[0].status == PASS
 
     @pytest.mark.parametrize("p", odd_primes_between(5, 97))
     def test_derivation_chain_per_prime(self, p):
         # the fixed-alpha forms follow from the parametric power-sum form at
         # alpha = 2 and alpha = 1/2 (the latter through the central-binomial
         # transfer), so their verdicts must never diverge
-        base2 = verify_case("rel38", p, Fraction(2))
-        base_half = verify_case("rel38", p, Fraction(1, 2))
+        base2 = verify_case("rel38", p, [Fraction(2)])[0]
+        base_half = verify_case("rel38", p, [Fraction(1, 2)])[0]
         if base2.status == PASS:
-            assert verify_case("rel36", p).status == PASS
+            assert verify_case("rel36", p)[0].status == PASS
         if base_half.status == PASS:
-            assert verify_case("rel37", p).status == PASS
+            assert verify_case("rel37", p)[0].status == PASS
 
     def test_thm1_modulus_exponent_recorded(self):
-        assert verify_case("thm1", 7, 2).m == 6
-        assert verify_case("thm1", 5, 2).m == 7
+        assert verify_case("thm1", 7, [2])[0].m == 6
+        assert verify_case("thm1", 5, [2])[0].m == 7
 
     def test_spot_exactness(self):
-        v = verify_case("thm1", 5, 2)
+        v = verify_case("thm1", 5, [2])[0]
         assert v.status == PASS and v.lhs == v.rhs == 126
 
     def test_central_transfer_guard_is_internal(self):
@@ -354,6 +354,55 @@ class TestVerifyCase:
         ctx = PrimeContext(11, 4)
         first = ctx.ingredient("central")
         assert ctx.record["central"] == ctx.central_binomial() == first
+
+
+class TestAlphaLoop:
+    # the default sweep, plus an alpha that is no 7-integer
+    ALPHAS = DEFAULT_ALPHA_SWEEP + (Fraction(1, 7),)
+
+    @pytest.mark.parametrize("tightness", [False, True])
+    @pytest.mark.parametrize("p", odd_primes_between(3, 47))
+    def test_one_call_equals_the_one_alpha_calls(self, p, tightness):
+        # the loop carries nothing from one alpha to the next: each call
+        # below builds its own context
+        for case in CATALOG.values():
+            got = verify_case(case, p, self.ALPHAS, tightness)
+            singles = [verify_case(case, p, [a], tightness)[0] for a in self.ALPHAS]
+            if case.alpha_mode == "none":
+                assert got == singles[:1] and set(singles) == set(got), case.id
+            else:
+                assert got == singles, case.id
+
+    def test_fixed_case_gives_one_verdict_whatever_the_alphas(self):
+        for alphas in ((), (None,), [2, Fraction(1, 2), Fraction(1, 7)]):
+            (v,) = verify_case("morley", 7, alphas)
+            assert v.alpha is None and v.status == PASS
+
+    def test_int_alpha_becomes_a_fraction_in_skips_too(self):
+        below = verify_case("coro_63_alpha", 7, [2, -1])  # below p >= 11
+        not_integer = verify_case("glaisher_rel74", 7, [-2, 0])  # integer >= 1 only
+        judged = verify_case("thm1", 7, [2])
+        for v in below + not_integer + judged:
+            assert type(v.alpha) is Fraction, v
+        assert [v.status for v in below + not_integer] == [SKIP] * 4
+        assert [v.alpha for v in below] == [Fraction(2), Fraction(-1)]
+        assert judged[0].status == PASS
+
+    def test_integer_only_skip_comes_before_the_p_integer_skip(self):
+        (v,) = verify_case("glaisher_rel74", 7, [Fraction(1, 7)])
+        assert v.status == SKIP and v.reason == "requires an integer alpha >= 1"
+        (v,) = verify_case("thm1", 7, [Fraction(1, 7)])
+        assert v.status == SKIP and v.reason == "alpha is not a 7-integer"
+
+    @pytest.mark.parametrize("alphas", [(None,), [2, None]])
+    @pytest.mark.parametrize("cid,p", [("thm1", 7), ("coro_63_alpha", 5)])
+    def test_parametric_case_given_none_raises(self, cid, p, alphas):
+        # below the range too, and whatever alphas come first
+        with pytest.raises(ValueError, match="requires an alpha"):
+            verify_case(cid, p, alphas)
+
+    def test_empty_alphas_give_no_verdict_on_a_parametric_case(self):
+        assert verify_case("thm1", 7, ()) == []
 
 
 class TestPrimeContext:

@@ -325,6 +325,26 @@ class TestRunScan:
         assert started == ([2, 2] if workers == 2 else [])
 
 
+    def test_mixed_alpha_report_pinned(self):
+        # every branch of `verify_case`'s alpha loop: the integer-only skip,
+        # the non-p-integer skip (thm1 at 1/7, p = 7), a parametric case
+        # below its range (coro_63_alpha below 11), a fixed case given four
+        # alphas and thm1's exponent 6 at p = 7
+        argv = [
+            "scan", "--primes", "5..11", "--case",
+            "morley,glaisher_rel74,thm1,coro_63_alpha", "--alpha", "1/7,1/2,-1,2",
+            "--tightness", "--format", "json", "--workers", "1",
+        ]
+        report = run_scan(parse_config(argv, {}))
+        assert report.summary == {"pass": 21, "fail": 0, "skip": 18}
+        assert {(v.case, v.p) for v in report.anomalies} == {("thm1", 5)}
+        assert len(report.anomalies) == 4
+        assert hashlib.sha256(emitted(report, "json")).hexdigest() == PINNED_MIXED_ALPHAS
+
+
+# sha256 of the report of `test_mixed_alpha_report_pinned`
+PINNED_MIXED_ALPHAS = "154257e6e9c045cb905eb5423f3f0b395f47bf74d6db222f7d538f8db3091b32"
+
 # sha256 of the JSON reports of `scan --primes 3..47` and
 # `lemmas --primes 3..47`, the same at any worker count
 PINNED_JSON_3_47 = {
@@ -590,7 +610,7 @@ class TestPoolRecords:
         for v in reports[workers].records:
             if v.p not in contexts:
                 contexts[v.p] = PrimeContext(v.p, 8)
-            assert verify_case(v.case, v.p, v.alpha, True, contexts[v.p], True) == v
+            assert verify_case(v.case, v.p, [v.alpha], True, contexts[v.p], True)[0] == v
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_json_pinned(self, reports, workers):
@@ -984,6 +1004,25 @@ class TestEmission:
         }
         expected = json.dumps(payload, indent=2) + "\n"
         assert emitted(report, "json") == expected.encode()
+
+    def test_json_formats_a_passing_residue_once(self):
+        # a pass holds one residue for both sides; its decimal string is
+        # made once and written for both
+        class Counted(int):
+            calls = 0
+
+            def __format__(self, spec):
+                Counted.calls += 1
+                return int.__repr__(self)
+
+            def __str__(self):
+                return self.__format__("")
+
+        residue = Counted(6)
+        record = Verdict("morley", 5, None, 3, residue, residue, PASS, Valuation(3, True))
+        data = emitted(ScanReport({"command": "scan"}, [record], {"pass": 1}, []), "json")
+        assert Counted.calls == 1
+        assert b'"lhs": "6",\n      "rhs": "6",' in data
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(csv_verdicts(), max_size=4))
