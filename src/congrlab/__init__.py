@@ -13,6 +13,7 @@ from .congruences import (
     CongruenceCase,
     PrimeContext,
     binom_alpha_mod,
+    ingredients,
     signed_central_binomial,
     thm1_rhs,
     verify_case,

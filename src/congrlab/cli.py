@@ -8,9 +8,11 @@ Three subcommands share the report machinery:
 
 Exit status is 0 when nothing failed, 1 when any congruence failed, 2 for
 usage or I/O errors, and 3 for an internal error: a failed cross-check, an
-exhausted resource such as memory, or a bug.  The report streams to -o or
-stdout once the scan is done, so an error before that leaves -o as it was;
-a report left behind by exit 2 or 3 may be incomplete.
+exhausted resource such as memory, or a bug.  `run_scan` builds every
+prime's ingredient record, and runs every cross-check, before it returns;
+only then does the destination open, so a failed check leaves -o as it
+was.  The records are evaluated as they stream to -o or stdout, and a
+report left behind by exit 2 or 3 may be incomplete.
 
 The worker count is an upper bound.  CONGRLAB_WORKERS in the environment
 overrides it, including an explicit --workers flag, and either is clamped

@@ -7,24 +7,29 @@ B_{p-3}.  The binomial side is computed entirely inside Z/p^m along one of
 two routes.  A context given the vector H_0 .. H_{m-1} (which a range scan
 builds for all its primes at once, see `harmonic.harmonic_vectors`) reads
 C(alpha*p - 1, p - 1) = sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule,
-in O(m) per alpha.  Without one, the context takes the product route,
+in O(m) per alpha, and S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's
+identities.  Without one, the context takes the product route,
 prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator and
-factorial each multiplied in runs of 64 factors and reduced once per run;
-`binom_alpha_mod` is that route, and the scanner also runs it to check the
-vectors.  The exact-rational product formula that serves as the independent
-oracle of both lives with the tests, in tests/oracles.py.
+factorial each multiplied in runs of 64 factors and reduced once per run,
+and one `power_sum_table` pass for the sums; `binom_alpha_mod` is that
+route's binomial, and the scanner also runs it to check the vectors.  The
+exact-rational product formula that serves as the independent oracle of
+both lives with the tests, in tests/oracles.py; it never reads a vector.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
 `verify_case` folds each side of a case once into polynomials in alpha and
 then evaluates them at every alpha it is given.  Its `PrimeContext` holds
 one ingredient record per prime, a dict from each name X to its residue at
-one working exponent: S_1, S_2, S_3 and H_2 from one O(p) pass (`SUMS`),
-4^(p-1), B_{p-3} modulo p^2, C(2p-1, p-1) and the central binomial.  A name
-is computed the first time a side reads it, since a context is shared by
-cases that read different names and is built before they are known; the
-binomials per alpha sit beside the record, keyed by alpha's residue.  Each
-case then reduces to its own modulus.  A filled entry never changes, so
-the cases of a single prime may share one context.
+one working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3}
+modulo p^2, C(2p-1, p-1), the central binomial and the binomial at each
+alpha.  `PrimeContext.fill` computes the names a request reads
+(`ingredients`) in full, before any case is evaluated, and runs the
+record's checks as it goes: the central binomial against its 4^(p-1)
+transfer, and B_{p-3} against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2)
+wherever the record holds S_2.  Reading a name the record lacks is an
+error, never a computation.  Each case then reduces to its own modulus, and
+a filled record never changes, so the cases of a single prime may share
+one, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -40,7 +45,6 @@ congruence mod p^4 as coro_rel2 at 1/2, but not one power up, where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -55,6 +59,7 @@ __all__ = [
     "PrimeContext",
     "Term",
     "binom_alpha_mod",
+    "ingredients",
     "signed_central_binomial",
     "thm1_rhs",
     "verify_case",
@@ -118,39 +123,51 @@ _HALF = Fraction(1, 2)
 # central binomial is 4^(p-1) C(p/2 - 1, p - 1).
 FIXED_ALPHAS = {"binom2": _TWO, "central": _HALF}
 
-# The ingredients that one `power_sum_table` pass fills in together: S_1,
-# S_2, S_3 and, by Newton's identity, H_2.
+# The sums, which one route computes together: S_1, S_2, S_3 and H_2.
 SUMS = ("S1", "S2", "S3", "H2")
+
+_SUMS = frozenset(SUMS)
+
+# Every name a catalog term may read (see `Term`).
+_NAMES = _SUMS | {"one", "four", "B", "binom", "binom2", "central"}
 
 
 class PrimeContext:
-    """Per-prime ingredients at one working exponent, each computed once.
+    """One prime's ingredient record at one working exponent, and the
+    arithmetic that evaluates a catalog side against it.
 
-    `record` maps an ingredient name (see `Term`) to its residue mod
-    p^exponent; `ingredient` fills a name the first time a side reads it.
-    `h`, when given, is (H_0, .., H_{exponent-1}) modulo p^exponent, and the
-    binomials are read off it; without it they take the product route.
+    `record` maps each ingredient name a side reads (see `Term`) to its
+    residue mod p^exponent, and "binom" to a dict from the residue of each
+    alpha at which a side reads C(alpha*p - 1, p - 1) to that binomial.
+    `fill` computes the record in full before any side is read, on one of
+    two routes: given `h`, (H_0, .., H_{exponent-1}) modulo p^exponent, it
+    reads the binomials and S_1..S_3 off the vector (the tree route);
+    without, it multiplies out the binomials and runs one `power_sum_table`
+    pass (the product route).  Reading a name the record lacks is an error,
+    never a computation.  A context built over a filled record only reads
+    it, so a scan keeps each prime's record and modulus alone.
     """
 
-    def __init__(self, p: int, exponent: int, h: Optional[tuple] = None):
-        if h is not None and len(h) != exponent:
-            raise ValueError(f"harmonic vector of length {len(h)}, need {exponent}")
-        self.modulus = PrimePowerModulus(p, exponent)
-        self.p = p
-        self.exponent = exponent
-        self.pm = self.modulus.pm
-        self.record = {"one": 1}
+    __slots__ = (
+        "modulus", "p", "exponent", "pm", "record",
+        "_h", "_inverses", "_binoms", "_fact_inv",
+    )
+
+    def __init__(self, modulus: PrimePowerModulus, record: Optional[dict] = None,
+                 h: Optional[tuple] = None):
+        if h is not None and len(h) != modulus.m:
+            raise ValueError(f"harmonic vector of length {len(h)}, need {modulus.m}")
+        self.modulus = modulus
+        self.p, self.exponent, self.pm = modulus.p, modulus.m, modulus.pm
+        self.record = {"one": 1} if record is None else record
         self._h = h
-        self._moduli = {exponent: self.modulus}
         self._inverses: dict = {}
-        self._binoms: dict = {}
+        self._binoms: dict = {}  # `binom_w`'s, by alpha's residue
         self._fact_inv: Optional[int] = None
 
     def modulus_at(self, m: int) -> PrimePowerModulus:
-        """The ring Z/p^m, built once per context."""
-        if m not in self._moduli:
-            self._moduli[m] = PrimePowerModulus(self.p, m)
-        return self._moduli[m]
+        """The ring Z/p^m, for the same p."""
+        return self.modulus if m == self.exponent else self.modulus.with_exponent(m)
 
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
@@ -166,7 +183,7 @@ class PrimeContext:
 
         C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
         sum_j (-alpha*p)^j H_j, and the terms j >= exponent vanish.  On the
-        product route every alpha shares one 1/(p-1)!.  Cached by alpha's
+        product route every alpha shares one 1/(p-1)!.  Kept by alpha's
         residue, which is all the value depends on and cheaper to hash.
         """
         a = self.rat(alpha)
@@ -189,35 +206,70 @@ class PrimeContext:
         The direct reduction of the exact integer must agree with the
         4^(p-1) * C(p/2 - 1, p - 1) transfer; a mismatch would mean the ring
         arithmetic is broken, so it is treated as an internal error rather
-        than a verdict.  `ingredient("central")` keeps the result.
+        than a verdict.
         """
         direct = signed_central_binomial(self.p) % self.pm
-        transfer = self.ingredient("four") * self.binom_w(FIXED_ALPHAS["central"])
+        transfer = pow(4, self.p - 1, self.pm) * self.binom_w(FIXED_ALPHAS["central"])
         if direct != transfer % self.pm:
             raise CongrlabError(f"central binomial transfer mismatch at p={self.p}")
         return direct
 
+    def sums(self) -> tuple:
+        """(S_1, S_2, S_3, H_2) modulo p^exponent, on the context's route.
+
+        Newton's identities have integer coefficients, so off the vector
+        S_1 = H_1, S_2 = H_1^2 - 2 H_2 and S_3 = H_1^3 - 3 H_1 H_2 + 3 H_3
+        hold exactly mod p^exponent; they read H_3, so the vector must be at
+        least 4 long.  The product route takes one `power_sum_table` pass
+        and H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2.
+        """
+        pm = self.pm
+        if self._h is None:
+            s1, s2, s3 = power_sum_table(self.modulus, 3)
+            return s1, s2, s3, (s1 * s1 - s2) * self.rat(_HALF) % pm
+        if self.exponent < 4:
+            raise ValueError(f"S_3 reads H_3, past a vector of length {self.exponent}")
+        _, h1, h2, h3 = self._h[:4]
+        return h1, (h1 * h1 - 2 * h2) % pm, (h1**3 - 3 * h1 * h2 + 3 * h3) % pm, h2
+
+    def fill(self, names, alphas=()) -> dict:
+        """Compute each ingredient in `names` into the record, and return it.
+
+        With "binom" among the names, the binomial is computed at every
+        alpha in `alphas`, which must be p-integral.  The record's checks
+        run here, so a bad ingredient stops a scan before any verdict: the
+        central binomial's transfer and, wherever the record holds S_2
+        (always on the tree route, where it costs O(1)), Glaisher's
+        S_2 == (2/3) p B_{p-3} (mod p^2), which ties Faulhaber's B_{p-3}
+        modulo p to the sums.
+        """
+        unknown = set(names) - _NAMES
+        if unknown:
+            raise ValueError(f"unknown catalog ingredient {min(unknown)!r}")
+        record, p = self.record, self.p
+        if "binom" in names:
+            record["binom"] = {self.rat(a): self.binom_w(a) for a in alphas}
+        if "binom2" in names:
+            record["binom2"] = self.binom_w(FIXED_ALPHAS["binom2"])
+        if "central" in names:
+            record["central"] = self.central_binomial()
+        if "four" in names:
+            record["four"] = pow(4, p - 1, self.pm)
+        if not _SUMS.isdisjoint(names) or ("B" in names and self._h is not None):
+            record.update(zip(SUMS, self.sums()))
+        if "B" in names:
+            b = record["B"] = bernoulli_pm3(p)
+            if "S2" in record and (3 * record["S2"] - 2 * p * b) % min(p * p, self.pm):
+                raise CongrlabError(f"B_{p - 3} fails Glaisher's S_2 congruence at p={p}")
+        return record
+
     def ingredient(self, x: str) -> int:
-        """`record[x]`, filled on first read.  "binom" depends on alpha, so
-        `side` keeps it apart, and any other unknown name raises."""
-        record = self.record
-        if x not in record:
-            if x in SUMS:
-                s1, s2, s3 = power_sum_table(self.modulus, 3)
-                # Newton's identity: H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2
-                h2 = (s1 * s1 - s2) * self.rat(_HALF) % self.pm
-                record.update(zip(SUMS, (s1, s2, s3, h2)))
-            elif x == "four":
-                record[x] = pow(4, self.p - 1, self.pm)
-            elif x == "B":
-                record[x] = bernoulli_pm3(self.p)
-            elif x == "binom2":
-                record[x] = self.binom_w(FIXED_ALPHAS[x])
-            elif x == "central":
-                record[x] = self.central_binomial()
-            else:
-                raise ValueError(f"unknown catalog ingredient {x!r}")
-        return record[x]
+        """`record[x]`; a name that `fill` did not compute raises."""
+        try:
+            return self.record[x]
+        except KeyError:
+            message = f"ingredient {x!r} is not in the record at p={self.p}"
+            raise ValueError(message) from None
 
     def side(self, side: tuple) -> tuple:
         """(P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
@@ -266,8 +318,7 @@ def _horner(poly: tuple, a: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CongruenceCase:
+class CongruenceCase(NamedTuple):
     """One named congruence lhs == rhs (mod p^m), each side a tuple of `Term`s.
 
     `min_p` is the range the case verifiably holds on; where a source states
@@ -289,6 +340,32 @@ class CongruenceCase:
 
     def modulus_exponent(self, p: int) -> int:
         return self.m - 1 if self.drops_at_seven and p == 7 else self.m
+
+    def reads(self) -> frozenset:
+        """The ingredient names its terms read, "four" included."""
+        terms = self.lhs + self.rhs
+        return frozenset([t.x for t in terms] + ["four" for t in terms if t.four])
+
+    def takes(self, alpha) -> bool:
+        """Whether alpha is in the case's domain: an "integer" case takes
+        the integers >= 1 only."""
+        return self.alpha_mode != "integer" or (alpha.denominator == 1 and alpha >= 1)
+
+
+def ingredients(cases, p: int, alphas=()) -> tuple:
+    """(names, alphas): what `PrimeContext.fill` computes for `cases` at p.
+
+    The names are every ingredient the cases read; the alphas, in the order
+    given, are the p-integral ones at which some case reads
+    C(alpha*p - 1, p - 1).
+    """
+    names = frozenset().union(*(case.reads() for case in cases))
+    binom = [case for case in cases if "binom" in case.reads()]
+    read = tuple(
+        a for a in alphas
+        if a.denominator % p and any(case.takes(a) for case in binom)
+    )
+    return names, read
 
 
 _ONE = (Term((1,), 0, "one"),)
@@ -534,7 +611,8 @@ CATALOG = _catalog(_CASES)
 
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
-    ctx = PrimeContext(modulus.p, modulus.m)
+    ctx = PrimeContext(modulus)
+    ctx.fill({"S1", "H2"})
     return _horner(ctx.side(CATALOG["thm1"].rhs)[0], ctx.rat(Fraction(alpha))) % ctx.pm
 
 
@@ -551,7 +629,9 @@ def verify_case(
     domain, or alpha not a p-integer.  Each side is folded once per
     call.  With `tightness` the sides are compared at exponent m + 1, so
     the valuation can reveal a congruence that holds one power higher
-    than stated.  Without `ctx` a fresh context is built.
+    than stated.  `ctx` must hold every ingredient the case reads at p, at
+    every alpha it takes; without it a context is built and filled for
+    this call alone.
     """
     if isinstance(case, str):
         try:
@@ -564,11 +644,15 @@ def verify_case(
         m = case.modulus_exponent(p)
         m_eval = m + 1 if tightness else m
         if ctx is None:
-            ctx = PrimeContext(p, m_eval)
+            ctx = PrimeContext(PrimePowerModulus(p, m_eval))
+            given = [Fraction(a) for a in alphas if a is not None] if parametric else ()
+            ctx.fill(*ingredients([case], p, given))
         if ctx.exponent < m_eval:
             raise ValueError(f"context exponent {ctx.exponent} below required {m_eval}")
         modulus = ctx.modulus_at(m_eval)
         (lhs_p, lhs_q), (rhs_p, rhs_q) = ctx.side(case.lhs), ctx.side(case.rhs)
+        if lhs_q or rhs_q:
+            binoms = ctx.ingredient("binom")
     verdicts, a, binom = [], 0, 0
     for alpha in alphas if parametric else (None,):
         if parametric:
@@ -580,7 +664,7 @@ def verify_case(
             verdicts.append(skip(case.id, p, alpha, f"requires p >= {min_p}"))
             continue
         if parametric:
-            if case.alpha_mode == "integer" and (alpha.denominator != 1 or alpha < 1):
+            if not case.takes(alpha):
                 reason = "requires an integer alpha >= 1"
                 verdicts.append(skip(case.id, p, alpha, reason))
                 continue
@@ -589,7 +673,9 @@ def verify_case(
                 continue
             a = ctx.rat(alpha)
         if lhs_q or rhs_q:
-            binom = ctx.binom_w(alpha)
+            binom = binoms.get(a)
+            if binom is None:
+                raise ValueError(f"no binomial at alpha = {alpha} in the record at p={p}")
         lhs = (_horner(lhs_p, a) + _horner(lhs_q, a) * binom) % modulus.pm
         rhs = (_horner(rhs_p, a) + _horner(rhs_q, a) * binom) % modulus.pm
         verdicts.append(judge(case.id, p, alpha, m, lhs, rhs, modulus))

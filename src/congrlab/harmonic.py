@@ -9,11 +9,13 @@ Kronecker-packed int, one fixed-width slot per coefficient.
 A range scan needs only H_0 .. H_{D-1} modulo p^D at each prime, the
 coefficients of that product modulo t^D.  `harmonic_vectors` gets them for
 every prime of a range at once from one accumulating remainder tree, so no
-prime pays an O(p) loop of its own.
+prime pays an O(p) loop of its own; the catalog's S_1, S_2 and S_3 follow
+from H_1, H_2 and H_3 by Newton's identities.
 
 Power sums S_m = sum_{k<p} 1/k^m take one of two routes.  The first few,
-which the catalog and the Bernoulli link read, come straight from a table of
-inverses, one mulmod per k and m (`power_sum_table`).  The power-sum suite
+which the catalog reads where a prime has no vector and the scanner reads
+once to check the tree, come straight from a table of inverses, one mulmod
+per k and m (`power_sum_table`).  The power-sum suite
 reads S_1 .. S_{2p+1}, which that route would pay O(p^2) for, so it reads
 them off the harmonic table instead: prod_{k<p} (1 - x/k) is
 Q(x) = sum_j (-1)^j H_j x^j, and -x Q'(x) / Q(x) = sum_{m>=1} S_m x^m.  Q is
@@ -33,8 +35,8 @@ p^(p+2) (p^6 at p = 3), for all four suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
@@ -68,8 +70,7 @@ def inverse_table(p: int, modulus: int) -> list:
     return inv
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
+class HarmonicTable(NamedTuple):
     """Residues of H_0 .. H_{p-1} in Z/p^m, indexed by k in `h`."""
 
     modulus: PrimePowerModulus

@@ -11,7 +11,6 @@ fixed-width fast path anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -96,24 +95,37 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimePowerModulus:
-    """The ring Z/p^m for an odd prime p and exponent m >= 1.
-
-    p^m is computed once at construction and cached; instances are immutable
-    and safe to share across worker processes.
-    """
-
+class _Ring(NamedTuple):
     p: int
     m: int
-    pm: int = field(init=False, repr=False, compare=False)
+    pm: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.m}")
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"modulus base must be an odd prime, got {self.p}")
-        object.__setattr__(self, "pm", self.p**self.m)
+
+class PrimePowerModulus(_Ring):
+    """The ring Z/p^m for an odd prime p and exponent m >= 1.
+
+    p^m is computed once at construction and kept as `pm`; instances are
+    immutable tuples and safe to share across worker processes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, m: int):
+        if m < 1:
+            raise ValueError(f"exponent must be >= 1, got {m}")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"modulus base must be an odd prime, got {p}")
+        return super().__new__(cls, p, m, p**m)
+
+    def __getnewargs__(self):
+        """Pickled as (p, m): a pool worker's modulus is validated again."""
+        return self.p, self.m
+
+    def with_exponent(self, m: int) -> "PrimePowerModulus":
+        """Z/p^m for the same p, which is not tested for primality again."""
+        if m < 1:
+            raise ValueError(f"exponent must be >= 1, got {m}")
+        return _Ring.__new__(PrimePowerModulus, self.p, m, self.p**m)
 
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.m}"

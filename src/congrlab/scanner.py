@@ -1,57 +1,70 @@
 """Prime-range sweeps, parallel orchestration and report emission.
 
-Work is fanned out one prime per unit, which builds that prime's context
-(its ingredient record and cached binomials) from its task and calls
-`verify_case` once per case, with every alpha.  Before anything runs, each
-prime gets a plan read off the request: its working exponent and the
-binomials and other O(p) ingredients its cases read.  One cost model, in
-factors of the product route, prices the plans and makes two choices.
+A scan runs in two phases.  First each prime gets a plan read off the
+request alone: its working exponent, the ingredient names its cases read
+and the alphas at which they read C(alpha*p - 1, p - 1).  One cost model, in
+factors of the product route, prices the plans and makes two choices up
+front: the route of every record, and whether a pool runs the O(p) work.
+Then each prime's ingredient record (`congruences.PrimeContext.fill`) is
+built in full, before any case is evaluated.
 
-The binomials take one of two routes.  On a wide enough range the parent
-builds every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one
-remainder tree, checks the largest prime's against the product route, and
-puts each vector in its prime's task; the unit reads each binomial off it
-in O(D).  Otherwise (a single prime, say) the task carries no vector and
-the unit multiplies an O(p) product per alpha.
+A record takes one of two routes.  On a wide enough range the parent builds
+every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one remainder
+tree, and the record reads the binomials (by Horner's rule) and S_1, S_2,
+S_3 and H_2 (by Newton's identities) off it in O(D).  Otherwise (a single
+prime, say) it multiplies an O(p) product per binomial and runs one
+`power_sum_table` pass.  The tree pays where the binomials and sums passes
+it saves cost more than it does, so a request that reads only sums takes it
+too.  What is left per prime is O(p) work outside the tree: B_{p-3} and the
+exact central binomial.
+
+Every check that can stop a scan runs in the first phase, so the CLI has
+not opened its output when one fails.  The largest prime reads whatever any
+prime reads, and its vector depends on every product along the tree's right
+spine: there the tree's C(2p - 1, p - 1) and sums are compared with the
+product route's (`_harmonic_vectors`).  Each record checks its own central
+binomial and its B_{p-3} (`PrimeContext.fill`).
 
 The worker count is an upper bound: a pool of up to that many processes
-starts only when the units' O(p) work outside the tree is above one
-measured threshold, and otherwise the parent runs every unit itself and
-never imports `multiprocessing`.  That work is the product-route binomials,
-the other O(p) ingredients and, for `lemmas`, the suites; records and
-per-unit overhead do not count, since a pool does not run them faster.  A
-range served by the tree leaves each unit almost none of it, so such a
-sweep runs in one process.  A pool takes the units largest prime first,
-because a unit's cost grows with p and the last chunk should be a cheap
-one.  Workers only read immutable inputs and inherit nothing from the
-parent.  A pool worker sends its verdicts back as plain tuples, which
-pickle cheaply, and the parent rebuilds each record once.
+starts only when the records' O(p) work outside the tree is above one
+measured threshold, and otherwise the parent builds every record itself
+and never imports `multiprocessing`.  A range served by the tree leaves
+each record little of it, so such a sweep mostly runs in one process.  A
+pool worker builds one prime's record; the pool takes the primes largest
+first, because a record's cost grows with p and the last chunk should be a
+cheap one.  Workers only read immutable inputs and inherit nothing from the
+parent.
 
-Each unit evaluates its alphas in ascending order and the units' records
-are merged in ascending p, so a stable sort on case alone orders them by
-(case, p, alpha), and a report is byte-identical no matter how many workers
-produced it, in what order, or under which start method.  Residues are
-serialized as decimal strings because they routinely exceed 64 bits.  A
-report is written to its file a few hundred records at a time, so no
-format ever holds a whole report as one str or bytes.
+The second phase evaluates case-major: cases in id order, primes
+ascending, alphas ascending, each (case, p) by `verify_case` over a context
+built on that prime's record.  That is the report's order, so a scan sorts
+nothing, and its records go straight to `emit_report` from a generator that
+counts the summary and collects the anomalies as they pass; a scan never
+holds its records.  A report is therefore byte-identical no matter how many
+workers built the records, in what order, or under which start method.
+`lemmas` keeps its list: the suites of one prime are evaluated together,
+and the list is sorted by lemma name.  Residues are serialized as decimal
+strings because they routinely exceed 64 bits.  A report is written to its
+file a few hundred records at a time, so no format ever holds a whole
+report as one str or bytes; text, whose column widths need every row, holds
+the rows' cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _escape
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from sys import intern
 from typing import NamedTuple, Optional
 
 from .bernoulli import check_bernoulli_power_sums
 from .congruences import (
-    CATALOG, FIXED_ALPHAS, SUMS, PrimeContext, binom_alpha_mod, verify_case
+    CATALOG, FIXED_ALPHAS, SUMS, PrimeContext, ingredients, verify_case
 )
 from .harmonic import (
     check_harmonic_congruences,
@@ -129,8 +142,7 @@ def odd_primes_between(lo: int, hi: int) -> list:
     return [lo + i for i, ok in enumerate(flags) if ok]
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     """A validated scan request.
 
     `workers` and `output` are execution details: they affect where and how
@@ -191,12 +203,20 @@ class ScanConfig:
         }
 
 
-@dataclass
 class ScanReport:
-    config: dict
-    records: list = field(default_factory=list)
-    summary: dict = field(default_factory=lambda: {"pass": 0, "fail": 0, "skip": 0})
-    anomalies: list = field(default_factory=list)
+    """A report: the request's echo, its records, their summary and anomalies.
+
+    `records` is any iterable of verdicts.  `run_scan` makes it a generator
+    that is read once and counts each record into `summary` and, if it is
+    an anomaly, into `anomalies` as it passes; those two are complete only
+    once the records have been read, as every emitter reads them first.
+    """
+
+    def __init__(self, config: dict, records, summary: dict, anomalies: list):
+        self.config = config
+        self.records = records
+        self.summary = summary
+        self.anomalies = anomalies
 
     @property
     def failed(self) -> bool:
@@ -211,20 +231,22 @@ class ScanReport:
 # Route.  The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors,
 # whatever the range's lower end: `harmonic_vectors` for every prime
 # 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8,
-# about 2e-10 s * D^2 * p_max^1.8.  The product route costs (binomials read
-# + 1) * p factors at each prime, the one being its 1/(p-1)!.
+# about 2e-10 s * D^2 * p_max^1.8.  It saves each prime the product-route
+# binomials, (binomials read + 1) * p factors, the one being its 1/(p-1)!,
+# and the sums pass.
 _TREE_FACTORS = 2.5e-3
 
-# A task runs each other O(p) pass its cases read once, at so many factors
-# per k < p:
-#   sums     the names in `congruences.SUMS`, one `power_sum_table` pass:
-#            15 (2.3 us per k over the primes 3..2999);
+# A prime's record runs each other O(p) pass its cases read once, at so
+# many factors per k < p:
+#   sums     the names in `congruences.SUMS`, one `power_sum_table` pass on
+#            the product route: 15 (2.3 us per k over the primes 3..2999);
+#            on the tree route they are read off the vector;
 #   central  the exact central binomial: 1 below p = 2000 (math.comb grows
 #            past it: 18 at p = 10^5);
 #   B        B_{p-3}, a pow of exponent p - 3 mod p^3 per k: b * d for b
 #            bits of p and d 30-bit digits of p^3 (measured 5, 8, 24, 30
 #            and 33 at p = 101, 499, 1999, 10007 and 100003).
-# On the tree route a binomial is a few Horner steps, part of its record.
+# On the tree route a binomial is a few Horner steps.
 _PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
 
 # The lemma suites at one prime took about 60 us * p + 4.5 ns * p^3 (0.5 ms
@@ -232,7 +254,7 @@ _PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
 # many factors per p and per p^3.
 _LEMMA_FACTORS = (400, 0.03)
 
-# Pool.  A run starts one only when the tasks' O(p) work above is more than
+# Pool.  A run starts one only when its O(p) work above is more than
 # _POOL_FACTORS.  Records, cases and per-task overhead do not count, since a
 # pool does not run them faster.  At `--workers 1` against 2, the default
 # scan (0.53 M factors) ran no faster pooled and took more CPU, while
@@ -242,71 +264,100 @@ _POOL_FACTORS = 1e6
 
 
 class _Plan(NamedTuple):
-    """What one prime's scan task will compute, read off the request alone."""
+    """What one prime's record will hold, read off the request alone."""
 
     p: int
-    exponent: int  # the working exponent of p's context
-    reads: int  # alphas at which they read C(alpha*p - 1, p - 1), at most
-    ingredients: frozenset  # the other O(p) ingredients they read
+    exponent: int  # the working exponent of p's record
+    names: frozenset  # the ingredients its cases read
+    alphas: tuple  # the alphas at which they read C(alpha*p - 1, p - 1)
+
+    @property
+    def reads(self) -> int:
+        """The alphas at which it reads a binomial, the fixed ones included."""
+        fixed = {FIXED_ALPHAS[x] for x in self.names & FIXED_ALPHAS.keys()}
+        return len(fixed.union(self.alphas))
 
 
-def _plan(p: int, cases, alphas, tightness: bool, claimed: bool) -> _Plan:
-    """p's plan.  Its context works at the most any applicable case needs."""
-    applicable = [c for c in cases if p >= (c.claimed_min_p if claimed else c.min_p)]
+def _plans(primes, cases, alphas, tightness: bool, claimed: bool) -> list:
+    """Each prime's plan.  Its record works at the most any applicable case
+    needs, and primes that the same cases apply to share their names and
+    alphas, so a long range holds one copy of each."""
     extra = 1 if tightness else 0
-    names = {term.x for case in applicable for term in case.lhs + case.rhs}
-    read = set(alphas) if "binom" in names else set()
-    read.update(FIXED_ALPHAS[x] for x in names & FIXED_ALPHAS.keys())
-    # the other O(p) passes their terms read; the `SUMS` share one
-    passes = {"sums" if x in SUMS else x for x in names} & {"sums", "central", "B"}
-    return _Plan(
-        p,
-        max((case.modulus_exponent(p) + extra for case in applicable), default=1),
-        len(read),
-        frozenset(passes),
-    )
+    shared, plans = {}, []
+    for p in primes:
+        applicable = [c for c in cases if p >= (c.claimed_min_p if claimed else c.min_p)]
+        not_p_integral = tuple(a for a in alphas if a.denominator % p == 0)
+        key = tuple(c.id for c in applicable), not_p_integral
+        if key not in shared:
+            shared[key] = ingredients(applicable, p, alphas)
+        exponent = max((c.modulus_exponent(p) + extra for c in applicable), default=1)
+        plans.append(_Plan(p, exponent, *shared[key]))
+    return plans
+
+
+def _vector_work(plan: _Plan) -> float:
+    """p's O(p) work that its harmonic vector saves, in product-route
+    factors: the binomials with their 1/(p-1)!, and the sums pass."""
+    reads = plan.reads
+    factors = reads + 1 if reads else 0
+    if not plan.names.isdisjoint(SUMS):
+        factors += _PASS_FACTORS["sums"]
+    return factors * plan.p
 
 
 def _tree_pays(plans) -> bool:
-    product = sum((plan.reads + 1) * plan.p for plan in plans if plan.reads)
     exponent = max(plan.exponent for plan in plans)
-    return _TREE_FACTORS * exponent**2 * plans[-1].p ** 1.8 < product
+    tree = _TREE_FACTORS * exponent**2 * plans[-1].p ** 1.8
+    return tree < sum(map(_vector_work, plans))
 
 
 def _factors(plan: _Plan, tree: bool) -> float:
-    """One prime's O(p) scan work outside the tree, in product-route factors."""
-    factors = sum(_PASS_FACTORS.get(x, 0) for x in plan.ingredients)
-    if "B" in plan.ingredients:
+    """One prime's O(p) record work outside the tree, in product-route factors."""
+    factors = _PASS_FACTORS["central"] if "central" in plan.names else 0
+    if "B" in plan.names:
         bits = plan.p.bit_length()
         factors += bits * -(-3 * bits // 30)
-    if plan.reads and not tree:
-        factors += plan.reads + 1
-    return factors * plan.p
+    return factors * plan.p + (0 if tree else _vector_work(plan))
 
 
 def _harmonic_vectors(plans) -> list:
     """Each prime's harmonic vector, from the remainder tree.
 
     A case that applies at p applies at every larger prime, so the largest
-    prime reads a binomial if any does.  Its vector depends on every
-    product along the tree's right spine, so its C(2p - 1, p - 1) is
-    checked against the product route; a mismatch is an internal error.
+    prime reads whatever any prime reads.  Its vector depends on every
+    product along the tree's right spine, so what the range reads off the
+    vectors is checked there against the product route: C(2p - 1, p - 1)
+    if any prime reads a binomial, and S_1, S_2, S_3 and H_2 (one O(p)
+    pass) if any reads the sums.  A mismatch is an internal error.
     """
     primes, exponents = [plan.p for plan in plans], [plan.exponent for plan in plans]
     vectors = harmonic_vectors(primes, exponents)
-    p, e = primes[-1], exponents[-1]
-    tree = PrimeContext(p, e, vectors[-1]).ingredient("binom2")
-    if tree != binom_alpha_mod(FIXED_ALPHAS["binom2"], PrimePowerModulus(p, e)):
-        raise CongrlabError(f"harmonic vector mismatch at p={p}")
+    last = plans[-1]
+    modulus = PrimePowerModulus(last.p, last.exponent)
+    tree, product = PrimeContext(modulus, h=vectors[-1]), PrimeContext(modulus)
+    binom2 = FIXED_ALPHAS["binom2"]
+    if last.reads and tree.binom_w(binom2) != product.binom_w(binom2):
+        raise CongrlabError(f"harmonic vector mismatch at p={last.p}")
+    if not last.names.isdisjoint(SUMS) and tree.sums() != product.sums():
+        raise CongrlabError(f"power sums off the harmonic vector mismatch at p={last.p}")
     return vectors
 
 
-def _scan_one_prime(task) -> list:
-    p, exponent, h, case_ids, alphas, tightness, claimed = task
-    ctx = PrimeContext(p, exponent, h)
-    return list(chain.from_iterable(
-        verify_case(case, p, alphas, tightness, ctx, claimed) for case in case_ids
-    ))
+def _prime_record(task) -> tuple:
+    """One prime's modulus and ingredient record, filled in full: its O(p)
+    work in a scan."""
+    p, exponent, h, names, alphas = task
+    ctx = PrimeContext(PrimePowerModulus(p, exponent), h=h)
+    return ctx.modulus, ctx.fill(names, alphas)
+
+
+def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
+    """Every verdict of the scan: cases in id order, then primes ascending,
+    then alphas ascending, each prime's context built over its record."""
+    for case in sorted(cases, key=attrgetter("id")):
+        for modulus, record in records:
+            ctx = PrimeContext(modulus, record)
+            yield from verify_case(case, modulus.p, alphas, tightness, ctx, claimed)
 
 
 def run_lemma_suites(p: int) -> list:
@@ -351,68 +402,72 @@ def _verdicts(rows) -> list:
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
-    """Every task's verdicts, the tasks' batches in the order of `tasks`,
-    from a pool of `workers` processes if that is more than one."""
+    """`worker(task)` for every task, in the order of `tasks`, from a pool
+    of `workers` processes if that is more than one."""
     if workers <= 1:
-        return [verdict for task in tasks for verdict in worker(task)]
+        return [worker(task) for task in tasks]
     import multiprocessing  # only a pool needs it, so a serial run skips it
 
     with multiprocessing.Pool(workers) as pool:
         # tasks arrive in ascending p from the sieve and cost grows with p,
-        # so hand out the dearest first and put the batches back after
-        batches = pool.map(partial(_rows, worker), tasks[::-1])
-    return [verdict for batch in reversed(batches) for verdict in _verdicts(batch)]
+        # so hand out the dearest first and put the results back after
+        return pool.map(worker, tasks[::-1])[::-1]
 
 
-def _find_anomalies(records, tightness: bool) -> list:
-    """Failures, plus (under tightness) congruences holding one power higher."""
-    return [
-        v for v in records
-        if v.status == FAIL
-        or (tightness and v.status == PASS and v.valuation.value > v.m)
-    ]
+def _tallied(records, summary: dict, anomalies: list, tightness: bool):
+    """`records`, each counted into `summary` as it passes, and kept in
+    `anomalies` if it failed or (under tightness) holds one power higher
+    than stated."""
+    for v in records:
+        summary[v.status] += 1
+        if v.status == FAIL or (
+            tightness and v.status == PASS and v.valuation.value > v.m
+        ):
+            anomalies.append(v)
+        yield v
+
+
+def _pool_size(config: ScanConfig, tasks, work: float) -> int:
+    """The worker count is an upper bound: a pool of at most one worker per
+    task starts only where the O(p) work is enough to pay for it."""
+    return min(config.workers, len(tasks)) if work > _POOL_FACTORS else 1
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
-    """Run the configured sweep and assemble the deterministic report."""
+    """Build every prime's ingredients, running every check, and return the
+    report, whose records are evaluated as they are read."""
     config.validate()
     primes = odd_primes_between(config.prime_min, config.prime_max)
 
     if config.command == "lemmas":
-        worker, tasks = run_lemma_suites, primes
         per_p, per_p3 = _LEMMA_FACTORS
-        work = sum(per_p * p + per_p3 * p**3 for p in primes)
+        workers = _pool_size(config, primes, sum(per_p * p + per_p3 * p**3 for p in primes))
+        if workers > 1:
+            rows = _run_tasks(partial(_rows, run_lemma_suites), primes, workers)
+            batches = map(_verdicts, rows)
+        else:
+            batches = _run_tasks(run_lemma_suites, primes, 1)
+        # stable: a prime's suites come in one batch, the batches in ascending p
+        records = sorted(chain.from_iterable(batches), key=itemgetter(0))
     else:
-        case_ids, alphas = config.case_ids(), tuple(sorted(config.alphas))
-        tightness, claimed = config.tightness, config.claimed_ranges
-        cases = [CATALOG[cid] for cid in case_ids]
-        plans = [_plan(p, cases, alphas, tightness, claimed) for p in primes]
-        tree = any(plan.reads for plan in plans) and _tree_pays(plans)
+        alphas = tuple(sorted(config.alphas))
+        cases = [CATALOG[cid] for cid in config.case_ids()]
+        plans = _plans(primes, cases, alphas, config.tightness, config.claimed_ranges)
+        tree = bool(plans) and _tree_pays(plans)
         vectors = _harmonic_vectors(plans) if tree else [None] * len(plans)
-        worker = _scan_one_prime
         tasks = [
-            (plan.p, plan.exponent, h, case_ids, alphas, tightness, claimed)
+            (plan.p, plan.exponent, h, plan.names, plan.alphas)
             for plan, h in zip(plans, vectors)
         ]
-        work = sum(_factors(plan, tree) for plan in plans)
+        workers = _pool_size(config, tasks, sum(_factors(plan, tree) for plan in plans))
+        filled = _run_tasks(_prime_record, tasks, workers)
+        records = _case_major(
+            cases, filled, alphas, config.tightness, config.claimed_ranges
+        )
 
-    # the worker count is an upper bound: a pool of at most one worker per
-    # task starts only where the O(p) work is enough to pay for it
-    workers = min(config.workers, len(tasks)) if work > _POOL_FACTORS else 1
-    records = _run_tasks(worker, tasks, workers)
-
-    # stable: the records arrive in ascending p, and a (case, p) group comes
-    # from one task with its alphas ascending
-    records.sort(key=itemgetter(0))
-    summary = {"pass": 0, "fail": 0, "skip": 0}
-    for record in records:
-        summary[record.status] += 1
-    return ScanReport(
-        config=config.echo(),
-        records=records,
-        summary=summary,
-        anomalies=_find_anomalies(records, config.tightness),
-    )
+    summary, anomalies = {"pass": 0, "fail": 0, "skip": 0}, []
+    records = _tallied(records, summary, anomalies, config.tightness)
+    return ScanReport(config.echo(), records, summary, anomalies)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +519,7 @@ _JSON_RECORD = "    {\n" + ",\n".join(
 def _json_records(records):
     """A record list as the report lays it out, in pieces.  An rhs that is
     its lhs (every passing record) reuses the lhs's string."""
-    if not records:
-        yield "[]"
-        return
-    yield "[\n"
-    yield from _joined((
+    pieces = _joined((
         _JSON_RECORD % (
             _escape(case), p, "null" if alpha is None else f'"{alpha!s}"',
             "null" if m is None else m, left,
@@ -479,6 +530,12 @@ def _json_records(records):
         for case, p, alpha, m, lhs, rhs, status, val, reason in records
         for left in ["null" if lhs is None else f'"{lhs}"']
     ), ",\n")
+    first = next(pieces, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n" + first
+    yield from pieces
     yield "\n  ]"
 
 

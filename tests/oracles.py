@@ -14,7 +14,8 @@ Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
 table.  `record_dict` and `json_records` write a report's records through
 json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
 str.ljust, the routes the scanner's templates replaced.  `emitted` catches
-the bytes `emit_report` writes in memory.
+the bytes `emit_report` writes in memory, and `collected` reads a streamed
+report's records into a list.
 """
 
 from __future__ import annotations
@@ -318,6 +319,13 @@ def text_report(report) -> bytes:
     else:
         lines.append("anomalies: none")
     return ("\n".join(lines) + "\n").encode()
+
+
+def collected(report):
+    """`report` with its records read into a list, once, so that a test may
+    read them again; its summary and anomalies are complete after."""
+    report.records = list(report.records)
+    return report
 
 
 def emitted(report, fmt: str) -> bytes:

@@ -27,6 +27,7 @@ from oracles import (
     binom_alpha_expansion,
     binom_exact,
     central_binomial_identity,
+    collected,
     emitted,
     p7_residual,
     reduction_coefficients,
@@ -46,7 +47,7 @@ def test_criterion_01_generalized_congruence_sweep():
     """lhs == rhs in Z/p^m for every odd prime <= 499 and every sweep alpha."""
     start = time.perf_counter()
     config = ScanConfig(cases=("thm1",), workers=WORKERS)
-    report = run_scan(config)
+    report = collected(run_scan(config))
     elapsed = time.perf_counter() - start
 
     assert report.summary["fail"] == 0
@@ -116,7 +117,9 @@ def test_criterion_04_p7_tightness():
 def test_criterion_05_lemma_suites():
     """All verdict suites pass for every odd prime p <= 199."""
     start = time.perf_counter()
-    report = run_scan(ScanConfig(command="lemmas", prime_min=3, prime_max=199, workers=WORKERS))
+    report = collected(
+        run_scan(ScanConfig(command="lemmas", prime_min=3, prime_max=199, workers=WORKERS))
+    )
     elapsed = time.perf_counter() - start
 
     assert report.summary["fail"] == 0
@@ -152,7 +155,7 @@ def test_criterion_06_historical_catalog():
     """Every historical congruence passes for primes <= 499 at its modulus."""
     start = time.perf_counter()
     config = ScanConfig(cases=HISTORICAL_CASES, workers=WORKERS)
-    report = run_scan(config)
+    report = collected(run_scan(config))
     elapsed = time.perf_counter() - start
 
     assert report.summary["fail"] == 0
@@ -193,7 +196,7 @@ def test_criterion_07_central_binomial_transfer():
     for n in range(1, 201):
         assert central_binomial_identity(n), n
     for p in odd_primes_between(3, 499):
-        ctx = PrimeContext(p, 7)
+        ctx = PrimeContext(PrimePowerModulus(p, 7))
         assert ctx.central_binomial() == signed_central_binomial(p) % ctx.pm
     elapsed = time.perf_counter() - start
     report_line(7, "central binomial transfer", True, elapsed)
@@ -247,7 +250,7 @@ def test_criterion_10_wolstenholme_anomaly_scan():
         tightness=True,
         workers=WORKERS,
     )
-    report = run_scan(config)
+    report = collected(run_scan(config))
     assert report.summary["fail"] == 0
     assert report.anomalies == []
     assert all(v.valuation.value == 3 for v in report.records)

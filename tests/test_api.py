@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,20 @@ def test_benchmark_span_targets_resolve(span_name):
     for attr in path:
         owner = getattr(owner, attr, None)
     assert callable(owner), span_name
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: about 11 ms of
+    # import and 1 MB of peak RSS in every process, pool workers included
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, congrlab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -131,7 +131,7 @@ class TestFaulhaber:
         # Faulhaber's sum for p >= 7, the exact B_2 at p = 5
         exact = bernoulli_mod(p, p - 3, 2)
         assert bernoulli_pm3(p) == exact
-        assert PrimeContext(p, 2).ingredient("B") == exact
+        assert PrimeContext(PrimePowerModulus(p, 2)).fill({"B"})["B"] == exact
 
 
 class TestPowerSumLinks:

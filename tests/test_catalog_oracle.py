@@ -17,7 +17,6 @@ case to fail at some prime p <= 47.  A mutant that survives would mark a
 term that the check cannot see.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,12 +25,13 @@ import pytest
 from congrlab import (
     CATALOG,
     PrimeContext,
+    PrimePowerModulus,
     Valuation,
     bernoulli_exact,
     signed_central_binomial,
     verify_case,
 )
-from congrlab.congruences import _at
+from congrlab.congruences import _at, ingredients
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (
@@ -74,8 +74,12 @@ def exact_binom(alpha: Fraction, p: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def context(p: int) -> PrimeContext:
-    # exponent 8 covers every case's m + 1, so the scan's sharing is exercised
-    return PrimeContext(p, 8)
+    # exponent 8 covers every case's m + 1, so the scan's sharing is
+    # exercised: one record for every case that applies at p, claimed or not
+    cases = [case for case in CATALOG.values() if p >= case.claimed_min_p]
+    ctx = PrimeContext(PrimePowerModulus(p, 8))
+    ctx.fill(*ingredients(cases, p, DEFAULT_ALPHA_SWEEP))
+    return ctx
 
 
 def poly(coef, alpha) -> Fraction:
@@ -189,7 +193,7 @@ def mutants():
                     ("k", term._replace(k=term.k + 1)),
                 ):
                     mutated = side[:i] + (changed,) + side[i + 1 :]
-                    mutant = replace(case, **{side_name: mutated})
+                    mutant = case._replace(**{side_name: mutated})
                     yield pytest.param(mutant, id=f"{case.id}.{side_name}[{i}].{kind}")
 
 

@@ -22,7 +22,8 @@ from congrlab import (
     thm1_rhs,
     verify_case,
 )
-from congrlab.congruences import Term, _catalog, _factorial_inverse
+from congrlab import congruences
+from congrlab.congruences import SUMS, Term, _catalog, _factorial_inverse
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (
@@ -34,6 +35,10 @@ from oracles import (
     p7_residual,
     reduction_coefficients,
 )
+
+
+def context(p: int, exponent: int, h=None) -> PrimeContext:
+    return PrimeContext(PrimePowerModulus(p, exponent), h=h)
 
 
 class TestBinomialPaths:
@@ -163,7 +168,7 @@ class TestCentralBinomial:
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 97))
     def test_both_evaluation_routes_agree(self, p):
-        ctx = PrimeContext(p, 7)
+        ctx = context(p, 7)
         direct = signed_central_binomial(p) % ctx.pm
         assert ctx.central_binomial() == direct
 
@@ -299,7 +304,7 @@ class TestVerifyCase:
         assert v.alpha is None and v.status == PASS
 
     def test_context_exponent_guard(self):
-        ctx = PrimeContext(5, 2)
+        ctx = context(5, 2)
         with pytest.raises(ValueError):
             verify_case("wolstenholme_rel70", 5, ctx=ctx)
 
@@ -349,11 +354,11 @@ class TestVerifyCase:
         assert v.status == PASS and v.lhs == v.rhs == 126
 
     def test_central_transfer_guard_is_internal(self):
-        # a context that has already verified the central binomial routes
-        # keeps the value in its record; the guard exists but never fires
-        ctx = PrimeContext(11, 4)
-        first = ctx.ingredient("central")
-        assert ctx.record["central"] == ctx.central_binomial() == first
+        # filling the record verifies the central binomial's routes and
+        # keeps the value; the guard exists but never fires
+        ctx = context(11, 4)
+        first = ctx.fill({"central"})["central"]
+        assert ctx.ingredient("central") == ctx.central_binomial() == first
 
 
 class TestAlphaLoop:
@@ -407,7 +412,7 @@ class TestAlphaLoop:
 
 class TestPrimeContext:
     def test_binomials_cached_per_alpha(self):
-        ctx = PrimeContext(7, 6)
+        ctx = context(7, 6)
         a = Fraction(2)
         assert ctx.binom_w(a) == ctx.binom_w(a) == 1716 % 7**6
 
@@ -418,25 +423,34 @@ class TestPrimeContext:
         assert bernoulli_mod(7, 4, 4) == residue_of_rational(
             b4, PrimePowerModulus(7, 4)
         )
-        ctx = PrimeContext(7, 4)
-        assert ctx.ingredient("B") == residue_of_rational(
+        assert context(7, 4).fill({"B"})["B"] == residue_of_rational(
             b4, PrimePowerModulus(7, 2)
         )
 
     def test_unknown_ingredient_raises(self):
-        ctx = PrimeContext(7, 4)
+        ctx = context(7, 4)
         with pytest.raises(ValueError, match="unknown catalog ingredient 'nope'"):
-            ctx.ingredient("nope")
+            ctx.fill({"S1", "nope"})
         assert ctx.record == {"one": 1}
+
+    def test_reading_computes_nothing(self):
+        # the record is filled in full up front; a read never fills it
+        ctx = context(7, 6)
+        ctx.fill({"S1"})
+        with pytest.raises(ValueError, match="'B' is not in the record at p=7"):
+            ctx.ingredient("B")
+        with pytest.raises(ValueError, match="'binom' is not in the record"):
+            verify_case("thm1", 7, [2], ctx=ctx)
+        assert set(ctx.record) == {"one"} | set(SUMS)
 
     def test_bernoulli_needs_p_at_least_five(self):
         with pytest.raises(ValueError, match="p >= 5"):
-            PrimeContext(3, 4).ingredient("B")
+            context(3, 4).fill({"B"})
 
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
     def test_binomials_match_the_oracle(self, p):
         # every alpha of one context shares one 1/(p-1)!
-        ctx = PrimeContext(p, 6)
+        ctx = context(p, 6)
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p:
                 expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
@@ -445,7 +459,7 @@ class TestPrimeContext:
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
     def test_horner_binomials_match_the_oracle(self, p):
         # every alpha read off one harmonic vector
-        ctx = PrimeContext(p, 6, harmonic_vectors([p], [6])[0])
+        ctx = context(p, 6, harmonic_vectors([p], [6])[0])
         for alpha in DEFAULT_ALPHA_SWEEP:
             if alpha.denominator % p:
                 expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
@@ -458,7 +472,7 @@ class TestPrimeContext:
         # the cache is keyed by alpha's residue mod p^exponent; alphas that
         # agree only modulo a lower power of p must not share an entry
         h = harmonic_vectors([p], [exponent])[0] if route == "horner" else None
-        ctx = PrimeContext(p, exponent, h)
+        ctx = context(p, exponent, h)
         for base in (Fraction(1), Fraction(-1, 2), Fraction(2, 5 if p != 5 else 7)):
             for j in range(exponent):
                 for alpha in (base + p**j, base + 2 * p**j, base):
@@ -468,30 +482,61 @@ class TestPrimeContext:
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
         # H_2 by Newton's identity against the product recurrence's table
-        ctx = PrimeContext(p, 8)
+        ctx = context(p, 8)
+        ctx.fill(SUMS)
         sums = power_sum_table(ctx.modulus, 3)
         for e in (1, 2, 3):
             assert ctx.ingredient(f"S{e}") == sums[e - 1]
         assert ctx.ingredient("H2") == harmonic_table(ctx.modulus).h[2]
 
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_vector_sums_match_the_table(self, d):
+        # Newton's identities off H_1, H_2, H_3, for every odd prime <= 199
+        primes = odd_primes_between(3, 199)
+        for p, h in zip(primes, harmonic_vectors(primes, [d] * len(primes))):
+            modulus = PrimePowerModulus(p, d)
+            s1, s2, s3 = power_sum_table(modulus, 3)
+            h2 = harmonic_table(modulus).h[2]
+            assert PrimeContext(modulus, h=h).fill(SUMS) == {
+                "one": 1, "S1": s1, "S2": s2, "S3": s3, "H2": h2
+            }, p
+
+    def test_vector_too_short_for_the_third_sum(self):
+        h = harmonic_vectors([11], [3])[0]
+        with pytest.raises(ValueError, match="S_3 reads H_3"):
+            context(11, 3, h).fill({"S1"})
+
+    @pytest.mark.parametrize("route", ["product", "tree"])
+    def test_corrupted_bernoulli_fails_glaisher(self, monkeypatch, route):
+        # S_2 == (2/3) p B_{p-3} (mod p^2) ties B to the sums, wherever the
+        # record holds both: always on the tree route
+        p = 13
+        h = harmonic_vectors([p], [5])[0] if route == "tree" else None
+        names = {"B"} if route == "tree" else {"B", "S2"}
+        assert context(p, 5, h).fill(names)["B"] == congruences.bernoulli_pm3(p)
+        real = congruences.bernoulli_pm3
+        monkeypatch.setattr(congruences, "bernoulli_pm3", lambda q: (real(q) + 1) % q**2)
+        with pytest.raises(CongrlabError, match="B_10 fails Glaisher's S_2 congruence at p=13"):
+            context(p, 5, h).fill(names)
+
     def test_corrupted_half_binomial_fails_the_central_check(self):
         p, d = 13, 4
         h = harmonic_vectors([p], [d])[0]
-        assert PrimeContext(p, d, h).central_binomial() == (
+        assert context(p, d, h).central_binomial() == (
             signed_central_binomial(p) % p**d
         )
         # H_1 off by one moves C(p/2 - 1, p - 1) by -p/2
         bad = (h[0], (h[1] + 1) % p**d) + h[2:]
         with pytest.raises(CongrlabError, match="central binomial transfer"):
-            PrimeContext(p, d, bad).central_binomial()
+            context(p, d, bad).central_binomial()
 
     def test_vector_length_must_match_the_exponent(self):
         with pytest.raises(ValueError, match="harmonic vector"):
-            PrimeContext(7, 4, harmonic_vectors([7], [3])[0])
+            context(7, 4, harmonic_vectors([7], [3])[0])
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            PrimeContext(9, 2)
+            context(9, 2)
 
 
 class TestCatalogGuard:

@@ -177,7 +177,7 @@ class TestHarmonicVectors:
         primes = odd_primes_between(5, 10_000)
         for p, h in zip(primes, harmonic_vectors(primes, [4] * len(primes))):
             expected = binom_alpha_mod(2, PrimePowerModulus(p, 4))
-            assert PrimeContext(p, 4, h).binom_w(Fraction(2)) == expected, p
+            assert PrimeContext(PrimePowerModulus(p, 4), h=h).binom_w(Fraction(2)) == expected, p
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_vectors_match_the_packed_table(self, d):

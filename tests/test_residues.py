@@ -79,7 +79,7 @@ class TestRingOps:
         assert inv[4] == 94  # 4 * 94 = 376 = 3*125 + 1
 
     def test_pow_example(self):
-        assert PrimeContext(5, 3).ingredient("four") == 6  # 4^4 = 256 mod 125
+        assert PrimeContext(PrimePowerModulus(5, 3)).fill({"four"})["four"] == 6  # 4^4 mod 125
 
     def test_canonical_form(self):
         m = PrimePowerModulus(7, 2)
@@ -88,7 +88,7 @@ class TestRingOps:
         assert residue_of_rational(40 + 30, m) == 21
 
     def test_non_unit_rejected(self):
-        ctx = PrimeContext(5, 3)
+        ctx = PrimeContext(PrimePowerModulus(5, 3))
         with pytest.raises(NotPInteger):
             ctx.rat(Fraction(1, 10))
         with pytest.raises(NotPInteger):

@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +23,7 @@ import congrlab.cli
 from congrlab import congruences, harmonic, scanner
 from congrlab import (
     CongrlabError,
+    PrimePowerModulus,
     ScanConfig,
     ScanReport,
     UsageError,
@@ -34,10 +34,10 @@ from congrlab import (
     sieve_primes,
 )
 from congrlab.cli import main, parse_config
-from congrlab.congruences import PrimeContext, verify_case
+from congrlab.congruences import PrimeContext, ingredients, verify_case
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
-from oracles import csv_report, emitted, json_records, record_dict, text_report
+from oracles import collected, csv_report, emitted, json_records, record_dict, text_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -189,7 +189,7 @@ class TestParseConfig:
 class TestRunScan:
     def test_skip_below_case_range(self):
         cfg = ScanConfig(prime_min=3, prime_max=13, cases=("wolstenholme_rel70",))
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         by_p = {v.p: v for v in report.records}
         assert by_p[3].status == SKIP and by_p[3].reason == "requires p >= 5"
         assert all(by_p[p].status == PASS for p in (5, 7, 11, 13))
@@ -198,13 +198,13 @@ class TestRunScan:
         cfg = ScanConfig(
             prime_min=7, prime_max=7, alphas=(Fraction(1, 7),), cases=("thm1",)
         )
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert report.summary == {"pass": 0, "fail": 0, "skip": 1}
         assert "7-integer" in report.records[0].reason
 
     def test_records_sorted_and_counted(self):
         cfg = ScanConfig(prime_min=3, prime_max=31, cases=("thm1", "babbage"))
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         keys = [(v.case, v.p, v.alpha or 0) for v in report.records]
         assert keys == sorted(keys)
         counted = sum(report.summary.values())
@@ -242,7 +242,7 @@ class TestRunScan:
             alphas=(Fraction(2),),
             claimed_ranges=True,
         )
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert report.failed
         assert [v.case for v in report.anomalies] == ["rel38"]
 
@@ -253,7 +253,7 @@ class TestRunScan:
             cases=("babbage", "wolstenholme_rel70"),
             tightness=True,
         )
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert not report.failed
         # Babbage's mod p^2 congruence actually holds mod p^3 from p = 5 on
         assert {v.case for v in report.anomalies} == {"babbage"}
@@ -261,12 +261,12 @@ class TestRunScan:
 
     def test_no_tightness_no_strengthening_anomalies(self):
         cfg = ScanConfig(prime_min=5, prime_max=13, cases=("babbage",))
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert report.anomalies == []
 
     def test_lemma_command(self):
         cfg = ScanConfig(command="lemmas", prime_min=3, prime_max=13)
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert not report.failed
         assert any(v.case.startswith("reflection.") for v in report.records)
         assert any(v.case.startswith("bernoulli.") for v in report.records)
@@ -308,11 +308,11 @@ class TestRunScan:
         ascending = tuple(sorted(given))
         cases = ("rel26", "thm1", "babbage")
         reports = [
-            run_scan(
+            collected(run_scan(
                 ScanConfig(
                     prime_min=3, prime_max=13, cases=cases, alphas=alphas, workers=workers
                 )
-            )
+            ))
             for alphas in (given, ascending)
         ]
         assert emitted(reports[0], "json") == emitted(reports[1], "json")
@@ -335,7 +335,7 @@ class TestRunScan:
             "morley,glaisher_rel74,thm1,coro_63_alpha", "--alpha", "1/7,1/2,-1,2",
             "--tightness", "--format", "json", "--workers", "1",
         ]
-        report = run_scan(parse_config(argv, {}))
+        report = collected(run_scan(parse_config(argv, {})))
         assert report.summary == {"pass": 21, "fail": 0, "skip": 18}
         assert {(v.case, v.p) for v in report.anomalies} == {("thm1", 5)}
         assert len(report.anomalies) == 4
@@ -352,21 +352,42 @@ PINNED_JSON_3_47 = {
     "lemmas": "83cd985ad99edc60808393624d0930556f349ef15b7c31f93fbe1003283d5114",
 }
 
-# Both runs are too small for a pool to pay, so the script sets the pool
+# sha256 and length of `scan --primes 3..47 --tightness` as text and CSV, a
+# report with alpha values, skip rows with reasons and anomalies
+PINNED_3_47_TIGHTNESS = {
+    "text": ("1225c6f2937833f90f8113a00ad886cbc6796c3420563d850f36153a5261855e", 222_078),
+    "csv": ("0b0909b1d290d469b107c25b66c61c1572d27f537999f68e5bcf0ccba5e66906", 89_792),
+}
+
+# sha256 of `scan --primes 3..47 --tightness` as JSON, beside the text and
+# CSV pins of PINNED_3_47_TIGHTNESS
+PINNED_JSON_3_47_TIGHTNESS = "c4af30fd0ae584ac8198ad978aee9ee8e00e62265daf5d7604c801a13d19dccd"
+
+# Each report of 3..47 in one format, as ((command, tightness), fmt) -> sha256
+PINNED_START_METHOD_RUNS = {
+    (("scan", False), "json"): PINNED_JSON_3_47["scan"],
+    (("lemmas", False), "json"): PINNED_JSON_3_47["lemmas"],
+    (("scan", True), "json"): PINNED_JSON_3_47_TIGHTNESS,
+    **{(("scan", True), fmt): pin for fmt, (pin, _) in PINNED_3_47_TIGHTNESS.items()},
+}
+
+# Every run is too small for a pool to pay, so the script sets the pool
 # threshold to -inf and counts the pools started.
 _START_METHOD_RUN = """
-import hashlib, io, multiprocessing, sys
+import ast, hashlib, io, multiprocessing, sys
 from congrlab import ScanConfig, emit_report, run_scan, scanner
 
 multiprocessing.set_start_method(sys.argv[1])
 scanner._POOL_FACTORS = float("-inf")
 pool, started = multiprocessing.Pool, []
 multiprocessing.Pool = lambda n: started.append(n) or pool(n)
-for command in ("scan", "lemmas"):
-    config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=2)
+for (command, tightness), fmt in ast.literal_eval(sys.argv[2]):
+    config = ScanConfig(
+        command=command, prime_min=3, prime_max=47, workers=2, tightness=tightness
+    )
     report = io.BytesIO()
-    emit_report(run_scan(config), "json", report)
-    print(command, hashlib.sha256(report.getvalue()).hexdigest())
+    emit_report(run_scan(config), fmt, report)
+    print(command, tightness, fmt, hashlib.sha256(report.getvalue()).hexdigest())
 print("pools", started)
 """
 
@@ -375,13 +396,14 @@ class TestStartMethods:
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_reports_identical_under_every_start_method(self, method):
         # a worker that relied on state the parent set up before the pool
-        # started would see none of it under spawn or forkserver
+        # started would see none of it under spawn or forkserver; every
+        # format streams the same bytes from a pool as from one process
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
         result = subprocess.run(
-            [sys.executable, "-c", _START_METHOD_RUN, method],
+            [sys.executable, "-c", _START_METHOD_RUN, method, repr(list(PINNED_START_METHOD_RUNS))],
             env=env,
             capture_output=True,
             text=True,
@@ -389,12 +411,17 @@ class TestStartMethods:
         )
         assert result.returncode == 0, result.stderr
         *lines, pools = result.stdout.splitlines()
-        assert pools == "pools [2, 2]"
-        pooled = dict(line.split() for line in lines)
-        for command, pinned in PINNED_JSON_3_47.items():
-            config = ScanConfig(command=command, prime_min=3, prime_max=47, workers=1)
-            serial = hashlib.sha256(emitted(run_scan(config), "json")).hexdigest()
-            assert pooled[command] == serial == pinned, command
+        assert pools == f"pools {[2] * len(PINNED_START_METHOD_RUNS)}"
+        pooled = {}
+        for line in lines:
+            command, tightness, fmt, digest = line.split()
+            pooled[(command, tightness == "True"), fmt] = digest
+        for ((command, tightness), fmt), pinned in PINNED_START_METHOD_RUNS.items():
+            config = ScanConfig(
+                command=command, prime_min=3, prime_max=47, tightness=tightness, workers=1
+            )
+            serial = hashlib.sha256(emitted(run_scan(config), fmt)).hexdigest()
+            assert pooled[(command, tightness), fmt] == serial == pinned, (command, fmt)
 
 
 _SERIAL_RUN = """
@@ -446,8 +473,8 @@ def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
     "argv, pinned",
     [
         (
-            ["scan", "--primes", "3..999", "--format", "csv"],
-            "f98ea5a610633a7ccd7d833fd70a1bdda50442fb1a73707c008dfe5526780075",
+            ["scan", "--primes", "3..1999", "--format", "csv"],
+            "108e0dbec11b05ab558d9d3be902a7d6a731d4c4d60d0c8a310bfcf4882492d9",
         ),
         (
             ["lemmas", "--primes", "3..199", "--format", "csv"],
@@ -457,7 +484,8 @@ def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
     ids=["catalog", "lemmas"],
 )
 def test_pool_started_where_it_pays(monkeypatch, capsysbinary, argv, pinned):
-    # the catalog to 999 and the lemma suites do enough O(p) work to pay
+    # the catalog to 1999 (its B_{p-3}) and the lemma suites do enough
+    # O(p) work to pay
     two_cpus(monkeypatch)
     started = spy_pools(monkeypatch)
     assert main(argv + ["--workers", "2"]) == 0
@@ -492,9 +520,10 @@ WOLSTENHOLME_SWEEP = ("--case", "wolstenholme_rel70", "--tightness")
         (["scan", "--primes", "5..100000", *WOLSTENHOLME_SWEEP], 1),
         (["scan", "--primes", "16800..16900", *WOLSTENHOLME_SWEEP], 1),
         (["verify", "--case", "thm1", "--p", "10007"], 1),
-        (["scan", "--primes", "3..999"], 2),
-        (["scan", "--primes", "3..1999", "--case", "thm1"], 2),
-        (["scan", "--primes", "3..2999", "--case", "zhao"], 2),
+        (["scan", "--primes", "3..999"], 1),
+        (["scan", "--primes", "3..1999"], 2),
+        (["scan", "--primes", "3..1999", "--case", "thm1"], 1),
+        (["scan", "--primes", "3..2999", "--case", "zhao"], 1),
         (["lemmas", "--primes", "3..199"], 2),
         (["lemmas", "--primes", "200..300"], 2),
     ],
@@ -502,7 +531,9 @@ WOLSTENHOLME_SWEEP = ("--case", "wolstenholme_rel70", "--tightness")
 )
 def test_pool_decided_from_the_work(monkeypatch, capsysbinary, argv, workers):
     # the decision alone: no tree is built and no task runs (3..47 is in
-    # test_small_runs_stay_in_one_process)
+    # test_small_runs_stay_in_one_process).  On the tree route a prime's
+    # sums and binomials come off its vector, so only B_{p-3}, the central
+    # binomial and the lemma suites are worth a pool
     two_cpus(monkeypatch)
     calls = []
     monkeypatch.setattr(
@@ -569,7 +600,9 @@ class TestPoolRecords:
     def reports(self):
         with pytest.MonkeyPatch.context() as monkeypatch:
             started = spy_pools(monkeypatch, force=True)
-            reports = {w: run_scan(replace(CLAIMED_3_97, workers=w)) for w in (1, 2)}
+            reports = {
+                w: collected(run_scan(CLAIMED_3_97._replace(workers=w))) for w in (1, 2)
+            }
         assert started == [2]
         return reports
 
@@ -609,7 +642,9 @@ class TestPoolRecords:
         contexts = {}
         for v in reports[workers].records:
             if v.p not in contexts:
-                contexts[v.p] = PrimeContext(v.p, 8)
+                cases = [c for c in congruences.CATALOG.values() if v.p >= c.claimed_min_p]
+                contexts[v.p] = PrimeContext(PrimePowerModulus(v.p, 8))
+                contexts[v.p].fill(*ingredients(cases, v.p, DEFAULT_ALPHA_SWEEP))
             assert verify_case(v.case, v.p, [v.alpha], True, contexts[v.p], True)[0] == v
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -631,17 +666,17 @@ def assert_lean(records) -> None:
 
 class TestLeanRecords:
     def test_serial_scan_records_are_lean(self):
-        assert_lean(run_scan(CLAIMED_3_97).records)
+        assert_lean(collected(run_scan(CLAIMED_3_97)).records)
 
     def test_serial_lemma_records_are_lean(self):
         config = ScanConfig(command="lemmas", prime_min=3, prime_max=61)
-        assert_lean(run_scan(config).records)
+        assert_lean(collected(run_scan(config)).records)
 
     def test_pooled_lemma_records_are_lean(self, monkeypatch):
         # pickling shares nothing between batches, so the parent must
         started = spy_pools(monkeypatch, force=True)
         config = ScanConfig(command="lemmas", prime_min=200, prime_max=300, workers=2)
-        report = run_scan(config)
+        report = collected(run_scan(config))
         assert started == [2]
         assert_lean(report.records)
         assert hashlib.sha256(emitted(report, "csv")).hexdigest() == (
@@ -650,20 +685,10 @@ class TestLeanRecords:
 
 
 class TestIngredientRecord:
-    """Each O(p) pass of a context runs once per prime whose cases read it."""
+    """Each O(p) pass of a record runs once per prime whose cases read it,
+    on either route, before any case is evaluated."""
 
     def test_each_pass_runs_once_per_prime_that_reads_it(self, monkeypatch):
-        calls = {}
-        for name in ("power_sum_table", "bernoulli_pm3", "signed_central_binomial"):
-            real, seen = getattr(congruences, name), calls.setdefault(name, [])
-
-            def spy(arg, *rest, real=real, seen=seen):
-                seen.append(getattr(arg, "p", arg))  # a modulus or a prime
-                return real(arg, *rest)
-
-            monkeypatch.setattr(congruences, name, spy)
-        run_scan(ScanConfig(prime_min=3, prime_max=47, workers=1))
-
         def readers(names):
             return [
                 p for p in odd_primes_between(3, 47)
@@ -673,10 +698,29 @@ class TestIngredientRecord:
                 )
             ]
 
-        assert calls["power_sum_table"] == readers(set(congruences.SUMS))
-        assert calls["bernoulli_pm3"] == readers({"B"})
-        assert calls["signed_central_binomial"] == readers({"central"})
-        assert 3 not in calls["bernoulli_pm3"] and 47 in calls["bernoulli_pm3"]
+        for tree in (False, True):
+            force_route(monkeypatch, tree)
+            calls = {}
+            for name in ("power_sum_table", "bernoulli_pm3", "signed_central_binomial"):
+                real, seen = getattr(congruences, name), calls.setdefault(name, [])
+
+                def spy(arg, *rest, real=real, seen=seen):
+                    seen.append(getattr(arg, "p", arg))  # a modulus or a prime
+                    return real(arg, *rest)
+
+                monkeypatch.setattr(congruences, name, spy)
+            report = run_scan(ScanConfig(prime_min=3, prime_max=47, workers=1))
+            evaluated = {name: list(seen) for name, seen in calls.items()}
+            emitted(report, "csv")
+            assert calls == evaluated, tree  # reading the records computes nothing
+            # the tree route reads the sums off each vector and checks them
+            # against one pass at the largest prime
+            sums = [47] if tree else readers(set(congruences.SUMS))
+            assert calls["power_sum_table"] == sums, tree
+            assert calls["bernoulli_pm3"] == readers({"B"}), tree
+            assert calls["signed_central_binomial"] == readers({"central"}), tree
+            assert 3 not in calls["bernoulli_pm3"] and 47 in calls["bernoulli_pm3"]
+            monkeypatch.undo()
 
 
 class TestWolstenholmePrime:
@@ -686,13 +730,14 @@ class TestWolstenholmePrime:
 
     @staticmethod
     def _anomalies(p):
-        report = run_scan(ScanConfig(prime_min=p, prime_max=p, tightness=True))
+        report = collected(run_scan(ScanConfig(prime_min=p, prime_max=p, tightness=True)))
         assert report.summary["fail"] == 0
         return {(v.case, v.alpha) for v in report.anomalies}
 
     def test_bernoulli_vanishes_mod_p_only_there(self):
-        assert PrimeContext(16843, 2).ingredient("B") % 16843 == 0
-        assert PrimeContext(16829, 2).ingredient("B") % 16829 != 0
+        for p in (16843, 16829):
+            b = PrimeContext(PrimePowerModulus(p, 2)).fill({"B"})["B"]
+            assert (b % p == 0) == (p == 16843), p
 
     def test_b_zero_mod_p_strengthens_the_catalog(self):
         found = self._anomalies(16843)
@@ -730,8 +775,7 @@ def count_product_route(monkeypatch) -> list:
         calls.append(args[1].p)
         return product(*args, **kwargs)
 
-    for module in (congruences, scanner):
-        monkeypatch.setattr(module, "binom_alpha_mod", counted)
+    monkeypatch.setattr(congruences, "binom_alpha_mod", counted)
     return calls
 
 
@@ -754,7 +798,7 @@ class TestBinomialRoutes:
             ),
             (ScanConfig(prime_min=16_843, prime_max=16_843, tightness=True), False),
             (ScanConfig(prime_min=16_800, prime_max=16_900, cases=WOLSTENHOLME), False),
-            (ScanConfig(cases=("rel34", "rel63")), False),
+            (ScanConfig(cases=("rel34", "rel63")), True),
         ],
         ids=["catalog", "sweep", "one-prime", "16843", "narrow", "no-binomial"],
     )
@@ -808,6 +852,30 @@ class TestBinomialRoutes:
         assert main(argv + ["--workers", "1"]) == 0
         assert calls == [9973]  # the cross-check at the largest prime
 
+    def test_sums_only_scan_takes_the_tree(self, monkeypatch, capsysbinary):
+        # rel34 and rel63 read no binomial, but the tree saves each prime its
+        # sums pass; one pass is left, the check at the largest prime
+        built, sums = [], []
+        vectors, table = scanner.harmonic_vectors, congruences.power_sum_table
+
+        def tree(primes, exponents):
+            built.append(len(primes))
+            return vectors(primes, exponents)
+
+        def sums_pass(modulus, n):
+            sums.append(modulus.p)
+            return table(modulus, n)
+
+        monkeypatch.setattr(scanner, "harmonic_vectors", tree)
+        monkeypatch.setattr(congruences, "power_sum_table", sums_pass)
+        argv = ["scan", "--primes", "3..3000", "--case", "rel34,rel63", "--tightness"]
+        assert main(argv + ["--format", "csv", "--workers", "1"]) == 0
+        assert built == [429] and sums == [2999]
+        # pinned at the parent commit, whose product route took 1.6 s
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == (
+            "d5b73c8a8f06e2e07469e83ca5f542649dbdc54a4c10504dacee54e6dfcd825a"
+        )
+
     def test_single_prime_builds_no_tree(self, monkeypatch, capsysbinary):
         def refuse(primes, exponents):
             raise AssertionError("a single prime built the tree")
@@ -836,14 +904,6 @@ class TestBinomialRoutes:
 
 
 RECORD_KEYS = ["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason"]
-
-# sha256 and length of `scan --primes 3..47 --tightness` as text and CSV, a
-# report with alpha values, skip rows with reasons and anomalies
-PINNED_3_47_TIGHTNESS = {
-    "text": ("1225c6f2937833f90f8113a00ad886cbc6796c3420563d850f36153a5261855e", 222_078),
-    "csv": ("0b0909b1d290d469b107c25b66c61c1572d27f537999f68e5bcf0ccba5e66906", 89_792),
-}
-
 
 # text that JSON must escape: quotes, backslashes, control characters,
 # non-ASCII and lone surrogates, among any other characters
@@ -939,7 +999,7 @@ class TestEmission:
 
     def test_json_round_trip(self):
         # every field of every record and anomaly can be read back from JSON
-        report = run_scan(ScanConfig(prime_min=3, prime_max=13, tightness=True))
+        report = collected(run_scan(ScanConfig(prime_min=3, prime_max=13, tightness=True)))
         assert report.anomalies and any(v.reason for v in report.records)
         payload = json.loads(emitted(report, "json"))
         assert payload["summary"] == report.summary
@@ -964,7 +1024,7 @@ class TestEmission:
     def test_text_and_csv_pinned(self, monkeypatch, workers):
         started = spy_pools(monkeypatch, force=True)
         config = ScanConfig(prime_min=3, prime_max=47, tightness=True, workers=workers)
-        report = run_scan(config)
+        report = collected(run_scan(config))
         assert started == ([2] if workers == 2 else [])
         for fmt, pinned in PINNED_3_47_TIGHTNESS.items():
             data = emitted(report, fmt)
@@ -980,7 +1040,7 @@ class TestEmission:
         ids=["empty", "anomalies", "normal"],
     )
     def test_json_bytes_match_indented_dumps(self, cfg):
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         payload = {
             "config": report.config,
             "records": [record_dict(v) for v in report.records],
@@ -1046,7 +1106,7 @@ class TestEmission:
         ids=["lemmas", "anomalies"],
     )
     def test_csv_and_text_match_the_oracles(self, cfg):
-        report = run_scan(cfg)
+        report = collected(run_scan(cfg))
         assert emitted(report, "csv") == csv_report(report.records)
         assert emitted(report, "text") == text_report(report)
 
@@ -1054,17 +1114,21 @@ class TestEmission:
         "config, fmt, size",
         [
             (ScanConfig(), "json", 3_701_999),
+            (ScanConfig(prime_max=997), "json", 6_640_498),
             (ScanConfig(command="lemmas", prime_min=3, prime_max=199), "csv", 5_442_609),
         ],
-        ids=["default-scan-json", "lemmas-csv"],
+        ids=["default-scan-json", "scan-to-997-json", "lemmas-csv"],
     )
     def test_emission_memory_is_bounded(self, config, fmt, size):
-        # a few hundred records at a time, never the whole report at once
-        report = run_scan(config)
+        # a few hundred records at a time, never the whole report at once.
+        # A scan's records are evaluated as they are written, case by case
+        # from one record per prime, so its peak counts `run_scan` too and
+        # shows that no record list is held; `lemmas` keeps its sorted list
+        lemmas = run_scan(config) if config.command == "lemmas" else None
         discard = SimpleNamespace(write=len)
         tracemalloc.start()
         try:
-            written = emit_report(report, fmt, discard)
+            written = emit_report(lemmas or run_scan(config), fmt, discard)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1227,6 +1291,68 @@ class TestCliContract:
         target = tmp_path / "report.txt"
         target.write_bytes(b"an earlier report\n")
         assert main(argv + ["--case", "morley", "-o", str(target)]) == code
+        assert target.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize(
+        "argv, corrupt, error",
+        [
+            (
+                ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"],
+                "vector",
+                "harmonic vector mismatch at p=997",
+            ),
+            (
+                ["scan", "--primes", "3..1000", "--case", "rel34,rel63"],
+                "H3",
+                "power sums off the harmonic vector mismatch at p=997",
+            ),
+            (
+                ["scan", "--primes", "5..200", "--case", "coro_rel2"],
+                "B",
+                "B_98 fails Glaisher's S_2 congruence at p=101",
+            ),
+            (
+                ["scan", "--primes", "5..200", "--case", "morley"],
+                "central",
+                "central binomial transfer mismatch at p=101",
+            ),
+        ],
+        ids=["vector", "sums", "glaisher", "central"],
+    )
+    def test_failed_check_leaves_output_untouched(
+        self, monkeypatch, capsys, tmp_path, argv, corrupt, error
+    ):
+        # each check runs while the records are filled, before -o opens
+        if corrupt == "vector":  # one leaf of the remainder tree
+            rising = harmonic._rising
+
+            def off_by_one(lo, hi, d):
+                c = rising(lo, hi, d)
+                if lo == 499:
+                    c[1] += 1
+                return c
+
+            monkeypatch.setattr(harmonic, "_rising", off_by_one)
+        elif corrupt == "H3":  # read only through S_3
+            build = scanner.harmonic_vectors
+
+            def corrupted(primes, exponents):
+                vectors = build(primes, exponents)
+                h = vectors[-1]
+                vectors[-1] = h[:3] + ((h[3] + 1) % primes[-1] ** exponents[-1],) + h[4:]
+                return vectors
+
+            monkeypatch.setattr(scanner, "harmonic_vectors", corrupted)
+        else:
+            name = {"B": "bernoulli_pm3", "central": "signed_central_binomial"}[corrupt]
+            real = getattr(congruences, name)
+            monkeypatch.setattr(
+                congruences, name, lambda p: real(p) + (p == 101)
+            )
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        assert main(argv + ["--workers", "1", "-o", str(target)]) == 3
+        assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
         assert target.read_bytes() == b"an earlier report\n"
 
     @pytest.mark.parametrize(
