@@ -1,54 +1,36 @@
 """congrlab: exact verification of binomial and harmonic-number congruences
-modulo prime powers, with a prime-sweeping scanner."""
+modulo prime powers, with a prime-sweeping scanner.  The root holds the names
+the README's Library section uses; the rest come from their modules."""
 
-from .bernoulli import (
-    NonPIntegerBernoulli,
-    bernoulli_exact,
-    bernoulli_mod,
-    check_bernoulli_power_sums,
-    warm_bernoulli_cache,
-)
+from .bernoulli import bernoulli_mod
 from .congruences import (
     CATALOG,
-    CongruenceCase,
     PrimeContext,
     binom_alpha_mod,
     ingredients,
-    signed_central_binomial,
     thm1_rhs,
     verify_case,
 )
-from .harmonic import (
-    HarmonicTable,
-    check_harmonic_congruences,
-    check_power_sum_congruences,
-    check_reflection_identity,
-    harmonic_table,
-    harmonic_vectors,
-    power_sum_table,
-    power_sums_from_harmonic,
-)
-from .residues import (
-    CongrlabError,
-    NotPInteger,
-    PrimePowerModulus,
-    Valuation,
-    is_prime,
-    parse_rational,
-    residue_of_rational,
-    valuation_of_difference,
-)
-from .scanner import (
-    DEFAULT_ALPHA_SWEEP,
-    ScanConfig,
-    ScanReport,
-    UsageError,
-    emit_report,
-    odd_primes_between,
-    run_lemma_suites,
-    run_scan,
-    sieve_primes,
-)
+from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
+from .scanner import ScanConfig, ScanReport, emit_report, run_scan
 from .verdicts import Verdict
+
+__all__ = [
+    "CATALOG",
+    "CongrlabError",
+    "PrimeContext",
+    "PrimePowerModulus",
+    "ScanConfig",
+    "ScanReport",
+    "Verdict",
+    "bernoulli_mod",
+    "binom_alpha_mod",
+    "emit_report",
+    "ingredients",
+    "residue_of_rational",
+    "run_scan",
+    "thm1_rhs",
+    "verify_case",
+]
 
 __version__ = "0.1.0"

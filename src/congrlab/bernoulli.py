@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .harmonic import HarmonicTable, harmonic_table
+from .harmonic import HarmonicTable
 from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
 from .verdicts import judge, skip
 
@@ -127,14 +127,15 @@ def bernoulli_pm3(p: int) -> int:
     return total // p
 
 
-def check_bernoulli_power_sums(p: int, table: HarmonicTable | None = None) -> list:
+def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
     """Links between B_{p-3} and the first two inverse power sums (p >= 5):
 
         S_1 == -(1/3) p^2 B_{p-3}  (mod p^3)
         S_2 ==  (2/3) p   B_{p-3}  (mod p^2)
 
     The sums are read off `table`, H_0 .. H_{p-1} modulo p^3 or a higher
-    power of p: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by Newton's identity.
+    power of p, reduced to p^3: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by
+    Newton's identity.
     """
     if p < 5:
         return [
@@ -143,7 +144,7 @@ def check_bernoulli_power_sums(p: int, table: HarmonicTable | None = None) -> li
         ]
     modulus = PrimePowerModulus(p, 3)
     pm = modulus.pm
-    h = (harmonic_table(modulus) if table is None else table.reduced(modulus)).h
+    h = table.reduced(modulus).h
     s1, s2 = h[1], (h[1] * h[1] - 2 * h[2]) % pm
     b = bernoulli_mod(p, p - 3, 3)
     rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus) * b % pm

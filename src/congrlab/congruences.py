@@ -88,6 +88,16 @@ def _factorial_inverse(modulus: PrimePowerModulus) -> int:
     return pow(_prod_mod(range(1, modulus.p), modulus.pm), -1, modulus.pm)
 
 
+def _horner(poly: tuple, a):
+    """A polynomial, highest degree first, at a, unreduced: sound at a
+    residue, as reduction mod p^e is a ring homomorphism on p-integral Q,
+    and exact at the Fraction alphas of `_at`."""
+    total = 0
+    for c in poly:
+        total = total * a + c
+    return total
+
+
 def binom_alpha_mod(
     alpha, modulus: PrimePowerModulus, fact_inv: Optional[int] = None
 ) -> int:
@@ -189,10 +199,7 @@ class PrimeContext:
         a = self.rat(alpha)
         if a not in self._binoms:
             if self._h is not None:
-                x = -a * self.p
-                value = 0
-                for hj in reversed(self._h):
-                    value = (value * x + hj) % self.pm
+                value = _horner(self._h[::-1], -a * self.p) % self.pm
             else:
                 if self._fact_inv is None:
                     self._fact_inv = _factorial_inverse(self.modulus)
@@ -309,15 +316,6 @@ class Term(NamedTuple):
     four: bool = False
 
 
-def _horner(poly: tuple, a: int) -> int:
-    """A polynomial of `PrimeContext.side` at a, alpha's residue, unreduced:
-    sound, as reduction mod p^e is a ring homomorphism on p-integral Q."""
-    total = 0
-    for c in poly:
-        total = total * a + c
-    return total
-
-
 class CongruenceCase(NamedTuple):
     """One named congruence lhs == rhs (mod p^m), each side a tuple of `Term`s.
 
@@ -404,10 +402,7 @@ def _at(rhs: tuple, alpha: Fraction) -> tuple:
         raise ValueError(f"no fixed left side at alpha = {alpha}")
     terms = []
     for coef, k, x, _ in rhs:
-        c = Fraction(0)
-        for q in reversed(coef):
-            c = c * alpha + q
-        terms.append(Term((c,), k, x, alpha == _HALF))
+        terms.append(Term((_horner(coef[::-1], alpha),), k, x, alpha == _HALF))
     return (_BINOM2 if alpha == _TWO else _CENTRAL), tuple(terms)
 
 

@@ -26,10 +26,10 @@ error.
 
 The check_* functions verify families of congruences these quantities
 satisfy and return one Verdict per instance, including explicit skip
-verdicts for instances excluded by a stated side condition.  Each takes an
-optional harmonic table modulo a higher power of the same prime and reduces
-it to its own modulus, so `lemmas` builds one table per prime, at
-p^(p+2) (p^6 at p = 3), for all four suites.
+verdicts for instances excluded by a stated side condition.  Each takes a
+harmonic table modulo a power of the same prime at least its own and
+reduces it to its own modulus; `lemmas` builds one table per prime, at
+p^(p+2) (p^6 at p = 3), for all four suites (`scanner.run_lemma_suites`).
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def _shifted_sums(h: tuple, p: int, pm: int) -> tuple:
     return [mr % pm for mr in shift], sums
 
 
-def check_reflection_identity(p: int, table: HarmonicTable | None = None) -> list:
+def check_reflection_identity(p: int, table: HarmonicTable) -> list:
     """Verify the reflection structure of the harmonic polynomial at high precision.
 
     The product P(x) = prod (1 - x/k) satisfies P(x) = P(p - x).  Two
@@ -318,12 +318,13 @@ def check_reflection_identity(p: int, table: HarmonicTable | None = None) -> lis
     truncated away entirely.  The Taylor shift is one Horner pass, and each
     pair sum is read off one slot of it before that slot is reduced; the
     sum for m = 1 is also summed on its own and must agree (`_shifted_sums`).
-    `table` is H_0 .. H_{p-1} modulo p^(p+2) or a higher power of p.
+    The suite reduces `table`, H_0 .. H_{p-1} modulo p^(p+2) or a higher
+    power of p, to p^(p+2).
     """
     m_work = p + 2
     modulus = PrimePowerModulus(p, m_work)
     pm = modulus.pm
-    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
+    table = table.reduced(modulus)
     h = table.h + _PAST_THE_END
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
     mirror, sums = _shifted_sums(table.h, p, pm)
@@ -340,7 +341,7 @@ def check_reflection_identity(p: int, table: HarmonicTable | None = None) -> lis
     return out
 
 
-def check_harmonic_congruences(p: int, table: HarmonicTable | None = None) -> list:
+def check_harmonic_congruences(p: int, table: HarmonicTable) -> list:
     """Congruences satisfied by individual harmonic numbers.
 
     (a) H_m == 0 (mod p) for 1 <= m <= p-2
@@ -350,11 +351,12 @@ def check_harmonic_congruences(p: int, table: HarmonicTable | None = None) -> li
     (e) H_{p-2} == p/2 (mod p^2)
     (f) H_{p-1} == -1 (mod p)
 
-    `table` is H_0 .. H_{p-1} modulo p^4 or a higher power of p.
+    The suite reduces `table`, H_0 .. H_{p-1} modulo p^4 or a higher power
+    of p, to p^4.
     """
     modulus = PrimePowerModulus(p, 4)
     pm = modulus.pm
-    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
+    table = table.reduced(modulus)
     h = table.h + _PAST_THE_END
     out = []
 
@@ -388,7 +390,7 @@ def check_harmonic_congruences(p: int, table: HarmonicTable | None = None) -> li
     return out
 
 
-def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> list:
+def check_power_sum_congruences(p: int, table: HarmonicTable) -> list:
     """Congruences satisfied by the inverse power sums S_m.
 
     Swept over 1 <= m <= 2(p-1) + 1 so both branches of every divisibility
@@ -402,12 +404,12 @@ def check_power_sum_congruences(p: int, table: HarmonicTable | None = None) -> l
         S_m + (m/2) p S_{m+1} + (m(m+1)/12) p^2 S_{m+2} == 0 (mod p^6)
 
     The sums are read off `table`, H_0 .. H_{p-1} modulo p^6 or a higher
-    power of p.
+    power of p, reduced to p^6.
     """
     modulus = PrimePowerModulus(p, 6)
     pm = modulus.pm
     top = 2 * (p - 1) + 1
-    table = harmonic_table(modulus) if table is None else table.reduced(modulus)
+    table = table.reduced(modulus)
     s = (None,) + power_sums_from_harmonic(table, top + 2)  # s[m] is S_m
     direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
     if s[top + 2] != direct:

@@ -346,9 +346,9 @@ def _harmonic_vectors(plans) -> list:
 def _prime_record(task) -> tuple:
     """One prime's modulus and ingredient record, filled in full: its O(p)
     work in a scan."""
-    p, exponent, h, names, alphas = task
-    ctx = PrimeContext(PrimePowerModulus(p, exponent), h=h)
-    return ctx.modulus, ctx.fill(names, alphas)
+    plan, h = task
+    ctx = PrimeContext(PrimePowerModulus(plan.p, plan.exponent), h=h)
+    return ctx.modulus, ctx.fill(plan.names, plan.alphas)
 
 
 def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
@@ -377,11 +377,10 @@ def run_lemma_suites(p: int) -> list:
 
 
 def _rows(worker, task) -> list:
-    """`worker(task)`'s verdicts as tuples of ints and strings, which pickle
-    cheaply: alpha as (numerator, denominator), valuation as (value, is_floor)."""
+    """`worker(task)`'s verdicts, which carry no alpha, as tuples of ints,
+    strings and None, which pickle cheaply: valuation as (value, is_floor)."""
     return [
-        (case, p, None if alpha is None else (alpha.numerator, alpha.denominator),
-         m, lhs, rhs, status, val and tuple(val), reason)
+        (case, p, alpha, m, lhs, rhs, status, val and tuple(val), reason)
         for case, p, alpha, m, lhs, rhs, status, val, reason in worker(task)
     ]
 
@@ -390,12 +389,9 @@ def _verdicts(rows) -> list:
     """The verdicts that `_rows` flattened, each in its row's place, as lean
     as `judge` makes them: the name interned, one residue for both sides of
     a pass, and one shared object per distinct valuation."""
-    alphas = {None: None}
     for i, (case, p, alpha, m, lhs, rhs, status, val, reason) in enumerate(rows):
-        if alpha not in alphas:
-            alphas[alpha] = Fraction(*alpha)
         rows[i] = Verdict(
-            intern(case), p, alphas[alpha], m, lhs, lhs if status == PASS else rhs,
+            intern(case), p, alpha, m, lhs, lhs if status == PASS else rhs,
             status, val and _valuation(*val), reason,
         )
     return rows
@@ -455,10 +451,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
         plans = _plans(primes, cases, alphas, config.tightness, config.claimed_ranges)
         tree = bool(plans) and _tree_pays(plans)
         vectors = _harmonic_vectors(plans) if tree else [None] * len(plans)
-        tasks = [
-            (plan.p, plan.exponent, h, plan.names, plan.alphas)
-            for plan, h in zip(plans, vectors)
-        ]
+        tasks = list(zip(plans, vectors))
         workers = _pool_size(config, tasks, sum(_factors(plan, tree) for plan in plans))
         filled = _run_tasks(_prime_record, tasks, workers)
         records = _case_major(

@@ -28,15 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from congrlab import (
-    HarmonicTable,
-    NotPInteger,
-    PrimePowerModulus,
-    bernoulli_exact,
-    emit_report,
-    is_prime,
-    residue_of_rational,
-)
+from congrlab import PrimePowerModulus, emit_report, residue_of_rational
+from congrlab.bernoulli import bernoulli_exact
+from congrlab.harmonic import HarmonicTable
+from congrlab.residues import NotPInteger, is_prime
 
 
 # ---------------------------------------------------------------------------

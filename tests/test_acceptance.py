@@ -14,13 +14,13 @@ from congrlab import (
     PrimePowerModulus,
     ScanConfig,
     binom_alpha_mod,
-    harmonic_table,
     residue_of_rational,
     run_scan,
-    signed_central_binomial,
     thm1_rhs,
 )
 from congrlab.cli import main
+from congrlab.congruences import signed_central_binomial
+from congrlab.harmonic import harmonic_table
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import PASS, SKIP
 from oracles import (

@@ -47,11 +47,28 @@ def test_package_imports_resolve():
         assert hasattr(congrlab, name), name
 
 
+# The names the README's Library section uses, and the error they raise;
+# every other public name is imported from its module
+ROOT_NAMES = {
+    "CATALOG", "CongrlabError", "PrimeContext", "PrimePowerModulus", "ScanConfig",
+    "ScanReport", "Verdict", "bernoulli_mod", "binom_alpha_mod", "emit_report",
+    "ingredients", "residue_of_rational", "run_scan", "thm1_rhs", "verify_case",
+}
+
+
+def test_package_root_exports_the_documented_names():
+    assert sorted(congrlab.__all__) == sorted(ROOT_NAMES)
+    assert all(hasattr(congrlab, name) for name in congrlab.__all__)
+    submodules = {name.rpartition(".")[2] for name in MODULES}
+    public = {name for name in vars(congrlab) if not name.startswith("_")}
+    assert public - submodules == ROOT_NAMES
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
         (congrlab.harmonic, "DomainTooSmall"),
-        (congrlab.HarmonicTable, "value"),
+        (congrlab.harmonic.HarmonicTable, "value"),
         (congrlab.harmonic, "PowerSumTable"),
         (congrlab.Verdict, "passed"),
         (congrlab.Verdict, "failed"),

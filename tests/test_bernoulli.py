@@ -6,20 +6,28 @@ import pytest
 
 from congrlab import (
     CongrlabError,
-    NonPIntegerBernoulli,
     PrimePowerModulus,
-    bernoulli_exact,
     bernoulli_mod,
-    check_bernoulli_power_sums,
-    is_prime,
     residue_of_rational,
 )
 from congrlab import bernoulli
-from congrlab.bernoulli import bernoulli_pm3
+from congrlab.bernoulli import (
+    NonPIntegerBernoulli,
+    bernoulli_exact,
+    bernoulli_pm3,
+    check_bernoulli_power_sums,
+)
 from congrlab.congruences import PrimeContext
+from congrlab.harmonic import harmonic_table
+from congrlab.residues import is_prime
 from congrlab.scanner import odd_primes_between
 from congrlab.verdicts import PASS, SKIP
 from oracles import bernoulli_recurrence, power_sum_exact, von_staudt_clausen_defect
+
+
+def own_table(p):
+    """H_0 .. H_{p-1} modulo p^3, the link suite's table at its own modulus."""
+    return harmonic_table(PrimePowerModulus(p, 3))
 
 
 class TestExactValues:
@@ -154,24 +162,24 @@ class TestPowerSumLinks:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_suite_all_pass(self, p):
-        verdicts = check_bernoulli_power_sums(p)
+        verdicts = check_bernoulli_power_sums(p, own_table(p))
         assert all(v.status == PASS for v in verdicts), verdicts
 
     def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
         # a spawned pool worker starts from B_0 and B_1 and builds the rest
-        warm = check_bernoulli_power_sums(199)
+        warm = check_bernoulli_power_sums(199, own_table(199))
         monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
-        fresh = check_bernoulli_power_sums(199)
+        fresh = check_bernoulli_power_sums(199, own_table(199))
         assert len(bernoulli._BERNOULLI) == 197
         assert fresh == warm
         assert all(v.status == PASS for v in fresh), fresh
 
     def test_skipped_below_p5(self):
-        verdicts = check_bernoulli_power_sums(3)
+        verdicts = check_bernoulli_power_sums(3, own_table(3))
         assert all(v.status == SKIP for v in verdicts)
 
     def test_rhs_recorded_exactly(self):
-        verdicts = {v.case: v for v in check_bernoulli_power_sums(7)}
+        verdicts = {v.case: v for v in check_bernoulli_power_sums(7, own_table(7))}
         m3 = PrimePowerModulus(7, 3)
         expected = residue_of_rational(-Fraction(49, 3) * bernoulli_exact(4), m3)
         assert verdicts["bernoulli.s1_link"].rhs == expected

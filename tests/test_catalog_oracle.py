@@ -22,16 +22,10 @@ from functools import lru_cache
 
 import pytest
 
-from congrlab import (
-    CATALOG,
-    PrimeContext,
-    PrimePowerModulus,
-    Valuation,
-    bernoulli_exact,
-    signed_central_binomial,
-    verify_case,
-)
-from congrlab.congruences import _at, ingredients
+from congrlab import CATALOG, PrimeContext, PrimePowerModulus, verify_case
+from congrlab.bernoulli import bernoulli_exact
+from congrlab.congruences import _at, ingredients, signed_central_binomial
+from congrlab.residues import Valuation
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (

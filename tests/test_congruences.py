@@ -7,23 +7,26 @@ import pytest
 
 from congrlab import (
     CATALOG,
-    CongruenceCase,
-    NotPInteger,
     PrimeContext,
     PrimePowerModulus,
     CongrlabError,
     bernoulli_mod,
     binom_alpha_mod,
-    harmonic_table,
-    harmonic_vectors,
-    power_sum_table,
     residue_of_rational,
-    signed_central_binomial,
     thm1_rhs,
     verify_case,
 )
 from congrlab import congruences
-from congrlab.congruences import SUMS, Term, _catalog, _factorial_inverse
+from congrlab.congruences import (
+    CongruenceCase,
+    SUMS,
+    Term,
+    _catalog,
+    _factorial_inverse,
+    signed_central_binomial,
+)
+from congrlab.harmonic import harmonic_table, harmonic_vectors, power_sum_table
+from congrlab.residues import NotPInteger
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (

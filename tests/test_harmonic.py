@@ -12,24 +12,25 @@ from fractions import Fraction
 import pytest
 
 from congrlab import (
-    HarmonicTable,
     PrimeContext,
     PrimePowerModulus,
     binom_alpha_mod,
-    check_bernoulli_power_sums,
+    residue_of_rational,
+)
+from congrlab import harmonic, scanner
+from congrlab.bernoulli import check_bernoulli_power_sums
+from congrlab.cli import main
+from congrlab.harmonic import (
+    HarmonicTable,
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
     harmonic_table,
     harmonic_vectors,
     power_sum_table,
-    residue_of_rational,
-    run_lemma_suites,
+    power_sums_from_harmonic,
 )
-from congrlab import bernoulli, harmonic, scanner
-from congrlab.cli import main
-from congrlab.harmonic import power_sums_from_harmonic
-from congrlab.scanner import odd_primes_between
+from congrlab.scanner import odd_primes_between, run_lemma_suites
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import harmonic_numbers_exact, power_sum_exact, reflection_pair_sum
 
@@ -53,6 +54,11 @@ def recurrence_table(p, pm):
         for j in range(k, 0, -1):
             c[j] = (c[j] - ik * c[j - 1]) % pm
     return tuple(c[k] if k % 2 == 0 else -c[k] % pm for k in range(p))
+
+
+def own_table(p, m):
+    """H_0 .. H_{p-1} modulo p^m, a suite's table at its own modulus."""
+    return harmonic_table(PrimePowerModulus(p, m))
 
 
 LEMMA_SUITES = (
@@ -107,7 +113,8 @@ class TestHarmonicTable:
         # every pair H_{2m-1} - m p H_{2m} with 2m - 1 >= p is 0 on both sides
         for p in (3, 5, 7, 13):
             assert len(harmonic_table(PrimePowerModulus(p, 2)).h) == p
-            suites = check_reflection_identity(p) + check_harmonic_congruences(p)
+            suites = check_reflection_identity(p, own_table(p, p + 2))
+            suites += check_harmonic_congruences(p, own_table(p, 4))
             verdicts = {v.case: v for v in suites}
             top = [
                 verdicts[f"{family}[m={m}]"]
@@ -291,7 +298,7 @@ class TestReflectionIdentity:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        verdicts = check_reflection_identity(p)
+        verdicts = check_reflection_identity(p, own_table(p, p + 2))
         assert_all_pass(verdicts)
         names = {v.case for v in verdicts}
         assert "reflection.pair[m=1]" in names
@@ -303,7 +310,7 @@ class TestReflectionIdentity:
         # against one math.comb per term
         pm = p ** (p + 2)
         h = recurrence_table(p, pm)
-        rhs = {v.case: v.rhs for v in check_reflection_identity(p)}
+        rhs = {v.case: v.rhs for v in check_reflection_identity(p, own_table(p, p + 2))}
         for j in range(p):
             direct = sum(
                 (-1) ** k * math.comb(k, j) * p ** (k - j) * h[k] for k in range(j, p)
@@ -326,7 +333,7 @@ class TestReflectionIdentity:
         h = harmonic_table(modulus).h
         _, sums = harmonic._shifted_sums(h, p, pm)
         half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-        rhs = {v.case: v.rhs for v in check_reflection_identity(p)}
+        rhs = {v.case: v.rhs for v in check_reflection_identity(p, own_table(p, p + 2))}
         for m in range(1, (p - 1) // 2 + 3):
             r = 2 * m - 1
             oracle = reflection_pair_sum(h, p, r)
@@ -336,7 +343,7 @@ class TestReflectionIdentity:
 
     def test_trivial_branch_past_the_table(self):
         # indices at or past p make both sides vanish
-        verdicts = check_reflection_identity(5)
+        verdicts = check_reflection_identity(5, own_table(5, 7))
         boundary = [v for v in verdicts if v.case == "reflection.pair[m=4]"]
         assert boundary and boundary[0].status == PASS
         assert boundary[0].lhs == 0 and boundary[0].rhs == 0
@@ -450,7 +457,6 @@ class TestSharedTable:
             (harmonic, "harmonic_table"),
             (harmonic, "power_sum_table"),
             (harmonic, "inverse_table"),
-            (bernoulli, "harmonic_table"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         assert_all_pass(run_lemma_suites(p))
@@ -460,10 +466,10 @@ class TestSharedTable:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_shared_table_gives_each_suites_own_verdicts(self, p):
         own = (
-            check_reflection_identity(p)
-            + check_harmonic_congruences(p)
-            + check_power_sum_congruences(p)
-            + check_bernoulli_power_sums(p)
+            check_reflection_identity(p, own_table(p, p + 2))
+            + check_harmonic_congruences(p, own_table(p, 4))
+            + check_power_sum_congruences(p, own_table(p, 6))
+            + check_bernoulli_power_sums(p, own_table(p, 3))
         )
         assert run_lemma_suites(p) == own
 
@@ -474,7 +480,7 @@ class TestHarmonicCongruences:
         assert table.h[3] == 0
 
     def test_p5_penultimate_value(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(5)}
+        verdicts = {v.case: v for v in check_harmonic_congruences(5, own_table(5, 4))}
         v = verdicts["harmonic.h_p_minus_2"]
         assert v.status == PASS and v.lhs == 15
 
@@ -483,22 +489,22 @@ class TestHarmonicCongruences:
         h = harmonic_numbers_exact(7)
         diff = h[3] - 2 * 7 * h[4] + Fraction(343, 4)
         assert diff.numerator % 7**4 == 0
-        verdicts = {v.case: v for v in check_harmonic_congruences(7)}
+        verdicts = {v.case: v for v in check_harmonic_congruences(7, own_table(7, 4))}
         v = verdicts["harmonic.pair_boundary"]
         assert v.status == PASS
         assert v.rhs == residue_of_rational(-Fraction(343, 4), PrimePowerModulus(7, 4))
 
     def test_boundary_pair_also_holds_at_p5(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(5)}
+        verdicts = {v.case: v for v in check_harmonic_congruences(5, own_table(5, 4))}
         assert verdicts["harmonic.pair_boundary"].status == PASS
 
     def test_boundary_pair_skipped_at_p3(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(3)}
+        verdicts = {v.case: v for v in check_harmonic_congruences(3, own_table(3, 4))}
         assert verdicts["harmonic.pair_boundary"].status == SKIP
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(check_harmonic_congruences(p))
+        assert_all_pass(check_harmonic_congruences(p, own_table(p, 4)))
 
 
 class TestPowerSumCongruences:
@@ -526,17 +532,17 @@ class TestPowerSumCongruences:
     def test_triple_also_holds_at_p5(self):
         # p = 5 satisfies the divisibility condition (4 does not divide 6)
         # even though it sits below the usual application range
-        verdicts = {v.case: v for v in check_power_sum_congruences(5)}
+        verdicts = {v.case: v for v in check_power_sum_congruences(5, own_table(5, 6))}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == PASS
 
     def test_triple_skip_reason_recorded(self):
-        verdicts = {v.case: v for v in check_power_sum_congruences(7)}
+        verdicts = {v.case: v for v in check_power_sum_congruences(7, own_table(7, 6))}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == SKIP and "divides m+5" in v.reason
 
     def test_divisibility_branches_both_hit(self):
-        verdicts = check_power_sum_congruences(7)
+        verdicts = check_power_sum_congruences(7, own_table(7, 6))
         minus_one = [
             v for v in verdicts if v.case.startswith("power_sum.mod_p[") and v.rhs != 0
         ]
@@ -547,4 +553,4 @@ class TestPowerSumCongruences:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(check_power_sum_congruences(p))
+        assert_all_pass(check_power_sum_congruences(p, own_table(p, 6)))

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab import (
+from congrlab import PrimeContext, PrimePowerModulus, residue_of_rational
+from congrlab.harmonic import inverse_table
+from congrlab.residues import (
     NotPInteger,
-    PrimeContext,
-    PrimePowerModulus,
     Valuation,
     is_prime,
     parse_rational,
-    residue_of_rational,
     valuation_of_difference,
 )
-from congrlab.harmonic import inverse_table
 from oracles import power_sum_exact, rational_valuation
 
 

@@ -26,16 +26,19 @@ from congrlab import (
     PrimePowerModulus,
     ScanConfig,
     ScanReport,
-    UsageError,
-    Valuation,
     Verdict,
     emit_report,
     run_scan,
-    sieve_primes,
 )
 from congrlab.cli import main, parse_config
 from congrlab.congruences import PrimeContext, ingredients, verify_case
-from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
+from congrlab.residues import Valuation
+from congrlab.scanner import (
+    DEFAULT_ALPHA_SWEEP,
+    UsageError,
+    odd_primes_between,
+    sieve_primes,
+)
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import collected, csv_report, emitted, json_records, record_dict, text_report
 
@@ -1472,3 +1475,58 @@ def test_unbuffered_stdout_closed_early_exits_two():
     child.stderr.close()
     assert child.wait(timeout=120) == 2
     assert err == b"congrlab: cannot write report: [Errno 32] Broken pipe\n"
+
+
+# The report digests that the CI workflow pins and no other test checks,
+# by the request's argv; each runs here in one process
+PINNED_CI_REPORTS = {
+    "lemmas-text-3..61": (
+        ["lemmas", "--primes", "3..61"],
+        "69ee75e90b76cc5c7a559fd6fbf4cf926fa9e32f85fc3156b118c1b23571c745",
+    ),
+    "text-3..97-tightness": (
+        ["scan", "--primes", "3..97", "--tightness"],
+        "439a02c0102c3e014125d8264600bf817afaaa1e33cb0270e3e7afd92e515aa6",
+    ),
+    "csv-3..199": (
+        ["scan", "--primes", "3..199", "--format", "csv"],
+        "990e2559e35b6cea1a37b2726fa508a55a2808bdc58dd827abb04e747f6ffd94",
+    ),
+    "verify-thm1-p7": (
+        ["verify", "--case", "thm1", "--p", "7", "--tightness", "--format", "json"],
+        "3aae42f55e59760c6729a82d91867aadf44f47817e98aea02a5ec218064434e0",
+    ),
+    "product-route-10007": (
+        ["scan", "--primes", "10007..10009", "--tightness", "--format", "json"],
+        "53419e8d04484eea5a1c8117c85c8b5a8c34610ad5df228c53f19ebed9298a2f",
+    ),
+    "lemmas-csv-300..400": (
+        ["lemmas", "--primes", "300..400", "--format", "csv"],
+        "d3d236c6a4c9ef1146174b7d4091c4b1f47996b702ef3a35903beff1eef375bc",
+    ),
+    "catalog-json-3..1999": (
+        ["scan", "--primes", "3..1999", "--format", "json"],
+        "f508a55c347543dd1c74b08daa004f1361b16f5a37f4ed94730854bbebcec3f8",
+    ),
+    "six-cases-3..20000": (
+        [
+            "scan", "--primes", "3..20000", "--tightness", "--format", "csv",
+            "--case", "zhao,mcintosh,tauraso92,mestrovic80,rel34,rel63",
+        ],
+        "0f4e75da7522227839e846be4a6616fb69fb93d41e85559274e33100c5b72ae9",
+    ),
+    "lemmas-text-3..199": (
+        ["lemmas", "--primes", "3..199"],
+        "1dd3ad18ebfb142c05aae4778c19371768ec44787073466c3e4851140128ce4d",
+    ),
+}
+
+
+@pytest.mark.parametrize("request_id", list(PINNED_CI_REPORTS))
+def test_ci_pinned_report(tmp_path, request_id):
+    # reports are identical at any worker count, so one worker checks the
+    # pin of a pooled CI run too
+    argv, pinned = PINNED_CI_REPORTS[request_id]
+    target = tmp_path / "report"
+    assert main(argv + ["--workers", "1", "-o", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == pinned
