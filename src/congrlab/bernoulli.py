@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .harmonic import HarmonicTable
 from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
-from .verdicts import judge, skip
 
 __all__ = [
     "NonPIntegerBernoulli",
@@ -135,12 +134,12 @@ def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
 
     The sums are read off `table`, H_0 .. H_{p-1} modulo p^3 or a higher
     power of p, reduced to p^3: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by
-    Newton's identity.
+    Newton's identity.  One row per link, as the harmonic suites give them.
     """
     if p < 5:
         return [
-            skip("bernoulli.s1_link", p, None, "needs p >= 5"),
-            skip("bernoulli.s2_link", p, None, "needs p >= 5"),
+            ("bernoulli.s1_link", p, None, None, None, "needs p >= 5"),
+            ("bernoulli.s2_link", p, None, None, None, "needs p >= 5"),
         ]
     modulus = PrimePowerModulus(p, 3)
     pm = modulus.pm
@@ -150,6 +149,6 @@ def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
     rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus) * b % pm
     rhs2 = residue_of_rational(Fraction(2 * p, 3), modulus) * b % pm
     return [
-        judge("bernoulli.s1_link", p, None, 3, s1, rhs1, modulus),
-        judge("bernoulli.s2_link", p, None, 2, s2, rhs2, modulus),
+        ("bernoulli.s1_link", p, 3, s1, rhs1, modulus),
+        ("bernoulli.s2_link", p, 2, s2, rhs2, modulus),
     ]

@@ -25,11 +25,15 @@ against sum_{k<p} k^(-N) computed directly, and a mismatch is an internal
 error.
 
 The check_* functions verify families of congruences these quantities
-satisfy and return one Verdict per instance, including explicit skip
-verdicts for instances excluded by a stated side condition.  Each takes a
-harmonic table modulo a power of the same prime at least its own and
-reduces it to its own modulus; `lemmas` builds one table per prime, at
-p^(p+2) (p^6 at p = 3), for all four suites (`scanner.run_lemma_suites`).
+satisfy and return one row per instance, including explicit skip rows for
+instances excluded by a stated side condition.  A row is `verdicts.judge`'s
+arguments less the alpha, (name, p, m, lhs, rhs, working modulus), or
+(name, p, None, None, None, reason) for a skip.  The suites' internal
+checks raise while the rows are built; `lemmas` judges the rows afterwards
+(`scanner._by_name`).  Each suite takes a harmonic table modulo a power of
+the same prime at least its own and reduces it to its own modulus; `lemmas`
+builds one table per prime, at p^(p+2) (p^6 at p = 3), for all four suites
+(`scanner.run_lemma_suites`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
-from .verdicts import judge, skip
 
 __all__ = [
     "HarmonicTable",
@@ -334,10 +337,9 @@ def check_reflection_identity(p: int, table: HarmonicTable) -> list:
         r = 2 * m - 1
         lhs = (h[r] - m * p * h[r + 1]) % pm
         rhs = half_p2 * sums[r] % pm if r < p else 0
-        out.append(judge(f"reflection.pair[m={m}]", p, None, m_work, lhs, rhs, modulus))
+        out.append((f"reflection.pair[m={m}]", p, m_work, lhs, rhs, modulus))
     for j, mirrored in enumerate(mirror):
-        name = f"reflection.mirror[j={j}]"
-        out.append(judge(name, p, None, m_work, h[j], mirrored, modulus))
+        out.append((f"reflection.mirror[j={j}]", p, m_work, h[j], mirrored, modulus))
     return out
 
 
@@ -361,32 +363,30 @@ def check_harmonic_congruences(p: int, table: HarmonicTable) -> list:
     out = []
 
     for m in range(1, p - 1):
-        out.append(judge(f"harmonic.h_mod_p[m={m}]", p, None, 1, h[m], 0, modulus))
+        out.append((f"harmonic.h_mod_p[m={m}]", p, 1, h[m], 0, modulus))
 
     for m in range(1, p, 2):
         if m == p - 2:
             continue
-        out.append(judge(f"harmonic.h_mod_p2[m={m}]", p, None, 2, h[m], 0, modulus))
+        out.append((f"harmonic.h_mod_p2[m={m}]", p, 2, h[m], 0, modulus))
 
     for m in range(1, (p + 1) // 2 + 2):
         if 2 * m + 1 == p - 2:
             # boundary pair handled by the -p^3/4 case below
             continue
         lhs = (h[2 * m - 1] - m * p * h[2 * m]) % pm
-        out.append(
-            judge(f"harmonic.pair_mod_p4[m={m}]", p, None, 4, lhs, 0, modulus)
-        )
+        out.append((f"harmonic.pair_mod_p4[m={m}]", p, 4, lhs, 0, modulus))
 
     if p >= 5:
         lhs = (h[p - 4] - (p - 3) // 2 * p * h[p - 3]) % pm
         rhs = residue_of_rational(-Fraction(p**3, 4), modulus)
-        out.append(judge("harmonic.pair_boundary", p, None, 4, lhs, rhs, modulus))
+        out.append(("harmonic.pair_boundary", p, 4, lhs, rhs, modulus))
     else:
-        out.append(skip("harmonic.pair_boundary", p, None, "needs index p-4 >= 1"))
+        out.append(("harmonic.pair_boundary", p, None, None, None, "needs index p-4 >= 1"))
 
     rhs = residue_of_rational(Fraction(p, 2), modulus)
-    out.append(judge("harmonic.h_p_minus_2", p, None, 2, h[p - 2], rhs, modulus))
-    out.append(judge("harmonic.h_p_minus_1", p, None, 1, h[p - 1], -1, modulus))
+    out.append(("harmonic.h_p_minus_2", p, 2, h[p - 2], rhs, modulus))
+    out.append(("harmonic.h_p_minus_1", p, 1, h[p - 1], -1, modulus))
     return out
 
 
@@ -421,35 +421,33 @@ def check_power_sum_congruences(p: int, table: HarmonicTable) -> list:
 
     for m in range(1, top + 1):
         rhs = -1 % pm if m % (p - 1) == 0 else 0
-        out.append(judge(f"power_sum.mod_p[m={m}]", p, None, 1, s[m], rhs, modulus))
+        out.append((f"power_sum.mod_p[m={m}]", p, 1, s[m], rhs, modulus))
 
         if m % 2 == 0:
             continue
 
         rhs = m * p * inv2 % pm if (m + 1) % (p - 1) == 0 else 0
-        out.append(judge(f"power_sum.mod_p2[m={m}]", p, None, 2, s[m], rhs, modulus))
+        out.append((f"power_sum.mod_p2[m={m}]", p, 2, s[m], rhs, modulus))
 
         pair = (2 * s[m] + m * p * s[m + 1]) % pm
-        out.append(judge(f"power_sum.pair_mod_p3[m={m}]", p, None, 3, pair, 0, modulus))
+        out.append((f"power_sum.pair_mod_p3[m={m}]", p, 3, pair, 0, modulus))
         if (m + 3) % (p - 1) == 0:
             rhs = residue_of_rational(
                 -Fraction(m * (m + 1) * (m + 2), 12) * p**3, modulus
             )
         else:
             rhs = 0
-        out.append(
-            judge(f"power_sum.pair_mod_p4[m={m}]", p, None, 4, pair, rhs, modulus)
-        )
+        out.append((f"power_sum.pair_mod_p4[m={m}]", p, 4, pair, rhs, modulus))
 
         name = f"power_sum.triple_mod_p6[m={m}]"
         if (m + 5) % (p - 1) == 0:
-            out.append(skip(name, p, None, f"excluded: {p - 1} divides m+5"))
+            out.append((name, p, None, None, None, f"excluded: {p - 1} divides m+5"))
         else:
             triple = (
                 s[m]
                 + m * inv2 * p * s[m + 1]
                 + m * (m + 1) * inv12 * p * p * s[m + 2]
             ) % pm
-            out.append(judge(name, p, None, 6, triple, 0, modulus))
+            out.append((name, p, 6, triple, 0, modulus))
 
     return out

@@ -42,12 +42,19 @@ nothing, and its records go straight to `emit_report` from a generator that
 counts the summary and collects the anomalies as they pass; a scan never
 holds its records.  A report is therefore byte-identical no matter how many
 workers built the records, in what order, or under which start method.
-`lemmas` keeps its list: the suites of one prime are evaluated together,
-and the list is sorted by lemma name.  Residues are serialized as decimal
-strings because they routinely exceed 64 bits.  A report is written to its
-file a few hundred records at a time, so no format ever holds a whole
-report as one str or bytes; text, whose column widths need every row, holds
-the rows' cells.
+
+`lemmas` reports by lemma name, then p.  Each prime's suites run together,
+in a pool worker or not, and make every check then; they return plain
+rows, which pickle cheaply.  As each prime's rows come in, in ascending p,
+the parent judges them and folds them into one flat list per lemma name,
+which holds only what varies: p, m, both sides and the valuation.  The
+records are a generator over the sorted names that builds each verdict as
+it is read, so `lemmas` sorts names, not records, and holds no verdicts.
+
+Residues are serialized as decimal strings because they routinely exceed
+64 bits.  A report is written to its file a few hundred records at a time,
+so no format ever holds a whole report as one str or bytes; text, whose
+column widths need every row, holds the rows' cells.
 """
 
 from __future__ import annotations
@@ -55,10 +62,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _escape
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from sys import intern
 from typing import NamedTuple, Optional
 
@@ -73,8 +79,8 @@ from .harmonic import (
     harmonic_table,
     harmonic_vectors,
 )
-from .residues import CongrlabError, PrimePowerModulus, _valuation
-from .verdicts import FAIL, PASS, Verdict
+from .residues import CongrlabError, PrimePowerModulus
+from .verdicts import FAIL, PASS, Verdict, judged, skip
 
 __all__ = [
     "DEFAULT_ALPHA_SWEEP",
@@ -361,7 +367,8 @@ def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
 
 
 def run_lemma_suites(p: int) -> list:
-    """All harmonic-side verdict suites for one prime, plus the Bernoulli link.
+    """The rows of every harmonic-side suite for one prime, plus the
+    Bernoulli link's, each suite's internal checks run.
 
     The suites share one harmonic table, built at the highest modulus any of
     them works in: p^(p+2) for the reflection suite, p^6 for the power sums.
@@ -376,38 +383,57 @@ def run_lemma_suites(p: int) -> list:
     )
 
 
-def _rows(worker, task) -> list:
-    """`worker(task)`'s verdicts, which carry no alpha, as tuples of ints,
-    strings and None, which pickle cheaply: valuation as (value, is_floor)."""
-    return [
-        (case, p, alpha, m, lhs, rhs, status, val and tuple(val), reason)
-        for case, p, alpha, m, lhs, rhs, status, val, reason in worker(task)
-    ]
+def _by_name(batches) -> dict:
+    """Each lemma name's rows, judged, from batches of suite rows that come
+    in ascending p: one flat list per name, five slots a row.  They are p
+    and m, then lhs, rhs and the valuation as `judged` gives them, or for a
+    skip None, None and its reason."""
+    columns = {}
+    for rows in batches:
+        for name, p, m, lhs, rhs, at in rows:
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = []
+            if m is None:  # a skip, whose reason is `at`
+                column += p, None, None, None, at
+            else:
+                lhs, rhs, val = judged(m, lhs, rhs, at)
+                column += p, m, lhs, rhs, val
+    return columns
 
 
-def _verdicts(rows) -> list:
-    """The verdicts that `_rows` flattened, each in its row's place, as lean
-    as `judge` makes them: the name interned, one residue for both sides of
-    a pass, and one shared object per distinct valuation."""
-    for i, (case, p, alpha, m, lhs, rhs, status, val, reason) in enumerate(rows):
-        rows[i] = Verdict(
-            intern(case), p, alpha, m, lhs, lhs if status == PASS else rhs,
-            status, val and _valuation(*val), reason,
-        )
-    return rows
+def _lemma_records(columns: dict):
+    """The verdicts of `_by_name`'s rows in report order, lemma names sorted
+    and each name's primes ascending.  Each is built as it is read, with
+    its name interned once, and a name's rows are let go once written."""
+    for name in sorted(columns):
+        slots = iter(columns.pop(name))
+        name = intern(name)
+        for p, m, lhs, rhs, val in zip(slots, slots, slots, slots, slots):
+            if m is None:
+                yield skip(name, p, None, val)  # `val` holds the reason
+            else:
+                status = PASS if val.value >= m else FAIL
+                yield Verdict(name, p, None, m, lhs, rhs, status, val)
 
 
-def _run_tasks(worker, tasks, workers: int) -> list:
+def _run_tasks(worker, tasks, workers: int, fold=None):
     """`worker(task)` for every task, in the order of `tasks`, from a pool
-    of `workers` processes if that is more than one."""
+    of `workers` processes if that is more than one: as a list, or read by
+    `fold` as each comes in, and then what `fold` returns."""
     if workers <= 1:
-        return [worker(task) for task in tasks]
+        results = map(worker, tasks)
+        return list(results) if fold is None else fold(results)
     import multiprocessing  # only a pool needs it, so a serial run skips it
 
     with multiprocessing.Pool(workers) as pool:
-        # tasks arrive in ascending p from the sieve and cost grows with p,
-        # so hand out the dearest first and put the results back after
-        return pool.map(worker, tasks[::-1])[::-1]
+        if fold is None:
+            # tasks arrive in ascending p from the sieve and cost grows with
+            # p, so hand out the dearest first and put the results back after
+            return pool.map(worker, tasks[::-1])[::-1]
+        # one task at a time and in order, so `fold` reads each result as it
+        # comes in and no batch waits for the rest
+        return fold(pool.imap(worker, tasks))
 
 
 def _tallied(records, summary: dict, anomalies: list, tightness: bool):
@@ -438,13 +464,10 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.command == "lemmas":
         per_p, per_p3 = _LEMMA_FACTORS
         workers = _pool_size(config, primes, sum(per_p * p + per_p3 * p**3 for p in primes))
-        if workers > 1:
-            rows = _run_tasks(partial(_rows, run_lemma_suites), primes, workers)
-            batches = map(_verdicts, rows)
-        else:
-            batches = _run_tasks(run_lemma_suites, primes, 1)
-        # stable: a prime's suites come in one batch, the batches in ascending p
-        records = sorted(chain.from_iterable(batches), key=itemgetter(0))
+        # every suite's checks run, and its rows are judged, before this
+        # returns; each verdict is built as the emitter reads it
+        columns = _run_tasks(run_lemma_suites, primes, workers, _by_name)
+        records = _lemma_records(columns)
     else:
         alphas = tuple(sorted(config.alphas))
         cases = [CATALOG[cid] for cid in config.case_ids()]

@@ -39,6 +39,20 @@ def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:
     return Verdict(intern(case), p, alpha, None, None, None, SKIP, None, reason)
 
 
+def judged(m: int, lhs: int, rhs: int, eval_modulus: PrimePowerModulus) -> tuple:
+    """What a verdict records of two working residues judged against p^m.
+
+    lhs and rhs live in `eval_modulus` (exponent >= m).  They come back
+    reduced modulo p^m, one residue for both where they agree there (a
+    pass), with the valuation of their difference as seen at the evaluation
+    exponent: (lhs, rhs, valuation).
+    """
+    val = valuation_of_difference(lhs, rhs, eval_modulus)
+    pm = eval_modulus.p**m
+    lhs %= pm
+    return lhs, lhs if val.value >= m else rhs % pm, val
+
+
 def judge(
     case: str,
     p: int,
@@ -50,13 +64,9 @@ def judge(
 ) -> Verdict:
     """Judge two working residues against the target modulus p^m.
 
-    lhs and rhs live in `eval_modulus` (exponent >= m); the verdict records
-    them reduced modulo p^m and the valuation of their difference as seen at
-    the evaluation exponent.  Pass means the sides agree modulo p^m.
+    The verdict records what `judged` makes of them; pass means the sides
+    agree modulo p^m.
     """
-    val = valuation_of_difference(lhs, rhs, eval_modulus)
-    pm = p**m
-    lhs %= pm
-    if val.value >= m:  # the sides agree modulo p^m: one residue serves both
-        return Verdict(intern(case), p, alpha, m, lhs, lhs, PASS, val)
-    return Verdict(intern(case), p, alpha, m, lhs, rhs % pm, FAIL, val)
+    lhs, rhs, val = judged(m, lhs, rhs, eval_modulus)
+    status = PASS if val.value >= m else FAIL
+    return Verdict(intern(case), p, alpha, m, lhs, rhs, status, val)

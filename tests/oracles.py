@@ -15,7 +15,8 @@ table.  `record_dict` and `json_records` write a report's records through
 json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
 str.ljust, the routes the scanner's templates replaced.  `emitted` catches
 the bytes `emit_report` writes in memory, and `collected` reads a streamed
-report's records into a list.
+report's records into a list.  `verdicts_of` judges a lemma suite's rows
+as `lemmas` does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from congrlab import PrimePowerModulus, emit_report, residue_of_rational
+from congrlab import PrimePowerModulus, emit_report, residue_of_rational, scanner
 from congrlab.bernoulli import bernoulli_exact
 from congrlab.harmonic import HarmonicTable
 from congrlab.residues import NotPInteger, is_prime
@@ -328,3 +329,9 @@ def emitted(report, fmt: str) -> bytes:
     buf = io.BytesIO()
     assert emit_report(report, fmt, buf) == buf.tell()
     return buf.getvalue()
+
+
+def verdicts_of(rows) -> list:
+    """The verdicts `lemmas` makes of one prime's suite rows, in its order:
+    sorted by name."""
+    return list(scanner._lemma_records(scanner._by_name([rows])))

@@ -22,7 +22,9 @@ from congrlab.harmonic import harmonic_table
 from congrlab.residues import is_prime
 from congrlab.scanner import odd_primes_between
 from congrlab.verdicts import PASS, SKIP
-from oracles import bernoulli_recurrence, power_sum_exact, von_staudt_clausen_defect
+from oracles import (
+    bernoulli_recurrence, power_sum_exact, verdicts_of, von_staudt_clausen_defect
+)
 
 
 def own_table(p):
@@ -162,24 +164,25 @@ class TestPowerSumLinks:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_suite_all_pass(self, p):
-        verdicts = check_bernoulli_power_sums(p, own_table(p))
+        verdicts = verdicts_of(check_bernoulli_power_sums(p, own_table(p)))
         assert all(v.status == PASS for v in verdicts), verdicts
 
     def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
         # a spawned pool worker starts from B_0 and B_1 and builds the rest
-        warm = check_bernoulli_power_sums(199, own_table(199))
+        warm = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
         monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
-        fresh = check_bernoulli_power_sums(199, own_table(199))
+        fresh = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
         assert len(bernoulli._BERNOULLI) == 197
         assert fresh == warm
         assert all(v.status == PASS for v in fresh), fresh
 
     def test_skipped_below_p5(self):
-        verdicts = check_bernoulli_power_sums(3, own_table(3))
+        verdicts = verdicts_of(check_bernoulli_power_sums(3, own_table(3)))
         assert all(v.status == SKIP for v in verdicts)
 
     def test_rhs_recorded_exactly(self):
-        verdicts = {v.case: v for v in check_bernoulli_power_sums(7, own_table(7))}
+        rows = check_bernoulli_power_sums(7, own_table(7))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         m3 = PrimePowerModulus(7, 3)
         expected = residue_of_rational(-Fraction(49, 3) * bernoulli_exact(4), m3)
         assert verdicts["bernoulli.s1_link"].rhs == expected

@@ -32,7 +32,9 @@ from congrlab.harmonic import (
 )
 from congrlab.scanner import odd_primes_between, run_lemma_suites
 from congrlab.verdicts import FAIL, PASS, SKIP
-from oracles import harmonic_numbers_exact, power_sum_exact, reflection_pair_sum
+from oracles import (
+    harmonic_numbers_exact, power_sum_exact, reflection_pair_sum, verdicts_of
+)
 
 SMALL_PRIMES = odd_primes_between(3, 31)
 
@@ -90,7 +92,7 @@ def suite_verdicts(monkeypatch, p, suite):
     for name in LEMMA_SUITES:
         if name != suite:
             monkeypatch.setattr(scanner, name, lambda p, table: [])
-    return {v.case: v for v in run_lemma_suites(p)}
+    return {v.case: v for v in verdicts_of(run_lemma_suites(p))}
 
 
 class TestHarmonicTable:
@@ -113,8 +115,8 @@ class TestHarmonicTable:
         # every pair H_{2m-1} - m p H_{2m} with 2m - 1 >= p is 0 on both sides
         for p in (3, 5, 7, 13):
             assert len(harmonic_table(PrimePowerModulus(p, 2)).h) == p
-            suites = check_reflection_identity(p, own_table(p, p + 2))
-            suites += check_harmonic_congruences(p, own_table(p, 4))
+            suites = verdicts_of(check_reflection_identity(p, own_table(p, p + 2)))
+            suites += verdicts_of(check_harmonic_congruences(p, own_table(p, 4)))
             verdicts = {v.case: v for v in suites}
             top = [
                 verdicts[f"{family}[m={m}]"]
@@ -298,7 +300,7 @@ class TestReflectionIdentity:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        verdicts = check_reflection_identity(p, own_table(p, p + 2))
+        verdicts = verdicts_of(check_reflection_identity(p, own_table(p, p + 2)))
         assert_all_pass(verdicts)
         names = {v.case for v in verdicts}
         assert "reflection.pair[m=1]" in names
@@ -310,7 +312,8 @@ class TestReflectionIdentity:
         # against one math.comb per term
         pm = p ** (p + 2)
         h = recurrence_table(p, pm)
-        rhs = {v.case: v.rhs for v in check_reflection_identity(p, own_table(p, p + 2))}
+        rows = check_reflection_identity(p, own_table(p, p + 2))
+        rhs = {v.case: v.rhs for v in verdicts_of(rows)}
         for j in range(p):
             direct = sum(
                 (-1) ** k * math.comb(k, j) * p ** (k - j) * h[k] for k in range(j, p)
@@ -333,7 +336,8 @@ class TestReflectionIdentity:
         h = harmonic_table(modulus).h
         _, sums = harmonic._shifted_sums(h, p, pm)
         half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-        rhs = {v.case: v.rhs for v in check_reflection_identity(p, own_table(p, p + 2))}
+        rows = check_reflection_identity(p, own_table(p, p + 2))
+        rhs = {v.case: v.rhs for v in verdicts_of(rows)}
         for m in range(1, (p - 1) // 2 + 3):
             r = 2 * m - 1
             oracle = reflection_pair_sum(h, p, r)
@@ -343,7 +347,7 @@ class TestReflectionIdentity:
 
     def test_trivial_branch_past_the_table(self):
         # indices at or past p make both sides vanish
-        verdicts = check_reflection_identity(5, own_table(5, 7))
+        verdicts = verdicts_of(check_reflection_identity(5, own_table(5, 7)))
         boundary = [v for v in verdicts if v.case == "reflection.pair[m=4]"]
         assert boundary and boundary[0].status == PASS
         assert boundary[0].lhs == 0 and boundary[0].rhs == 0
@@ -459,7 +463,7 @@ class TestSharedTable:
             (harmonic, "inverse_table"),
         ]:
             monkeypatch.setattr(module, name, refuse)
-        assert_all_pass(run_lemma_suites(p))
+        assert_all_pass(verdicts_of(run_lemma_suites(p)))
         # p^(p+2) for the reflection suite, but at least p^6 for the power sums
         assert built == [PrimePowerModulus(p, max(p + 2, 6))]
 
@@ -480,7 +484,8 @@ class TestHarmonicCongruences:
         assert table.h[3] == 0
 
     def test_p5_penultimate_value(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(5, own_table(5, 4))}
+        rows = check_harmonic_congruences(5, own_table(5, 4))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         v = verdicts["harmonic.h_p_minus_2"]
         assert v.status == PASS and v.lhs == 15
 
@@ -489,22 +494,25 @@ class TestHarmonicCongruences:
         h = harmonic_numbers_exact(7)
         diff = h[3] - 2 * 7 * h[4] + Fraction(343, 4)
         assert diff.numerator % 7**4 == 0
-        verdicts = {v.case: v for v in check_harmonic_congruences(7, own_table(7, 4))}
+        rows = check_harmonic_congruences(7, own_table(7, 4))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         v = verdicts["harmonic.pair_boundary"]
         assert v.status == PASS
         assert v.rhs == residue_of_rational(-Fraction(343, 4), PrimePowerModulus(7, 4))
 
     def test_boundary_pair_also_holds_at_p5(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(5, own_table(5, 4))}
+        rows = check_harmonic_congruences(5, own_table(5, 4))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         assert verdicts["harmonic.pair_boundary"].status == PASS
 
     def test_boundary_pair_skipped_at_p3(self):
-        verdicts = {v.case: v for v in check_harmonic_congruences(3, own_table(3, 4))}
+        rows = check_harmonic_congruences(3, own_table(3, 4))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         assert verdicts["harmonic.pair_boundary"].status == SKIP
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(check_harmonic_congruences(p, own_table(p, 4)))
+        assert_all_pass(verdicts_of(check_harmonic_congruences(p, own_table(p, 4))))
 
 
 class TestPowerSumCongruences:
@@ -532,17 +540,19 @@ class TestPowerSumCongruences:
     def test_triple_also_holds_at_p5(self):
         # p = 5 satisfies the divisibility condition (4 does not divide 6)
         # even though it sits below the usual application range
-        verdicts = {v.case: v for v in check_power_sum_congruences(5, own_table(5, 6))}
+        rows = check_power_sum_congruences(5, own_table(5, 6))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == PASS
 
     def test_triple_skip_reason_recorded(self):
-        verdicts = {v.case: v for v in check_power_sum_congruences(7, own_table(7, 6))}
+        rows = check_power_sum_congruences(7, own_table(7, 6))
+        verdicts = {v.case: v for v in verdicts_of(rows)}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == SKIP and "divides m+5" in v.reason
 
     def test_divisibility_branches_both_hit(self):
-        verdicts = check_power_sum_congruences(7, own_table(7, 6))
+        verdicts = verdicts_of(check_power_sum_congruences(7, own_table(7, 6)))
         minus_one = [
             v for v in verdicts if v.case.startswith("power_sum.mod_p[") and v.rhs != 0
         ]
@@ -553,4 +563,4 @@ class TestPowerSumCongruences:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(check_power_sum_congruences(p, own_table(p, 6)))
+        assert_all_pass(verdicts_of(check_power_sum_congruences(p, own_table(p, 6))))
