@@ -8,6 +8,7 @@ from .congruences import (
     PrimeContext,
     binom_alpha_mod,
     ingredients,
+    prime_record,
     thm1_rhs,
     verify_case,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "binom_alpha_mod",
     "emit_report",
     "ingredients",
+    "prime_record",
     "residue_of_rational",
     "run_scan",
     "thm1_rhs",

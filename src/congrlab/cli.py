@@ -14,9 +14,9 @@ only then does the destination open, so a failed check leaves -o as it
 was.  The records are evaluated as they stream to -o or stdout, and a
 report left behind by exit 2 or 3 may be incomplete.
 
-The worker count is an upper bound.  CONGRLAB_WORKERS in the environment
-overrides it, including an explicit --workers flag, and either is clamped
-to the CPUs this process may run on.  A run starts a pool of that many
+The worker count is an upper bound.  An explicit --workers flag sets it;
+without one, CONGRLAB_WORKERS in the environment does, and either is
+clamped to the CPUs this process may run on.  A run starts a pool of that many
 workers (at most one per prime) only when its O(p) work outside the
 remainder tree is above one measured threshold; otherwise it runs in this
 process.  `verify` always does.
@@ -68,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             help="the most worker processes to use, at most the CPUs this "
-            "process may run on (default: that many); CONGRLAB_WORKERS "
-            "overrides it.  A pool starts only when the run's O(p) work "
-            "outside the remainder tree is above one measured threshold",
+            "process may run on (default: CONGRLAB_WORKERS if set, else that "
+            "many).  A pool starts only when the run's O(p) work outside the "
+            "remainder tree is above one measured threshold",
         )
         p.add_argument(
             "--tightness",
@@ -194,20 +194,20 @@ def _available_cpus() -> int:
 
 
 def _resolve_workers(flag_value: Optional[int], env: Mapping[str, str]) -> int:
-    """The worker count from the environment, the flag or the CPUs, clamped.
+    """The worker count from the flag, the environment or the CPUs, clamped.
 
     Each worker is a separate process, so a count above the available CPUs
     only adds processes.
     """
     cpus = _available_cpus()
     raw = env.get("CONGRLAB_WORKERS")
-    if raw is not None:
+    if flag_value is not None:
+        workers = flag_value
+    elif raw is not None:
         try:
             workers = int(raw)
         except ValueError:
             raise UsageError(f"CONGRLAB_WORKERS must be an integer, got {raw!r}")
-    elif flag_value is not None:
-        workers = flag_value
     else:
         workers = cpus
     return min(workers, cpus)

@@ -3,33 +3,34 @@
 Most catalog entries compare C(alpha*p - 1, p - 1) -- or the signed central
 binomial coefficient (-1)^((p-1)/2) * C(p-1, (p-1)/2) -- against a series
 in p whose coefficients are harmonic numbers, inverse power sums or
-B_{p-3}.  The binomial side is computed entirely inside Z/p^m along one of
-two routes.  A context given the vector H_0 .. H_{m-1} (which a range scan
-builds for all its primes at once, see `harmonic.harmonic_vectors`) reads
-C(alpha*p - 1, p - 1) = sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule,
-in O(m) per alpha, and S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's
-identities.  Without one, the context takes the product route,
-prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a unit), numerator and
-factorial each multiplied in runs of 64 factors and reduced once per run,
-and one `power_sum_table` pass for the sums; `binom_alpha_mod` is that
-route's binomial, and the scanner also runs it to check the vectors.  The
-exact-rational product formula that serves as the independent oracle of
-both lives with the tests, in tests/oracles.py; it never reads a vector.
+B_{p-3}.  Each prime gets one ingredient record, `prime_record`: a dict
+from each name X a request reads (`ingredients`) to its residue at one
+working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3} modulo
+p^2, C(2p-1, p-1), the central binomial and the binomial at each alpha.
+It is computed in full, inside Z/p^m, before any case is evaluated, on
+one of two routes that differ in two helpers only.  Given the vector
+H_0 .. H_{m-1} (which a range scan builds for all its primes at once, see
+`harmonic.harmonic_vectors`), it reads C(alpha*p - 1, p - 1) =
+sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule, in O(m) per alpha,
+and S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's identities.  Without one,
+it takes the product route, prod_{k=1}^{p-1} (alpha*p - k) / k (every k
+is a unit), numerator and factorial each multiplied in runs of 64 factors
+and reduced once per run, and one `power_sum_table` pass for the sums;
+`binom_alpha_mod` is that route's binomial.  The record runs its checks as
+it goes: the central binomial against its 4^(p-1) transfer, and B_{p-3}
+against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2) wherever the record
+holds S_2.  The scanner compares the two routes at a range's largest
+prime, name by name over `ROUTED`.  The exact-rational product formula
+that serves as the independent oracle of both lives with the tests, in
+tests/oracles.py; it never reads a vector.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
 `verify_case` folds each side of a case once into polynomials in alpha and
-then evaluates them at every alpha it is given.  Its `PrimeContext` holds
-one ingredient record per prime, a dict from each name X to its residue at
-one working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3}
-modulo p^2, C(2p-1, p-1), the central binomial and the binomial at each
-alpha.  `PrimeContext.fill` computes the names a request reads
-(`ingredients`) in full, before any case is evaluated, and runs the
-record's checks as it goes: the central binomial against its 4^(p-1)
-transfer, and B_{p-3} against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2)
-wherever the record holds S_2.  Reading a name the record lacks is an
-error, never a computation.  Each case then reduces to its own modulus, and
-a filled record never changes, so the cases of a single prime may share
-one, in any order.
+then evaluates them at every alpha it is given, against a `PrimeContext`
+over one prime's record.  The context only reads the record: reading a
+name the record lacks is an error, never a computation.  Each case then
+reduces to its own modulus, and a record never changes once built, so the
+cases of a single prime may share one, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -60,6 +61,7 @@ __all__ = [
     "Term",
     "binom_alpha_mod",
     "ingredients",
+    "prime_record",
     "signed_central_binomial",
     "thm1_rhs",
     "verify_case",
@@ -123,7 +125,7 @@ def signed_central_binomial(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-prime evaluation context
+# the ingredient record
 # ---------------------------------------------------------------------------
 
 _TWO = Fraction(2)
@@ -136,44 +138,64 @@ FIXED_ALPHAS = {"binom2": _TWO, "central": _HALF}
 # The sums, which one route computes together: S_1, S_2, S_3 and H_2.
 SUMS = ("S1", "S2", "S3", "H2")
 
-_SUMS = frozenset(SUMS)
+# The names whose values depend on the route: the binomials and the sums.
+ROUTED = frozenset(SUMS) | {"binom", "binom2"}
 
 # Every name a catalog term may read (see `Term`).
-_NAMES = _SUMS | {"one", "four", "B", "binom", "binom2", "central"}
+_NAMES = ROUTED | {"one", "four", "B", "central"}
+
+
+def _binomials(modulus: PrimePowerModulus, alphas: dict, h: Optional[tuple]) -> dict:
+    """C(alpha*p - 1, p - 1) modulo p^m by alpha's residue, which is all it
+    depends on, for `alphas`, a dict from that residue to alpha.
+
+    Given `h`, C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
+    sum_j (-alpha*p)^j H_j, and the terms j >= m vanish.  Without it, every
+    alpha's product shares one 1/(p-1)!.
+    """
+    p, pm = modulus.p, modulus.pm
+    if h is not None:
+        poly = h[::-1]
+        return {a: _horner(poly, -a * p) % pm for a in alphas}
+    fact_inv = _factorial_inverse(modulus) if alphas else None
+    return {a: binom_alpha_mod(alpha, modulus, fact_inv) for a, alpha in alphas.items()}
+
+
+def _sums(modulus: PrimePowerModulus, h: Optional[tuple]) -> tuple:
+    """(S_1, S_2, S_3, H_2) modulo p^m.
+
+    Newton's identities have integer coefficients, so off the vector
+    S_1 = H_1, S_2 = H_1^2 - 2 H_2 and S_3 = H_1^3 - 3 H_1 H_2 + 3 H_3
+    hold exactly mod p^m; they read H_3, so the vector must be at least 4
+    long.  Without it, one `power_sum_table` pass and
+    H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2.
+    """
+    pm = modulus.pm
+    if h is None:
+        s1, s2, s3 = power_sum_table(modulus, 3)
+        return s1, s2, s3, (s1 * s1 - s2) * pow(2, -1, pm) % pm
+    if modulus.m < 4:
+        raise ValueError(f"S_3 reads H_3, past a vector of length {modulus.m}")
+    _, h1, h2, h3 = h[:4]
+    return h1, (h1 * h1 - 2 * h2) % pm, (h1**3 - 3 * h1 * h2 + 3 * h3) % pm, h2
 
 
 class PrimeContext:
     """One prime's ingredient record at one working exponent, and the
     arithmetic that evaluates a catalog side against it.
 
-    `record` maps each ingredient name a side reads (see `Term`) to its
-    residue mod p^exponent, and "binom" to a dict from the residue of each
-    alpha at which a side reads C(alpha*p - 1, p - 1) to that binomial.
-    `fill` computes the record in full before any side is read, on one of
-    two routes: given `h`, (H_0, .., H_{exponent-1}) modulo p^exponent, it
-    reads the binomials and S_1..S_3 off the vector (the tree route);
-    without, it multiplies out the binomials and runs one `power_sum_table`
-    pass (the product route).  Reading a name the record lacks is an error,
-    never a computation.  A context built over a filled record only reads
-    it, so a scan keeps each prime's record and modulus alone.
+    `record` is what `prime_record` returns.  A context only reads it:
+    reading a name the record lacks is an error, never a computation, so a
+    scan keeps each prime's record and modulus alone.
     """
 
-    __slots__ = (
-        "modulus", "p", "exponent", "pm", "record",
-        "_h", "_inverses", "_binoms", "_fact_inv",
-    )
+    __slots__ = ("modulus", "p", "exponent", "pm", "record", "_inverses")
 
-    def __init__(self, modulus: PrimePowerModulus, record: Optional[dict] = None,
-                 h: Optional[tuple] = None):
-        if h is not None and len(h) != modulus.m:
-            raise ValueError(f"harmonic vector of length {len(h)}, need {modulus.m}")
+    def __init__(self, modulus: PrimePowerModulus, record: dict):
         self.modulus = modulus
         self.p, self.exponent, self.pm = modulus.p, modulus.m, modulus.pm
-        self.record = {"one": 1} if record is None else record
-        self._h = h
+        self.record = record
         self._inverses: dict = {}
-        self._binoms: dict = {}  # `binom_w`'s, by alpha's residue
-        self._fact_inv: Optional[int] = None
 
     def modulus_at(self, m: int) -> PrimePowerModulus:
         """The ring Z/p^m, for the same p."""
@@ -188,90 +210,20 @@ class PrimeContext:
             self._inverses[d] = pow(d, -1, self.pm)
         return q.numerator * self._inverses[d] % self.pm
 
-    def binom_w(self, alpha: Fraction) -> int:
-        """C(alpha*p - 1, p - 1), by Horner on `h` or by the product route.
-
-        C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
-        sum_j (-alpha*p)^j H_j, and the terms j >= exponent vanish.  On the
-        product route every alpha shares one 1/(p-1)!.  Kept by alpha's
-        residue, which is all the value depends on and cheaper to hash.
-        """
-        a = self.rat(alpha)
-        if a not in self._binoms:
-            if self._h is not None:
-                value = _horner(self._h[::-1], -a * self.p) % self.pm
-            else:
-                if self._fact_inv is None:
-                    self._fact_inv = _factorial_inverse(self.modulus)
-                value = binom_alpha_mod(alpha, self.modulus, self._fact_inv)
-            self._binoms[a] = value
-        return self._binoms[a]
-
-    def central_binomial(self) -> int:
-        """Signed central binomial residue, checked along both routes.
-
-        The direct reduction of the exact integer must agree with the
-        4^(p-1) * C(p/2 - 1, p - 1) transfer; a mismatch would mean the ring
-        arithmetic is broken, so it is treated as an internal error rather
-        than a verdict.
-        """
-        direct = signed_central_binomial(self.p) % self.pm
-        transfer = pow(4, self.p - 1, self.pm) * self.binom_w(FIXED_ALPHAS["central"])
-        if direct != transfer % self.pm:
-            raise CongrlabError(f"central binomial transfer mismatch at p={self.p}")
+    @staticmethod
+    def central_binomial(modulus: PrimePowerModulus, half: int) -> int:
+        """Signed central binomial residue, checked against its transfer
+        4^(p-1) * `half`, C(p/2 - 1, p - 1) on the record's route.  A
+        mismatch would mean the ring arithmetic is broken, so it is treated
+        as an internal error rather than a verdict."""
+        p, pm = modulus.p, modulus.pm
+        direct = signed_central_binomial(p) % pm
+        if direct != pow(4, p - 1, pm) * half % pm:
+            raise CongrlabError(f"central binomial transfer mismatch at p={p}")
         return direct
 
-    def sums(self) -> tuple:
-        """(S_1, S_2, S_3, H_2) modulo p^exponent, on the context's route.
-
-        Newton's identities have integer coefficients, so off the vector
-        S_1 = H_1, S_2 = H_1^2 - 2 H_2 and S_3 = H_1^3 - 3 H_1 H_2 + 3 H_3
-        hold exactly mod p^exponent; they read H_3, so the vector must be at
-        least 4 long.  The product route takes one `power_sum_table` pass
-        and H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2.
-        """
-        pm = self.pm
-        if self._h is None:
-            s1, s2, s3 = power_sum_table(self.modulus, 3)
-            return s1, s2, s3, (s1 * s1 - s2) * self.rat(_HALF) % pm
-        if self.exponent < 4:
-            raise ValueError(f"S_3 reads H_3, past a vector of length {self.exponent}")
-        _, h1, h2, h3 = self._h[:4]
-        return h1, (h1 * h1 - 2 * h2) % pm, (h1**3 - 3 * h1 * h2 + 3 * h3) % pm, h2
-
-    def fill(self, names, alphas=()) -> dict:
-        """Compute each ingredient in `names` into the record, and return it.
-
-        With "binom" among the names, the binomial is computed at every
-        alpha in `alphas`, which must be p-integral.  The record's checks
-        run here, so a bad ingredient stops a scan before any verdict: the
-        central binomial's transfer and, wherever the record holds S_2
-        (always on the tree route, where it costs O(1)), Glaisher's
-        S_2 == (2/3) p B_{p-3} (mod p^2), which ties Faulhaber's B_{p-3}
-        modulo p to the sums.
-        """
-        unknown = set(names) - _NAMES
-        if unknown:
-            raise ValueError(f"unknown catalog ingredient {min(unknown)!r}")
-        record, p = self.record, self.p
-        if "binom" in names:
-            record["binom"] = {self.rat(a): self.binom_w(a) for a in alphas}
-        if "binom2" in names:
-            record["binom2"] = self.binom_w(FIXED_ALPHAS["binom2"])
-        if "central" in names:
-            record["central"] = self.central_binomial()
-        if "four" in names:
-            record["four"] = pow(4, p - 1, self.pm)
-        if not _SUMS.isdisjoint(names) or ("B" in names and self._h is not None):
-            record.update(zip(SUMS, self.sums()))
-        if "B" in names:
-            b = record["B"] = bernoulli_pm3(p)
-            if "S2" in record and (3 * record["S2"] - 2 * p * b) % min(p * p, self.pm):
-                raise CongrlabError(f"B_{p - 3} fails Glaisher's S_2 congruence at p={p}")
-        return record
-
     def ingredient(self, x: str) -> int:
-        """`record[x]`; a name that `fill` did not compute raises."""
+        """`record[x]`; a name that `prime_record` did not compute raises."""
         try:
             return self.record[x]
         except KeyError:
@@ -292,6 +244,46 @@ class PrimeContext:
             for j, q in enumerate(coef):
                 poly[j] = (poly[j] + self.rat(q) * factor) % self.pm
         return tuple(reversed(polys[0])), tuple(reversed(polys[1]))
+
+
+def prime_record(modulus: PrimePowerModulus, names, alphas=(), h=None) -> dict:
+    """One prime's ingredient record modulo p^m: each name in `names`, in full.
+
+    The record maps each name (see `Term`) to its residue, and "binom" to
+    a dict from the residue of each alpha in `alphas`, which must be
+    p-integral, to C(alpha*p - 1, p - 1).  Given `h`, (H_0, .., H_{m-1})
+    modulo p^m, the binomials and sums come off it (the tree route);
+    without, off products and one `power_sum_table` pass (the product
+    route).  Its checks run here, so a bad ingredient stops a scan before
+    any verdict: the central binomial's transfer and, wherever the record
+    holds S_2 (always on the tree route), Glaisher's S_2 == (2/3) p B_{p-3}
+    (mod p^2), which ties Faulhaber's B_{p-3} modulo p to the sums.
+    """
+    if not _NAMES.issuperset(names):
+        raise ValueError(f"unknown catalog ingredient {min(set(names) - _NAMES)!r}")
+    if h is not None and len(h) != modulus.m:
+        raise ValueError(f"harmonic vector of length {len(h)}, need {modulus.m}")
+    p, pm = modulus.p, modulus.pm
+    record = {"one": 1}
+    rat = PrimeContext(modulus, record).rat
+    read = list(alphas) if "binom" in names else []
+    read += [FIXED_ALPHAS[x] for x in FIXED_ALPHAS.keys() & names]
+    binoms = _binomials(modulus, {rat(a): a for a in read}, h)
+    if "binom" in names:
+        record["binom"] = {a: binoms[a] for a in map(rat, alphas)}
+    if "binom2" in names:
+        record["binom2"] = binoms[rat(_TWO)]
+    if "central" in names:
+        record["central"] = PrimeContext.central_binomial(modulus, binoms[rat(_HALF)])
+    if "four" in names:
+        record["four"] = pow(4, p - 1, pm)
+    if any(x in names for x in SUMS) or ("B" in names and h is not None):
+        record.update(zip(SUMS, _sums(modulus, h)))
+    if "B" in names:
+        b = record["B"] = bernoulli_pm3(p)
+        if "S2" in record and (3 * record["S2"] - 2 * p * b) % min(p * p, pm):
+            raise CongrlabError(f"B_{p - 3} fails Glaisher's S_2 congruence at p={p}")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +343,7 @@ class CongruenceCase(NamedTuple):
 
 
 def ingredients(cases, p: int, alphas=()) -> tuple:
-    """(names, alphas): what `PrimeContext.fill` computes for `cases` at p.
+    """(names, alphas): what `prime_record` computes for `cases` at p.
 
     The names are every ingredient the cases read; the alphas, in the order
     given, are the p-integral ones at which some case reads
@@ -606,8 +598,7 @@ CATALOG = _catalog(_CASES)
 
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
-    ctx = PrimeContext(modulus)
-    ctx.fill({"S1", "H2"})
+    ctx = PrimeContext(modulus, prime_record(modulus, {"S1", "H2"}))
     return _horner(ctx.side(CATALOG["thm1"].rhs)[0], ctx.rat(Fraction(alpha))) % ctx.pm
 
 
@@ -625,8 +616,8 @@ def verify_case(
     call.  With `tightness` the sides are compared at exponent m + 1, so
     the valuation can reveal a congruence that holds one power higher
     than stated.  `ctx` must hold every ingredient the case reads at p, at
-    every alpha it takes; without it a context is built and filled for
-    this call alone.
+    every alpha it takes; without it the call builds the product route's
+    record for itself.
     """
     if isinstance(case, str):
         try:
@@ -639,9 +630,10 @@ def verify_case(
         m = case.modulus_exponent(p)
         m_eval = m + 1 if tightness else m
         if ctx is None:
-            ctx = PrimeContext(PrimePowerModulus(p, m_eval))
+            modulus = PrimePowerModulus(p, m_eval)
             given = [Fraction(a) for a in alphas if a is not None] if parametric else ()
-            ctx.fill(*ingredients([case], p, given))
+            record = prime_record(modulus, *ingredients([case], p, given))
+            ctx = PrimeContext(modulus, record)
         if ctx.exponent < m_eval:
             raise ValueError(f"context exponent {ctx.exponent} below required {m_eval}")
         modulus = ctx.modulus_at(m_eval)

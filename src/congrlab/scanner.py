@@ -5,8 +5,8 @@ request alone: its working exponent, the ingredient names its cases read
 and the alphas at which they read C(alpha*p - 1, p - 1).  One cost model, in
 factors of the product route, prices the plans and makes two choices up
 front: the route of every record, and whether a pool runs the O(p) work.
-Then each prime's ingredient record (`congruences.PrimeContext.fill`) is
-built in full, before any case is evaluated.
+Then each prime's ingredient record (`congruences.prime_record`) is built
+in full, before any case is evaluated.
 
 A record takes one of two routes.  On a wide enough range the parent builds
 every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one remainder
@@ -19,11 +19,11 @@ too.  What is left per prime is O(p) work outside the tree: B_{p-3} and the
 exact central binomial.
 
 Every check that can stop a scan runs in the first phase, so the CLI has
-not opened its output when one fails.  The largest prime reads whatever any
-prime reads, and its vector depends on every product along the tree's right
-spine: there the tree's C(2p - 1, p - 1) and sums are compared with the
-product route's (`_harmonic_vectors`).  Each record checks its own central
-binomial and its B_{p-3} (`PrimeContext.fill`).
+not opened its output when one fails.  Each record checks its own central
+binomial and its B_{p-3} as it is built.  The largest prime reads whatever
+any prime reads, and its vector depends on every product along the tree's
+right spine: there the tree's record is compared with the product route's,
+name by name, every alpha's binomial included (`_harmonic_vectors`).
 
 The worker count is an upper bound: a pool of up to that many processes
 starts only when the records' O(p) work outside the tree is above one
@@ -70,7 +70,8 @@ from typing import NamedTuple, Optional
 
 from .bernoulli import check_bernoulli_power_sums
 from .congruences import (
-    CATALOG, FIXED_ALPHAS, SUMS, PrimeContext, ingredients, verify_case
+    CATALOG, FIXED_ALPHAS, ROUTED, SUMS, PrimeContext, ingredients, prime_record,
+    verify_case,
 )
 from .harmonic import (
     check_harmonic_congruences,
@@ -331,30 +332,31 @@ def _harmonic_vectors(plans) -> list:
 
     A case that applies at p applies at every larger prime, so the largest
     prime reads whatever any prime reads.  Its vector depends on every
-    product along the tree's right spine, so what the range reads off the
-    vectors is checked there against the product route: C(2p - 1, p - 1)
-    if any prime reads a binomial, and S_1, S_2, S_3 and H_2 (one O(p)
-    pass) if any reads the sums.  A mismatch is an internal error.
+    product along the tree's right spine, so there the record the vector
+    gives is compared with the product route's, name by name, over every
+    name the route computes (`ROUTED`) that the range reads: the binomial at
+    every alpha, C(2p - 1, p - 1), and S_1, S_2, S_3 and H_2 (one O(p)
+    pass).  A mismatch is an internal error.
     """
     primes, exponents = [plan.p for plan in plans], [plan.exponent for plan in plans]
     vectors = harmonic_vectors(primes, exponents)
     last = plans[-1]
     modulus = PrimePowerModulus(last.p, last.exponent)
-    tree, product = PrimeContext(modulus, h=vectors[-1]), PrimeContext(modulus)
-    binom2 = FIXED_ALPHAS["binom2"]
-    if last.reads and tree.binom_w(binom2) != product.binom_w(binom2):
-        raise CongrlabError(f"harmonic vector mismatch at p={last.p}")
-    if not last.names.isdisjoint(SUMS) and tree.sums() != product.sums():
-        raise CongrlabError(f"power sums off the harmonic vector mismatch at p={last.p}")
+    names = last.names & ROUTED
+    tree = prime_record(modulus, names, last.alphas, vectors[-1])
+    for name, value in prime_record(modulus, names, last.alphas).items():
+        if tree[name] != value:
+            sums = "power sums off the " if name in SUMS else ""
+            raise CongrlabError(f"{sums}harmonic vector mismatch at p={last.p}")
     return vectors
 
 
 def _prime_record(task) -> tuple:
-    """One prime's modulus and ingredient record, filled in full: its O(p)
+    """One prime's modulus and ingredient record, built in full: its O(p)
     work in a scan."""
     plan, h = task
-    ctx = PrimeContext(PrimePowerModulus(plan.p, plan.exponent), h=h)
-    return ctx.modulus, ctx.fill(plan.names, plan.alphas)
+    modulus = PrimePowerModulus(plan.p, plan.exponent)
+    return modulus, prime_record(modulus, plan.names, plan.alphas, h)
 
 
 def _case_major(cases, records, alphas, tightness: bool, claimed: bool):

@@ -48,7 +48,7 @@ def judged(m: int, lhs: int, rhs: int, eval_modulus: PrimePowerModulus) -> tuple
     exponent: (lhs, rhs, valuation).
     """
     val = valuation_of_difference(lhs, rhs, eval_modulus)
-    pm = eval_modulus.p**m
+    pm = eval_modulus.pm if m == eval_modulus.m else eval_modulus.p**m
     lhs %= pm
     return lhs, lhs if val.value >= m else rhs % pm, val
 

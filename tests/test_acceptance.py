@@ -10,10 +10,10 @@ import time
 from fractions import Fraction
 
 from congrlab import (
-    PrimeContext,
     PrimePowerModulus,
     ScanConfig,
     binom_alpha_mod,
+    prime_record,
     residue_of_rational,
     run_scan,
     thm1_rhs,
@@ -196,8 +196,8 @@ def test_criterion_07_central_binomial_transfer():
     for n in range(1, 201):
         assert central_binomial_identity(n), n
     for p in odd_primes_between(3, 499):
-        ctx = PrimeContext(PrimePowerModulus(p, 7))
-        assert ctx.central_binomial() == signed_central_binomial(p) % ctx.pm
+        central = prime_record(PrimePowerModulus(p, 7), {"central"})["central"]
+        assert central == signed_central_binomial(p) % p**7
     elapsed = time.perf_counter() - start
     report_line(7, "central binomial transfer", True, elapsed)
 

@@ -52,7 +52,8 @@ def test_package_imports_resolve():
 ROOT_NAMES = {
     "CATALOG", "CongrlabError", "PrimeContext", "PrimePowerModulus", "ScanConfig",
     "ScanReport", "Verdict", "bernoulli_mod", "binom_alpha_mod", "emit_report",
-    "ingredients", "residue_of_rational", "run_scan", "thm1_rhs", "verify_case",
+    "ingredients", "prime_record", "residue_of_rational", "run_scan", "thm1_rhs",
+    "verify_case",
 }
 
 
@@ -75,11 +76,19 @@ def test_package_root_exports_the_documented_names():
         (congrlab.Verdict, "skipped"),
         (congrlab.bernoulli, "bernoulli_pm3_faulhaber"),
         (congrlab.PrimeContext, "power_sums"),
+        (congrlab.PrimeContext, "fill"),
+        (congrlab.PrimeContext, "binom_w"),
+        (congrlab.PrimeContext, "sums"),
+        (congrlab.PrimeContext, "_h"),
+        (congrlab.PrimeContext, "_binoms"),
+        (congrlab.PrimeContext, "_fact_inv"),
     ],
     ids=[
         "DomainTooSmall", "HarmonicTable.value", "PowerSumTable",
         "Verdict.passed", "Verdict.failed", "Verdict.skipped",
         "bernoulli_pm3_faulhaber", "PrimeContext.power_sums",
+        "PrimeContext.fill", "PrimeContext.binom_w", "PrimeContext.sums",
+        "PrimeContext._h", "PrimeContext._binoms", "PrimeContext._fact_inv",
     ],
 )
 def test_deleted_api_stays_deleted(owner, name):
@@ -87,7 +96,8 @@ def test_deleted_api_stays_deleted(owner, name):
     # and the power sums are a plain tuple, so no index check, past-the-end
     # query or wrapper class is left to export; a verdict's `status` is
     # compared with PASS, FAIL and SKIP, and a context's ingredients are
-    # read through its one record
+    # read through its one record, which `prime_record` builds: a context
+    # holds no route state
     assert not hasattr(owner, name)
     assert not hasattr(congrlab, name)
 

@@ -17,7 +17,7 @@ from congrlab.bernoulli import (
     bernoulli_pm3,
     check_bernoulli_power_sums,
 )
-from congrlab.congruences import PrimeContext
+from congrlab.congruences import prime_record
 from congrlab.harmonic import harmonic_table
 from congrlab.residues import is_prime
 from congrlab.scanner import odd_primes_between
@@ -141,7 +141,7 @@ class TestFaulhaber:
         # Faulhaber's sum for p >= 7, the exact B_2 at p = 5
         exact = bernoulli_mod(p, p - 3, 2)
         assert bernoulli_pm3(p) == exact
-        assert PrimeContext(PrimePowerModulus(p, 2)).fill({"B"})["B"] == exact
+        assert prime_record(PrimePowerModulus(p, 2), {"B"})["B"] == exact
 
 
 class TestPowerSumLinks:

@@ -24,7 +24,7 @@ import pytest
 
 from congrlab import CATALOG, PrimeContext, PrimePowerModulus, verify_case
 from congrlab.bernoulli import bernoulli_exact
-from congrlab.congruences import _at, ingredients, signed_central_binomial
+from congrlab.congruences import _at, ingredients, prime_record, signed_central_binomial
 from congrlab.residues import Valuation
 from congrlab.scanner import DEFAULT_ALPHA_SWEEP, odd_primes_between
 from congrlab.verdicts import FAIL, PASS, SKIP
@@ -71,9 +71,9 @@ def context(p: int) -> PrimeContext:
     # exponent 8 covers every case's m + 1, so the scan's sharing is
     # exercised: one record for every case that applies at p, claimed or not
     cases = [case for case in CATALOG.values() if p >= case.claimed_min_p]
-    ctx = PrimeContext(PrimePowerModulus(p, 8))
-    ctx.fill(*ingredients(cases, p, DEFAULT_ALPHA_SWEEP))
-    return ctx
+    modulus = PrimePowerModulus(p, 8)
+    record = prime_record(modulus, *ingredients(cases, p, DEFAULT_ALPHA_SWEEP))
+    return PrimeContext(modulus, record)
 
 
 def poly(coef, alpha) -> Fraction:

@@ -12,6 +12,7 @@ from congrlab import (
     CongrlabError,
     bernoulli_mod,
     binom_alpha_mod,
+    prime_record,
     residue_of_rational,
     thm1_rhs,
     verify_case,
@@ -40,8 +41,15 @@ from oracles import (
 )
 
 
-def context(p: int, exponent: int, h=None) -> PrimeContext:
-    return PrimeContext(PrimePowerModulus(p, exponent), h=h)
+def record(p: int, exponent: int, names, alphas=(), h=None) -> dict:
+    return prime_record(PrimePowerModulus(p, exponent), names, alphas, h)
+
+
+def binomials(p: int, exponent: int, alphas, h=None) -> list:
+    """C(alpha*p - 1, p - 1) at each alpha, read off one record."""
+    modulus = PrimePowerModulus(p, exponent)
+    binom = prime_record(modulus, {"binom"}, alphas, h)["binom"]
+    return [binom[residue_of_rational(a, modulus)] for a in alphas]
 
 
 class TestBinomialPaths:
@@ -171,9 +179,10 @@ class TestCentralBinomial:
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 97))
     def test_both_evaluation_routes_agree(self, p):
-        ctx = context(p, 7)
-        direct = signed_central_binomial(p) % ctx.pm
-        assert ctx.central_binomial() == direct
+        direct = signed_central_binomial(p) % p**7
+        assert record(p, 7, {"central"})["central"] == direct
+        h = harmonic_vectors([p], [7])[0]
+        assert record(p, 7, {"central"}, h=h)["central"] == direct
 
 
 class TestReductionCoefficients:
@@ -307,7 +316,7 @@ class TestVerifyCase:
         assert v.alpha is None and v.status == PASS
 
     def test_context_exponent_guard(self):
-        ctx = context(5, 2)
+        ctx = PrimeContext(PrimePowerModulus(5, 2), record(5, 2, {"binom2"}))
         with pytest.raises(ValueError):
             verify_case("wolstenholme_rel70", 5, ctx=ctx)
 
@@ -357,11 +366,12 @@ class TestVerifyCase:
         assert v.status == PASS and v.lhs == v.rhs == 126
 
     def test_central_transfer_guard_is_internal(self):
-        # filling the record verifies the central binomial's routes and
+        # building the record verifies the central binomial's routes and
         # keeps the value; the guard exists but never fires
-        ctx = context(11, 4)
-        first = ctx.fill({"central"})["central"]
-        assert ctx.ingredient("central") == ctx.central_binomial() == first
+        modulus = PrimePowerModulus(11, 4)
+        half = binom_alpha_mod(Fraction(1, 2), modulus)
+        first = prime_record(modulus, {"central"})["central"]
+        assert PrimeContext.central_binomial(modulus, half) == first
 
 
 class TestAlphaLoop:
@@ -414,32 +424,39 @@ class TestAlphaLoop:
 
 
 class TestPrimeContext:
-    def test_binomials_cached_per_alpha(self):
-        ctx = context(7, 6)
-        a = Fraction(2)
-        assert ctx.binom_w(a) == ctx.binom_w(a) == 1716 % 7**6
+    def test_binomials_cached_per_alpha(self, monkeypatch):
+        # one product per alpha residue, the fixed alpha 2 included
+        calls = []
+        real = congruences.binom_alpha_mod
+        monkeypatch.setattr(
+            congruences, "binom_alpha_mod",
+            lambda alpha, *rest: calls.append(alpha) or real(alpha, *rest),
+        )
+        alphas = [Fraction(2), Fraction(2 + 7**6), Fraction(3)]
+        got = record(7, 6, {"binom", "binom2"}, alphas)
+        assert got["binom"] == {2: 1716 % 7**6, 3: math.comb(20, 6) % 7**6}
+        assert got["binom2"] == 1716 % 7**6
+        assert len(calls) == 2
 
     def test_bernoulli_residue(self):
-        # B_4 = -1/30; the exact route reduces it to any power, the context
+        # B_4 = -1/30; the exact route reduces it to any power, the record
         # defines B_{p-3} only modulo p^2
         b4 = Fraction(-1, 30)
         assert bernoulli_mod(7, 4, 4) == residue_of_rational(
             b4, PrimePowerModulus(7, 4)
         )
-        assert context(7, 4).fill({"B"})["B"] == residue_of_rational(
+        assert record(7, 4, {"B"})["B"] == residue_of_rational(
             b4, PrimePowerModulus(7, 2)
         )
 
     def test_unknown_ingredient_raises(self):
-        ctx = context(7, 4)
         with pytest.raises(ValueError, match="unknown catalog ingredient 'nope'"):
-            ctx.fill({"S1", "nope"})
-        assert ctx.record == {"one": 1}
+            record(7, 4, {"S1", "nope"})
 
     def test_reading_computes_nothing(self):
-        # the record is filled in full up front; a read never fills it
-        ctx = context(7, 6)
-        ctx.fill({"S1"})
+        # the record is built in full up front; a read never extends it
+        modulus = PrimePowerModulus(7, 6)
+        ctx = PrimeContext(modulus, prime_record(modulus, {"S1"}))
         with pytest.raises(ValueError, match="'B' is not in the record at p=7"):
             ctx.ingredient("B")
         with pytest.raises(ValueError, match="'binom' is not in the record"):
@@ -448,49 +465,51 @@ class TestPrimeContext:
 
     def test_bernoulli_needs_p_at_least_five(self):
         with pytest.raises(ValueError, match="p >= 5"):
-            context(3, 4).fill({"B"})
+            record(3, 4, {"B"})
 
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
     def test_binomials_match_the_oracle(self, p):
-        # every alpha of one context shares one 1/(p-1)!
-        ctx = context(p, 6)
-        for alpha in DEFAULT_ALPHA_SWEEP:
-            if alpha.denominator % p:
-                expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
-                assert ctx.binom_w(alpha) == expected, alpha
+        # every alpha of one record shares one 1/(p-1)!
+        modulus = PrimePowerModulus(p, 6)
+        alphas = [a for a in DEFAULT_ALPHA_SWEEP if a.denominator % p]
+        for alpha, got in zip(alphas, binomials(p, 6, alphas)):
+            assert got == residue_of_rational(binom_exact(alpha, p), modulus), alpha
 
     @pytest.mark.parametrize("p", [3, 7, 13, 97])
     def test_horner_binomials_match_the_oracle(self, p):
         # every alpha read off one harmonic vector
-        ctx = context(p, 6, harmonic_vectors([p], [6])[0])
-        for alpha in DEFAULT_ALPHA_SWEEP:
-            if alpha.denominator % p:
-                expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
-                assert ctx.binom_w(alpha) == expected, alpha
+        modulus = PrimePowerModulus(p, 6)
+        alphas = [a for a in DEFAULT_ALPHA_SWEEP if a.denominator % p]
+        h = harmonic_vectors([p], [6])[0]
+        for alpha, got in zip(alphas, binomials(p, 6, alphas, h)):
+            assert got == residue_of_rational(binom_exact(alpha, p), modulus), alpha
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("exponent", [4, 8])
     @pytest.mark.parametrize("route", ["product", "horner"])
     def test_binomial_cache_tells_alpha_residues_apart(self, p, exponent, route):
-        # the cache is keyed by alpha's residue mod p^exponent; alphas that
+        # the record is keyed by alpha's residue mod p^exponent; alphas that
         # agree only modulo a lower power of p must not share an entry
         h = harmonic_vectors([p], [exponent])[0] if route == "horner" else None
-        ctx = context(p, exponent, h)
-        for base in (Fraction(1), Fraction(-1, 2), Fraction(2, 5 if p != 5 else 7)):
-            for j in range(exponent):
-                for alpha in (base + p**j, base + 2 * p**j, base):
-                    expected = residue_of_rational(binom_exact(alpha, p), ctx.modulus)
-                    assert ctx.binom_w(alpha) == expected, (base, j, alpha)
+        modulus = PrimePowerModulus(p, exponent)
+        alphas = [
+            alpha
+            for base in (Fraction(1), Fraction(-1, 2), Fraction(2, 5 if p != 5 else 7))
+            for j in range(exponent)
+            for alpha in (base + p**j, base + 2 * p**j, base)
+        ]
+        for alpha, got in zip(alphas, binomials(p, exponent, alphas, h)):
+            assert got == residue_of_rational(binom_exact(alpha, p), modulus), alpha
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
         # H_2 by Newton's identity against the product recurrence's table
-        ctx = context(p, 8)
-        ctx.fill(SUMS)
-        sums = power_sum_table(ctx.modulus, 3)
+        modulus = PrimePowerModulus(p, 8)
+        got = prime_record(modulus, SUMS)
+        sums = power_sum_table(modulus, 3)
         for e in (1, 2, 3):
-            assert ctx.ingredient(f"S{e}") == sums[e - 1]
-        assert ctx.ingredient("H2") == harmonic_table(ctx.modulus).h[2]
+            assert got[f"S{e}"] == sums[e - 1]
+        assert got["H2"] == harmonic_table(modulus).h[2]
 
     @pytest.mark.parametrize("d", range(4, 10))
     def test_vector_sums_match_the_table(self, d):
@@ -500,14 +519,14 @@ class TestPrimeContext:
             modulus = PrimePowerModulus(p, d)
             s1, s2, s3 = power_sum_table(modulus, 3)
             h2 = harmonic_table(modulus).h[2]
-            assert PrimeContext(modulus, h=h).fill(SUMS) == {
+            assert prime_record(modulus, SUMS, h=h) == {
                 "one": 1, "S1": s1, "S2": s2, "S3": s3, "H2": h2
             }, p
 
     def test_vector_too_short_for_the_third_sum(self):
         h = harmonic_vectors([11], [3])[0]
         with pytest.raises(ValueError, match="S_3 reads H_3"):
-            context(11, 3, h).fill({"S1"})
+            record(11, 3, {"S1"}, h=h)
 
     @pytest.mark.parametrize("route", ["product", "tree"])
     def test_corrupted_bernoulli_fails_glaisher(self, monkeypatch, route):
@@ -516,30 +535,30 @@ class TestPrimeContext:
         p = 13
         h = harmonic_vectors([p], [5])[0] if route == "tree" else None
         names = {"B"} if route == "tree" else {"B", "S2"}
-        assert context(p, 5, h).fill(names)["B"] == congruences.bernoulli_pm3(p)
+        assert record(p, 5, names, h=h)["B"] == congruences.bernoulli_pm3(p)
         real = congruences.bernoulli_pm3
         monkeypatch.setattr(congruences, "bernoulli_pm3", lambda q: (real(q) + 1) % q**2)
         with pytest.raises(CongrlabError, match="B_10 fails Glaisher's S_2 congruence at p=13"):
-            context(p, 5, h).fill(names)
+            record(p, 5, names, h=h)
 
     def test_corrupted_half_binomial_fails_the_central_check(self):
         p, d = 13, 4
         h = harmonic_vectors([p], [d])[0]
-        assert context(p, d, h).central_binomial() == (
+        assert record(p, d, {"central"}, h=h)["central"] == (
             signed_central_binomial(p) % p**d
         )
         # H_1 off by one moves C(p/2 - 1, p - 1) by -p/2
         bad = (h[0], (h[1] + 1) % p**d) + h[2:]
         with pytest.raises(CongrlabError, match="central binomial transfer"):
-            context(p, d, bad).central_binomial()
+            record(p, d, {"central"}, h=bad)
 
     def test_vector_length_must_match_the_exponent(self):
         with pytest.raises(ValueError, match="harmonic vector"):
-            context(7, 4, harmonic_vectors([7], [3])[0])
+            record(7, 4, {"S1"}, h=harmonic_vectors([7], [3])[0])
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            context(9, 2)
+            record(9, 2, {"S1"})
 
 
 class TestCatalogGuard:

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from congrlab import (
-    PrimeContext,
     PrimePowerModulus,
     binom_alpha_mod,
+    prime_record,
     residue_of_rational,
 )
 from congrlab import harmonic, scanner
@@ -186,7 +186,7 @@ class TestHarmonicVectors:
         primes = odd_primes_between(5, 10_000)
         for p, h in zip(primes, harmonic_vectors(primes, [4] * len(primes))):
             expected = binom_alpha_mod(2, PrimePowerModulus(p, 4))
-            assert PrimeContext(PrimePowerModulus(p, 4), h=h).binom_w(Fraction(2)) == expected, p
+            assert prime_record(PrimePowerModulus(p, 4), {"binom2"}, h=h)["binom2"] == expected, p
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_vectors_match_the_packed_table(self, d):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab import PrimeContext, PrimePowerModulus, residue_of_rational
+from congrlab import PrimeContext, PrimePowerModulus, prime_record, residue_of_rational
 from congrlab.harmonic import inverse_table
 from congrlab.residues import (
     NotPInteger,
@@ -77,7 +77,7 @@ class TestRingOps:
         assert inv[4] == 94  # 4 * 94 = 376 = 3*125 + 1
 
     def test_pow_example(self):
-        assert PrimeContext(PrimePowerModulus(5, 3)).fill({"four"})["four"] == 6  # 4^4 mod 125
+        assert prime_record(PrimePowerModulus(5, 3), {"four"})["four"] == 6  # 4^4 mod 125
 
     def test_canonical_form(self):
         m = PrimePowerModulus(7, 2)
@@ -86,7 +86,7 @@ class TestRingOps:
         assert residue_of_rational(40 + 30, m) == 21
 
     def test_non_unit_rejected(self):
-        ctx = PrimeContext(PrimePowerModulus(5, 3))
+        ctx = PrimeContext(PrimePowerModulus(5, 3), {"one": 1})
         with pytest.raises(NotPInteger):
             ctx.rat(Fraction(1, 10))
         with pytest.raises(NotPInteger):

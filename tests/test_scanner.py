@@ -28,10 +28,11 @@ from congrlab import (
     ScanReport,
     Verdict,
     emit_report,
+    residue_of_rational,
     run_scan,
 )
 from congrlab.cli import main, parse_config
-from congrlab.congruences import PrimeContext, ingredients, verify_case
+from congrlab.congruences import SUMS, PrimeContext, ingredients, prime_record, verify_case
 from congrlab.residues import Valuation
 from congrlab.scanner import (
     DEFAULT_ALPHA_SWEEP,
@@ -140,13 +141,17 @@ class TestParseConfig:
         assert cfg.cases == ("babbage", "morley")
         assert cfg.alphas == (Fraction(1, 2), Fraction(2))
 
-    def test_env_overrides_workers(self, monkeypatch):
-        # eight CPUs, so neither count below is clamped on a smaller machine
+    def test_workers_flag_overrides_env(self, monkeypatch):
+        # eight CPUs, so no count below is clamped on a smaller machine; the
+        # variable applies only where the flag is absent
         monkeypatch.setattr(congrlab.cli, "_available_cpus", lambda: 8)
         cfg = parse_config(["scan", "--workers", "3"], {"CONGRLAB_WORKERS": "5"})
-        assert cfg.workers == 5
-        cfg = parse_config(["scan", "--workers", "3"], {})
         assert cfg.workers == 3
+        assert parse_config(["scan"], {"CONGRLAB_WORKERS": "5"}).workers == 5
+        assert parse_config(["scan", "--workers", "3"], {}).workers == 3
+        # a given flag does not read the variable, so a bad one goes unseen
+        cfg = parse_config(["scan", "--workers", "2"], {"CONGRLAB_WORKERS": "many"})
+        assert cfg.workers == 2
 
     def test_workers_clamped_to_available_cpus(self):
         # resolves the count only; no pool is started
@@ -154,7 +159,7 @@ class TestParseConfig:
         assert congrlab.cli._resolve_workers(10**6, {}) == cpus
         assert congrlab.cli._resolve_workers(None, {}) == cpus
         env = {"CONGRLAB_WORKERS": str(10**6)}
-        assert congrlab.cli._resolve_workers(1, env) == cpus
+        assert congrlab.cli._resolve_workers(None, env) == cpus
         assert congrlab.cli._resolve_workers(None, {"CONGRLAB_WORKERS": "1"}) == 1
 
     def test_library_worker_count_not_clamped(self):
@@ -646,8 +651,9 @@ class TestPoolRecords:
         for v in reports[workers].records:
             if v.p not in contexts:
                 cases = [c for c in congruences.CATALOG.values() if v.p >= c.claimed_min_p]
-                contexts[v.p] = PrimeContext(PrimePowerModulus(v.p, 8))
-                contexts[v.p].fill(*ingredients(cases, v.p, DEFAULT_ALPHA_SWEEP))
+                modulus = PrimePowerModulus(v.p, 8)
+                record = prime_record(modulus, *ingredients(cases, v.p, DEFAULT_ALPHA_SWEEP))
+                contexts[v.p] = PrimeContext(modulus, record)
             assert verify_case(v.case, v.p, [v.alpha], True, contexts[v.p], True)[0] == v
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -739,7 +745,7 @@ class TestWolstenholmePrime:
 
     def test_bernoulli_vanishes_mod_p_only_there(self):
         for p in (16843, 16829):
-            b = PrimeContext(PrimePowerModulus(p, 2)).fill({"B"})["B"]
+            b = prime_record(PrimePowerModulus(p, 2), {"B"})["B"]
             assert (b % p == 0) == (p == 16843), p
 
     def test_b_zero_mod_p_strengthens_the_catalog(self):
@@ -1378,6 +1384,38 @@ class TestCliContract:
         target = tmp_path / "report.txt"
         target.write_bytes(b"an earlier report\n")
         assert main(argv + ["--workers", "1", "-o", str(target)]) == 3
+        assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
+        assert target.read_bytes() == b"an earlier report\n"
+
+    @pytest.mark.parametrize(
+        "name, alpha",
+        [("binom", a) for a in DEFAULT_ALPHA_SWEEP] + [(x, None) for x in ("binom2", *SUMS)],
+        ids=[f"binom-{a}" for a in DEFAULT_ALPHA_SWEEP] + ["binom2", *SUMS],
+    )
+    def test_each_name_of_the_tree_record_is_cross_checked(
+        self, monkeypatch, capsys, tmp_path, name, alpha
+    ):
+        # one name of the largest prime's tree record off by one: the check
+        # against its product record compares every name the route computes,
+        # each alpha's binomial included, not C(2p - 1, p - 1) alone
+        build = scanner.prime_record
+
+        def corrupted(modulus, names, alphas=(), h=None):
+            record = build(modulus, names, alphas, h)
+            if h is not None and modulus.p == 199:
+                if alpha is None:
+                    record[name] += 1
+                else:
+                    record[name][residue_of_rational(alpha, modulus)] += 1
+            return record
+
+        monkeypatch.setattr(scanner, "prime_record", corrupted)
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["scan", "--primes", "3..200", "--workers", "1", "-o", str(target)]
+        assert main(argv) == 3
+        sums = "power sums off the " if name in SUMS else ""
+        error = f"{sums}harmonic vector mismatch at p=199"
         assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
         assert target.read_bytes() == b"an earlier report\n"
 
