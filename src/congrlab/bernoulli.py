@@ -1,21 +1,19 @@
-"""Exact Bernoulli numbers and their reductions modulo prime powers.
+"""Bernoulli numbers: B_{p-3} modulo p^2, and the exact numbers.
 
-The numbers are generated by z/(e^z - 1) = sum B_n z^n / n!.  They are
-computed exactly from the integer tangent numbers T_k, the coefficients of
+Every run reads B_{p-3} from `bernoulli_pm3`, and only modulo p^2: no
+catalog term or lemma link reads it further.  From p = 7 it comes from
+Faulhaber's formula, in O(p) modular powers; at p = 5 it is B_2 = 1/6.
+
+The exact numbers, generated by z/(e^z - 1) = sum B_n z^n / n!, are the
+tests' reference for `bernoulli_pm3`; no scan or lemma run computes them.
+They come from the integer tangent numbers T_k, the coefficients of
 tan z = sum T_k z^(2k-1) / (2k-1)!, by
 
     B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)),
 
-and only reduced modulo p^j afterwards.  T_1 .. T_K take O(K^2) additions
-and small multiples of integers, with no fractions (Brent & Harvey, "Fast
-computation of Bernoulli, Tangent and Secant numbers", 2013).  The exact
-numbers serve the lemma link suite and p = 5.  Each process extends its own
-list on demand, so a pool worker needs nothing from the process that
-started it.
-
-The catalog only needs B_{p-3} modulo p^2.  `bernoulli_pm3` gives it from
-p = 7 by Faulhaber's formula, in O(p) modular powers without any exact
-number, and reduces the exact B_2 at p = 5.
+and are only reduced modulo p^j afterwards.  T_1 .. T_K take O(K^2)
+additions and small multiples of integers, with no fractions (Brent &
+Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers", 2013).
 """
 
 from __future__ import annotations
@@ -113,12 +111,12 @@ def bernoulli_pm3(p: int) -> int:
     modulo p^3: in Faulhaber's formula for the sum, the p^2 term carries
     B_{p-4} = 0, the next is (p-3)(p-4)/6 B_{p-5} p^3, and every later term
     carries at least p^4 times a p-integral Bernoulli number.  At p = 5 the
-    B_1 term survives (1 + 4 + 9 + 16 = 30), so the exact B_2 is reduced.
+    B_1 term survives (1 + 4 + 9 + 16 = 30), so B_2 = 1/6 is given.
     """
     if p < 5:
         raise ValueError(f"B_(p-3) is read only for p >= 5, got p={p}")
     if p == 5:
-        return bernoulli_mod(p, p - 3, 2)
+        return pow(6, -1, 25)
     p3 = p**3
     total = sum(pow(k, p - 3, p3) for k in range(1, p)) % p3
     if total % p:
@@ -134,7 +132,8 @@ def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
 
     The sums are read off `table`, H_0 .. H_{p-1} modulo p^3 or a higher
     power of p, reduced to p^3: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by
-    Newton's identity.  One row per link, as the harmonic suites give them.
+    Newton's identity; B_{p-3} is `bernoulli_pm3`'s, as the links read it
+    only modulo p^2.  One row per link, as the harmonic suites give them.
     """
     if p < 5:
         return [
@@ -145,7 +144,7 @@ def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
     pm = modulus.pm
     h = table.reduced(modulus).h
     s1, s2 = h[1], (h[1] * h[1] - 2 * h[2]) % pm
-    b = bernoulli_mod(p, p - 3, 3)
+    b = bernoulli_pm3(p)
     rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus) * b % pm
     rhs2 = residue_of_rational(Fraction(2 * p, 3), modulus) * b % pm
     return [

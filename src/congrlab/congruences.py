@@ -6,31 +6,33 @@ in p whose coefficients are harmonic numbers, inverse power sums or
 B_{p-3}.  Each prime gets one ingredient record, `prime_record`: a dict
 from each name X a request reads (`ingredients`) to its residue at one
 working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3} modulo
-p^2, C(2p-1, p-1), the central binomial and the binomial at each alpha.
-It is computed in full, inside Z/p^m, before any case is evaluated, on
-one of two routes that differ in two helpers only.  Given the vector
-H_0 .. H_{m-1} (which a range scan builds for all its primes at once, see
-`harmonic.harmonic_vectors`), it reads C(alpha*p - 1, p - 1) =
-sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule, in O(m) per alpha,
-and S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's identities.  Without one,
-it takes the product route, prod_{k=1}^{p-1} (alpha*p - k) / k (every k
-is a unit), numerator and factorial each multiplied in runs of 64 factors
-and reduced once per run, and one `power_sum_table` pass for the sums;
+p^2 (`bernoulli_pm3`), C(2p-1, p-1), the central binomial and the binomial
+at each alpha.  It is computed in full, inside Z/p^m, before any case is
+evaluated, on one of two routes that differ in two helpers only.  Given the
+vector H_0 .. H_{m-1} (which a range scan builds for all its primes at
+once, see `harmonic.harmonic_vectors`), it reads C(alpha*p - 1, p - 1) =
+sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule, in O(m) per alpha, and
+S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's identities.  Without one, it
+takes the product route, prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a
+unit), numerator and factorial each multiplied in runs of 64 factors and
+reduced once per run, and one `power_sum_table` pass for the sums;
 `binom_alpha_mod` is that route's binomial.  The record runs its checks as
 it goes: the central binomial against its 4^(p-1) transfer, and B_{p-3}
 against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2) wherever the record
-holds S_2.  The scanner compares the two routes at a range's largest
-prime, name by name over `ROUTED`.  The exact-rational product formula
-that serves as the independent oracle of both lives with the tests, in
-tests/oracles.py; it never reads a vector.
+holds S_2.  The scanner compares the two routes at a range's largest prime,
+name by name over `ROUTED`.  Their independent oracle, the exact-rational
+product formula, lives with the tests, in tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
-`verify_case` folds each side of a case once into polynomials in alpha and
-then evaluates them at every alpha it is given, against a `PrimeContext`
-over one prime's record.  The context only reads the record: reading a
-name the record lacks is an error, never a computation.  Each case then
-reduces to its own modulus, and a record never changes once built, so the
-cases of a single prime may share one, in any order.
+Whether a case is evaluated at (p, alpha) is one rule,
+`CongruenceCase.skip_reason` (the prime range, an integer-only domain, a
+p-integral alpha), which `verify_case`, `ingredients` and the scanner's
+plans share.  `verify_case` folds each side once into polynomials in alpha
+and evaluates them at every alpha it is given, against a `PrimeContext`
+over one prime's record.  The context only reads the record: a name the
+record lacks is an error, never a computation.  Each case reduces to its
+own modulus, and a record never changes once built, so the cases of a prime
+may share one, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -336,26 +338,32 @@ class CongruenceCase(NamedTuple):
         terms = self.lhs + self.rhs
         return frozenset([t.x for t in terms] + ["four" for t in terms if t.four])
 
-    def takes(self, alpha) -> bool:
-        """Whether alpha is in the case's domain: an "integer" case takes
-        the integers >= 1 only."""
-        return self.alpha_mode != "integer" or (alpha.denominator == 1 and alpha >= 1)
+    def skip_reason(self, p: int, alpha=None, claimed: bool = False) -> Optional[str]:
+        """Why the case is not evaluated at (p, alpha), or None: p below its
+        range (`claimed_min_p` if `claimed`), or a parametric case's alpha
+        outside an "integer" case's domain (integers >= 1) or not a p-integer."""
+        min_p = self.claimed_min_p if claimed else self.min_p
+        if p < min_p:
+            return f"requires p >= {min_p}"
+        if alpha is None or self.alpha_mode == "none":
+            return None
+        if self.alpha_mode == "integer" and (alpha.denominator != 1 or alpha < 1):
+            return "requires an integer alpha >= 1"
+        return f"alpha is not a {p}-integer" if alpha.denominator % p == 0 else None
 
 
 def ingredients(cases, p: int, alphas=()) -> tuple:
-    """(names, alphas): what `prime_record` computes for `cases` at p.
+    """(names, alphas): what `prime_record` computes for `cases`, which apply at p.
 
     The names are every ingredient the cases read; the alphas, in the order
-    given, are the p-integral ones at which some case reads
-    C(alpha*p - 1, p - 1).
+    given, are those at which some case reads C(alpha*p - 1, p - 1), by
+    `CongruenceCase.skip_reason` under claimed ranges (`claimed_min_p <= min_p`).
     """
     names = frozenset().union(*(case.reads() for case in cases))
     binom = [case for case in cases if "binom" in case.reads()]
-    read = tuple(
-        a for a in alphas
-        if a.denominator % p and any(case.takes(a) for case in binom)
+    return names, tuple(
+        a for a in alphas if any(c.skip_reason(p, a, True) is None for c in binom)
     )
-    return names, read
 
 
 _ONE = (Term((1,), 0, "one"),)
@@ -610,14 +618,13 @@ def verify_case(
 
     A fixed case gives one verdict, alpha None, whatever `alphas` holds;
     a parametric case raises ValueError on a None alpha, and an int
-    alpha becomes a Fraction.  A skip verdict means the case does not
-    apply: prime below its range, alpha outside an integer-only case's
-    domain, or alpha not a p-integer.  Each side is folded once per
-    call.  With `tightness` the sides are compared at exponent m + 1, so
-    the valuation can reveal a congruence that holds one power higher
-    than stated.  `ctx` must hold every ingredient the case reads at p, at
-    every alpha it takes; without it the call builds the product route's
-    record for itself.
+    alpha becomes a Fraction.  Where the case does not apply, the verdict
+    is a skip with `CongruenceCase.skip_reason`'s reason.  Each side is
+    folded once per call.  With `tightness` the sides are compared at
+    exponent m + 1, so the valuation can reveal a congruence that holds
+    one power higher than stated.  `ctx` must hold every ingredient the
+    case reads at p, at every alpha it takes; without it the call builds
+    the product route's record for itself.
     """
     if isinstance(case, str):
         try:
@@ -625,8 +632,7 @@ def verify_case(
         except KeyError:
             raise KeyError(f"unknown congruence case {case!r}") from None
     parametric = case.alpha_mode != "none"
-    min_p = case.claimed_min_p if claimed_ranges else case.min_p
-    if p >= min_p:
+    if case.skip_reason(p, claimed=claimed_ranges) is None:
         m = case.modulus_exponent(p)
         m_eval = m + 1 if tightness else m
         if ctx is None:
@@ -647,17 +653,10 @@ def verify_case(
                 raise ValueError(f"case {case.id} requires an alpha parameter")
             if not isinstance(alpha, Fraction):
                 alpha = Fraction(alpha)
-        if p < min_p:
-            verdicts.append(skip(case.id, p, alpha, f"requires p >= {min_p}"))
+        if reason := case.skip_reason(p, alpha, claimed_ranges):
+            verdicts.append(skip(case.id, p, alpha, reason))
             continue
         if parametric:
-            if not case.takes(alpha):
-                reason = "requires an integer alpha >= 1"
-                verdicts.append(skip(case.id, p, alpha, reason))
-                continue
-            if alpha.denominator % p == 0:
-                verdicts.append(skip(case.id, p, alpha, f"alpha is not a {p}-integer"))
-                continue
             a = ctx.rat(alpha)
         if lhs_q or rhs_q:
             binom = binoms.get(a)

@@ -177,6 +177,10 @@ def harmonic_vectors(primes, exponents) -> list:
 
     out = [None] * len(primes)
 
+    def reduced(c: list, m: int) -> list:
+        # from Python 3.12, divmod divides huge ints subquadratically; % does not
+        return [divmod(x, m)[1] for x in c]
+
     def down(lo: int, hi: int, prefix: list) -> None:
         """`prefix` is the product of the leaves before lo, reduced."""
         if hi - lo == 1:
@@ -187,11 +191,9 @@ def harmonic_vectors(primes, exponents) -> list:
             return
         mid = (lo + hi) // 2
         left, m_left, m_right = below.pop((lo, hi))
-        down(lo, mid, [x % m_left for x in prefix])
-        right = _times_mod_t(
-            [x % m_right for x in prefix], [x % m_right for x in left], d
-        )
-        down(mid, hi, [x % m_right for x in right])
+        down(lo, mid, reduced(prefix, m_left))
+        right = _times_mod_t(reduced(prefix, m_right), reduced(left, m_right), d)
+        down(mid, hi, reduced(right, m_right))
 
     up(0, len(primes), False)
     down(0, len(primes), [1] + [0] * (d - 1))

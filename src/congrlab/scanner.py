@@ -292,7 +292,7 @@ def _plans(primes, cases, alphas, tightness: bool, claimed: bool) -> list:
     extra = 1 if tightness else 0
     shared, plans = {}, []
     for p in primes:
-        applicable = [c for c in cases if p >= (c.claimed_min_p if claimed else c.min_p)]
+        applicable = [c for c in cases if c.skip_reason(p, claimed=claimed) is None]
         not_p_integral = tuple(a for a in alphas if a.denominator % p == 0)
         key = tuple(c.id for c in applicable), not_p_integral
         if key not in shared:

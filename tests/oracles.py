@@ -11,7 +11,8 @@ recurrence, and the von Staudt-Clausen check on them.
 H_k, by the incremental loop that the suite's Taylor shift replaced.
 `binom_alpha_expansion` is a third route to C(alpha*p - 1, p - 1) in
 Z/p^m, the sum over j of (-alpha p)^j H_j, read off the package's harmonic
-table.  `record_dict` and `json_records` write a report's records through
+table.  `skip_reason_exact` states where a catalog case applies.
+`record_dict` and `json_records` write a report's records through
 json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
 str.ljust, the routes the scanner's templates replaced.  `emitted` catches
 the bytes `emit_report` writes in memory, and `collected` reads a streamed
@@ -240,6 +241,31 @@ def von_staudt_clausen_defect(n: int) -> Fraction:
         if n % d == 0 and is_prime(d + 1):
             total += Fraction(1, d + 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# where a catalog case applies
+# ---------------------------------------------------------------------------
+
+
+def skip_reason_exact(case, p: int, alpha, claimed: bool) -> Optional[str]:
+    """The skip reason of a catalog case at (p, alpha), or None where it is
+    evaluated, read off the case's fields and stated without the package.
+
+    The prime range comes first: p at least `claimed_min_p` under claimed
+    ranges, else `min_p`.  A fixed case takes no alpha.  A parametric case
+    then needs its alpha a positive integer if its mode is "integer", and a
+    p-adic valuation of at least 0 (0 itself is a p-integer).
+    """
+    bound = case.claimed_min_p if claimed else case.min_p
+    if p < bound:
+        return f"requires p >= {bound}"
+    if case.alpha_mode == "none" or alpha is None:
+        return None
+    if case.alpha_mode == "integer" and not (alpha == int(alpha) and alpha > 0):
+        return "requires an integer alpha >= 1"
+    v = rational_valuation(alpha, p)
+    return None if v is None or v >= 0 else f"alpha is not a {p}-integer"
 
 
 # ---------------------------------------------------------------------------

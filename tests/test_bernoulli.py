@@ -20,10 +20,11 @@ from congrlab.bernoulli import (
 from congrlab.congruences import prime_record
 from congrlab.harmonic import harmonic_table
 from congrlab.residues import is_prime
-from congrlab.scanner import odd_primes_between
+from congrlab.scanner import ScanConfig, odd_primes_between, run_scan
 from congrlab.verdicts import PASS, SKIP
 from oracles import (
-    bernoulli_recurrence, power_sum_exact, verdicts_of, von_staudt_clausen_defect
+    bernoulli_recurrence, collected, power_sum_exact, verdicts_of,
+    von_staudt_clausen_defect,
 )
 
 
@@ -136,12 +137,25 @@ class TestReductions:
 
 
 class TestFaulhaber:
-    @pytest.mark.parametrize("p", odd_primes_between(5, 499))
+    @pytest.mark.parametrize("p", odd_primes_between(5, 997))
     def test_catalog_route_matches_exact(self, p):
-        # Faulhaber's sum for p >= 7, the exact B_2 at p = 5
+        # Faulhaber's sum for p >= 7, the constant B_2 = 1/6 at p = 5
         exact = bernoulli_mod(p, p - 3, 2)
         assert bernoulli_pm3(p) == exact
         assert prime_record(PrimePowerModulus(p, 2), {"B"})["B"] == exact
+
+    @pytest.mark.parametrize(
+        "config",
+        [ScanConfig(), ScanConfig(command="lemmas", prime_max=199)],
+        ids=["default_scan", "lemmas_3_199"],
+    )
+    def test_no_run_computes_an_exact_number(self, monkeypatch, config):
+        # every B_{p-3} a run reads is Faulhaber's, the lemma links' too
+        warmed = []
+        monkeypatch.setattr(bernoulli, "warm_bernoulli_cache", warmed.append)
+        report = collected(run_scan(config))
+        assert report.records and not report.failed
+        assert warmed == []
 
 
 class TestPowerSumLinks:
@@ -168,11 +182,12 @@ class TestPowerSumLinks:
         assert all(v.status == PASS for v in verdicts), verdicts
 
     def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
-        # a spawned pool worker starts from B_0 and B_1 and builds the rest
+        # a spawned pool worker starts from B_0 and B_1, and the links read
+        # Faulhaber's B_{p-3}, so the list stays as it was
         warm = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
         monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
         fresh = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
-        assert len(bernoulli._BERNOULLI) == 197
+        assert len(bernoulli._BERNOULLI) == 2
         assert fresh == warm
         assert all(v.status == PASS for v in fresh), fresh
 

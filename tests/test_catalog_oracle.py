@@ -34,6 +34,7 @@ from oracles import (
     power_sum_exact,
     rational_valuation,
     reduction_coefficients,
+    skip_reason_exact,
 )
 
 PRIMES = odd_primes_between(3, 47)
@@ -94,16 +95,6 @@ def alphas_for(case):
     return (None,) if case.alpha_mode == "none" else DEFAULT_ALPHA_SWEEP
 
 
-def expected_skip(case, p: int, alpha, claimed: bool) -> bool:
-    if p < (case.claimed_min_p if claimed else case.min_p):
-        return True
-    if alpha is None:
-        return False
-    if case.alpha_mode == "integer" and (alpha.denominator != 1 or alpha < 1):
-        return True
-    return alpha.denominator % p == 0
-
-
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("claimed", [False, True], ids=["verified", "claimed"])
 def test_every_case_matches_exact_oracle(p, claimed):
@@ -112,8 +103,9 @@ def test_every_case_matches_exact_oracle(p, claimed):
         for alpha in alphas_for(case):
             got = verify_case(case, p, [alpha], ctx=context(p), claimed_ranges=claimed)[0]
             where = (case.id, p, alpha)
-            if expected_skip(case, p, alpha, claimed):
-                assert got.status == SKIP, where
+            reason = skip_reason_exact(case, p, alpha, claimed)
+            if reason is not None:
+                assert (got.status, got.reason) == (SKIP, reason), where
                 continue
             assert got.status != SKIP, where
             diff = exact_side(case.lhs, p, alpha) - exact_side(case.rhs, p, alpha)

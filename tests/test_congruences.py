@@ -38,6 +38,7 @@ from oracles import (
     harmonic_numbers_exact,
     p7_residual,
     reduction_coefficients,
+    skip_reason_exact,
 )
 
 
@@ -372,6 +373,40 @@ class TestVerifyCase:
         half = binom_alpha_mod(Fraction(1, 2), modulus)
         first = prime_record(modulus, {"central"})["central"]
         assert PrimeContext.central_binomial(modulus, half) == first
+
+
+# every default alpha, then one that is no 5-integer and one that is no 11-integer
+RULE_ALPHAS = DEFAULT_ALPHA_SWEEP + (Fraction(1, 5), Fraction(1, 11))
+
+
+class TestApplicabilityRule:
+    """Where a case is evaluated is one rule, `CongruenceCase.skip_reason`,
+    which `verify_case`, `ingredients` and the scanner's plans share."""
+
+    @pytest.mark.parametrize("claimed", [False, True], ids=["verified", "claimed"])
+    @pytest.mark.parametrize("p", odd_primes_between(3, 13))
+    def test_rule_matches_oracle(self, p, claimed):
+        for case in CATALOG.values():
+            for alpha in (None,) + RULE_ALPHAS:
+                where = case.id, p, alpha
+                expected = skip_reason_exact(case, p, alpha, claimed)
+                assert case.skip_reason(p, alpha, claimed) == expected, where
+
+    @pytest.mark.parametrize("claimed", [False, True], ids=["verified", "claimed"])
+    @pytest.mark.parametrize("p", odd_primes_between(3, 13))
+    def test_verdicts_skip_where_the_oracle_does(self, p, claimed):
+        for case in CATALOG.values():
+            alphas = (None,) if case.alpha_mode == "none" else RULE_ALPHAS
+            got = verify_case(case, p, RULE_ALPHAS, claimed_ranges=claimed)
+            expected = [skip_reason_exact(case, p, a, claimed) for a in alphas]
+            assert [v.reason if v.status == SKIP else None for v in got] == expected
+
+    def test_ingredients_read_only_the_alphas_some_case_takes(self):
+        cases = [CATALOG["glaisher_rel74"], CATALOG["coro_rel5"]]
+        assert congruences.ingredients(cases[:1], 7, RULE_ALPHAS)[1] == (
+            Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(5), Fraction(6)
+        )
+        assert congruences.ingredients(cases, 11, RULE_ALPHAS)[1] == RULE_ALPHAS[:-1]
 
 
 class TestAlphaLoop:
