@@ -3,6 +3,8 @@
 Every run reads B_{p-3} from `bernoulli_pm3`, and only modulo p^2: no
 catalog term or lemma link reads it further.  From p = 7 it comes from
 Faulhaber's formula, in O(p) modular powers; at p = 5 it is B_2 = 1/6.
+`lemmas` holds it in each prime's lemma record (`check_bernoulli_power_sums`),
+and the two links' rows (`LINK_ROWS`) read it there as the report is written.
 
 The exact numbers, generated by z/(e^z - 1) = sum B_n z^n / n!, are the
 tests' reference for `bernoulli_pm3`; no scan or lemma run computes them.
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
-from .harmonic import HarmonicTable
+from .harmonic import LemmaFamily, LemmaRecord
 from .residues import CongrlabError, PrimePowerModulus, is_prime, residue_of_rational
 
 __all__ = [
+    "LINK_ROWS",
     "NonPIntegerBernoulli",
     "bernoulli_exact",
     "bernoulli_mod",
@@ -124,30 +128,43 @@ def bernoulli_pm3(p: int) -> int:
     return total // p
 
 
-def check_bernoulli_power_sums(p: int, table: HarmonicTable) -> list:
-    """Links between B_{p-3} and the first two inverse power sums (p >= 5):
+def check_bernoulli_power_sums(p: int) -> Optional[int]:
+    """The Bernoulli links' slice of a lemma record: B_{p-3} mod p^2, or
+    None below p = 5.
+
+    Its rows (`LINK_ROWS`) link B_{p-3} to the first two inverse power sums:
 
         S_1 == -(1/3) p^2 B_{p-3}  (mod p^3)
         S_2 ==  (2/3) p   B_{p-3}  (mod p^2)
 
-    The sums are read off `table`, H_0 .. H_{p-1} modulo p^3 or a higher
-    power of p, reduced to p^3: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by
-    Newton's identity; B_{p-3} is `bernoulli_pm3`'s, as the links read it
-    only modulo p^2.  One row per link, as the harmonic suites give them.
+    The sums are read off the record's harmonic table, modulo p^3 or a
+    higher power of p: S_1 = H_1, and S_2 = H_1^2 - 2 H_2 by Newton's
+    identity.  B_{p-3} is `bernoulli_pm3`'s, which checks its own power sum,
+    as the links read it only modulo p^2.
     """
-    if p < 5:
-        return [
-            ("bernoulli.s1_link", p, None, None, None, "needs p >= 5"),
-            ("bernoulli.s2_link", p, None, None, None, "needs p >= 5"),
-        ]
-    modulus = PrimePowerModulus(p, 3)
-    pm = modulus.pm
-    h = table.reduced(modulus).h
-    s1, s2 = h[1], (h[1] * h[1] - 2 * h[2]) % pm
-    b = bernoulli_pm3(p)
-    rhs1 = residue_of_rational(-Fraction(p * p, 3), modulus) * b % pm
-    rhs2 = residue_of_rational(Fraction(2 * p, 3), modulus) * b % pm
-    return [
-        ("bernoulli.s1_link", p, 3, s1, rhs1, modulus),
-        ("bernoulli.s2_link", p, 2, s2, rhs2, modulus),
-    ]
+    return bernoulli_pm3(p) if p >= 5 else None
+
+
+def _link(record: LemmaRecord, m: int, s: int, coefficient: Fraction, modulus):
+    """(m, S, coefficient * B_{p-3}) for one link, or its skip below p = 5."""
+    if record.b is None:
+        return "needs p >= 5"
+    return m, s, residue_of_rational(coefficient, modulus) * record.b
+
+
+def _links(p: int) -> int:
+    return 3
+
+
+LINK_ROWS = (
+    LemmaFamily(
+        "bernoulli.s1_link", _links,
+        lambda r, k, mod: _link(r, 3, r.table.h[1], -Fraction(mod.p**2, 3), mod),
+    ),
+    LemmaFamily(
+        "bernoulli.s2_link", _links,
+        lambda r, k, mod: _link(
+            r, 2, r.table.h[1] ** 2 - 2 * r.table.h[2], Fraction(2 * mod.p, 3), mod
+        ),
+    ),
+)

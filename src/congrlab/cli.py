@@ -252,6 +252,20 @@ def _open_output(path: Optional[str]):
         return contextlib.nullcontext(sys.stdout.buffer)
 
 
+def _say(message: str) -> None:
+    """Write one diagnostic line to stderr.  One that cannot be written (a
+    stderr closed early, say, or the same pipe as the report) is dropped,
+    so it never changes the exit status: stderr is pointed at the null
+    device, where the interpreter's last flush of it succeeds."""
+    try:
+        print(f"congrlab: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stderr.fileno())
+            os.close(null)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -263,16 +277,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with _open_output(config.output) as out:
                 emit_report(report, config.fmt, out)
         except OSError as exc:
-            print(f"congrlab: cannot write report: {exc}", file=sys.stderr)
+            _say(f"cannot write report: {exc}")
             return 2
     except UsageError as exc:
-        print(f"congrlab: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 2
     except CongrlabError as exc:
-        print(f"congrlab: internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}")
         return 3
     except Exception as exc:  # never exit 1, which means a congruence failed
-        print(f"congrlab: internal error: {exc!r}", file=sys.stderr)
+        _say(f"internal error: {exc!r}")
         return 3
     return 1 if report.failed else 0
 

@@ -24,28 +24,35 @@ The suite checks the highest sum, which depends on every Newton step,
 against sum_{k<p} k^(-N) computed directly, and a mismatch is an internal
 error.
 
-The check_* functions verify families of congruences these quantities
-satisfy and return one row per instance, including explicit skip rows for
-instances excluded by a stated side condition.  A row is `verdicts.judge`'s
-arguments less the alpha, (name, p, m, lhs, rhs, working modulus), or
-(name, p, None, None, None, reason) for a skip.  The suites' internal
-checks raise while the rows are built; `lemmas` judges the rows afterwards
-(`scanner._by_name`).  Each suite takes a harmonic table modulo a power of
-the same prime at least its own and reduces it to its own modulus; `lemmas`
-builds one table per prime, at p^(p+2) (p^6 at p = 3), for all four suites
-(`scanner.run_lemma_suites`).
+Four suites check congruences these quantities satisfy at each prime
+(`congrlab lemmas`).  A suite's check_* function builds its slice of the
+prime's `LemmaRecord` from a harmonic table modulo a power of p at least its
+own, and runs the suite's internal checks, which raise, as it does;
+`lemmas` builds one table per prime, at p^(p+2) (p^6 at p = 3), for all
+four suites (`scanner.run_lemma_suites`).  No row is built then.  Each
+family of lemma names is one rule kept beside its suite, a `LemmaFamily` in
+`REFLECTION_ROWS`, `HARMONIC_ROWS`, `POWER_SUM_ROWS` or
+`bernoulli.LINK_ROWS`, that makes its row at k from a record:
+`verdicts.judged`'s arguments, or a skip's reason.  `lemmas` holds the
+records, and builds, judges and writes each row as its report reads it
+(`scanner._lemma_records`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .residues import CongrlabError, PrimePowerModulus, residue_of_rational
 
 __all__ = [
+    "HARMONIC_ROWS",
+    "POWER_SUM_ROWS",
+    "REFLECTION_ROWS",
     "HarmonicTable",
+    "LemmaFamily",
+    "LemmaRecord",
     "check_harmonic_congruences",
     "check_power_sum_congruences",
     "check_reflection_identity",
@@ -258,8 +265,67 @@ def power_sums_from_harmonic(table: HarmonicTable, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# H_k = 0 for k >= p; the suites' top pairs read up to H_{p+3}
-_PAST_THE_END = (0,) * 4
+class LemmaRecord(NamedTuple):
+    """What every lemma row at one prime reads.
+
+    `table` holds H_0 .. H_{p-1} modulo p^(p+2) (p^6 at p = 3) as
+    `lemmas` builds it, or modulo any power of p at least the working
+    modulus of each suite read.  The other fields are the suites' slices,
+    each built, and its internal checks run, by that suite's check_*
+    function; a test may leave out a suite it does not read.
+    """
+
+    table: HarmonicTable
+    pairs: tuple = ()  # each reflection pair's right side, m = 1, 2, .., mod p^(p+2)
+    mirror: tuple = ()  # (j, [x^j] P(x + p)) where that is not H_j mod p^(p+2)
+    sums: tuple = ()  # S_1 .. S_{2p+1} modulo p^6, S_m at index m - 1
+    b: Optional[int] = None  # B_{p-3} modulo p^2, from p = 5
+
+    @property
+    def p(self) -> int:
+        return self.table.modulus.p
+
+
+def _once(p: int) -> range:
+    return range(1)
+
+
+class LemmaFamily(NamedTuple):
+    """One family of lemma names, as the rule that makes its rows.
+
+    Its row at k is named `name.format(k)`; a fixed name has no field and
+    covers k = 0 alone.  The row at k of a prime's record is judged in
+    Z/p^exponent(p), its suite's working modulus, which `row(record, k,
+    modulus)` is given: it returns `verdicts.judged`'s (m, lhs, rhs), whose
+    sides need only be congruent to the residues modulo p^exponent(p), or
+    the reason the row is skipped.  `ks(p)` holds the k it covers at p.
+    """
+
+    name: str
+    exponent: Callable
+    row: Callable
+    ks: Callable = _once
+
+
+class _RangeBut:
+    """The k of `span` but `gap`, where a family leaves one to another name."""
+
+    __slots__ = ("span", "gap")
+
+    def __init__(self, span: range, gap: int):
+        self.span, self.gap = span, gap
+
+    def __contains__(self, k) -> bool:
+        return k != self.gap and k in self.span
+
+    def __iter__(self):
+        return (k for k in self.span if k != self.gap)
+
+
+def _pair(h: tuple, k: int, p: int) -> int:
+    """H_{2k-1} - k p H_{2k}, unreduced; H_j = 0 for j >= p, past the table."""
+    odd, even, *_ = h[2 * k - 1 : 2 * k + 1] + (0, 0)
+    return odd - k * p * even
 
 
 def _shift_by_p(s: list, p: int, pm: int) -> list:
@@ -305,8 +371,8 @@ def _shifted_sums(h: tuple, p: int, pm: int) -> tuple:
     return [mr % pm for mr in shift], sums
 
 
-def check_reflection_identity(p: int, table: HarmonicTable) -> list:
-    """Verify the reflection structure of the harmonic polynomial at high precision.
+def check_reflection_identity(p: int, table: HarmonicTable) -> tuple:
+    """The reflection suite's slice of a lemma record: (pairs, mirror).
 
     The product P(x) = prod (1 - x/k) satisfies P(x) = P(p - x).  Two
     consequences are checked in Z/p^(p+2):
@@ -323,30 +389,43 @@ def check_reflection_identity(p: int, table: HarmonicTable) -> list:
     truncated away entirely.  The Taylor shift is one Horner pass, and each
     pair sum is read off one slot of it before that slot is reduced; the
     sum for m = 1 is also summed on its own and must agree (`_shifted_sums`).
+    This returns each pair's right side, and the coefficients of P(x + p)
+    that differ from H_j (normally none), for `REFLECTION_ROWS` to read.
     The suite reduces `table`, H_0 .. H_{p-1} modulo p^(p+2) or a higher
     power of p, to p^(p+2).
     """
-    m_work = p + 2
-    modulus = PrimePowerModulus(p, m_work)
+    modulus = PrimePowerModulus(p, p + 2)
     pm = modulus.pm
-    table = table.reduced(modulus)
-    h = table.h + _PAST_THE_END
+    h = table.reduced(modulus).h
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-    mirror, sums = _shifted_sums(table.h, p, pm)
-
-    out = []
-    for m in range(1, (p - 1) // 2 + 3):
-        r = 2 * m - 1
-        lhs = (h[r] - m * p * h[r + 1]) % pm
-        rhs = half_p2 * sums[r] % pm if r < p else 0
-        out.append((f"reflection.pair[m={m}]", p, m_work, lhs, rhs, modulus))
-    for j, mirrored in enumerate(mirror):
-        out.append((f"reflection.mirror[j={j}]", p, m_work, h[j], mirrored, modulus))
-    return out
+    mirror, sums = _shifted_sums(h, p, pm)
+    # m = 1 .. (p-1)/2 read T_1, T_3, .., T_{p-2}; both pairs past them are 0
+    pairs = tuple(half_p2 * t % pm for t in sums[1::2]) + (0, 0)
+    return pairs, tuple((j, x) for j, (x, hj) in enumerate(zip(mirror, h)) if x != hj)
 
 
-def check_harmonic_congruences(p: int, table: HarmonicTable) -> list:
-    """Congruences satisfied by individual harmonic numbers.
+def _reflection(p: int) -> int:
+    return p + 2
+
+
+REFLECTION_ROWS = (
+    LemmaFamily(
+        "reflection.pair[m={}]", _reflection,
+        lambda r, k, mod: (mod.m, _pair(r.table.h, k, mod.p), r.pairs[k - 1]),
+        lambda p: range(1, (p - 1) // 2 + 3),
+    ),
+    LemmaFamily(
+        "reflection.mirror[j={}]", _reflection,
+        lambda r, j, mod: (mod.m, r.table.h[j], dict(r.mirror).get(j, r.table.h[j])),
+        range,
+    ),
+)
+
+
+def check_harmonic_congruences(p: int, table: HarmonicTable) -> HarmonicTable:
+    """The harmonic suite's slice of a lemma record: `table` itself.
+
+    Its rows (`HARMONIC_ROWS`) read H_0 .. H_{p-1} alone, modulo p^4:
 
     (a) H_m == 0 (mod p) for 1 <= m <= p-2
     (b) H_m == 0 (mod p^2) for odd m != p-2
@@ -355,48 +434,59 @@ def check_harmonic_congruences(p: int, table: HarmonicTable) -> list:
     (e) H_{p-2} == p/2 (mod p^2)
     (f) H_{p-1} == -1 (mod p)
 
-    The suite reduces `table`, H_0 .. H_{p-1} modulo p^4 or a higher power
-    of p, to p^4.
+    so the one check is that `table` holds them modulo p^4 or a higher
+    power of p.
     """
-    modulus = PrimePowerModulus(p, 4)
-    pm = modulus.pm
-    table = table.reduced(modulus)
-    h = table.h + _PAST_THE_END
-    out = []
-
-    for m in range(1, p - 1):
-        out.append((f"harmonic.h_mod_p[m={m}]", p, 1, h[m], 0, modulus))
-
-    for m in range(1, p, 2):
-        if m == p - 2:
-            continue
-        out.append((f"harmonic.h_mod_p2[m={m}]", p, 2, h[m], 0, modulus))
-
-    for m in range(1, (p + 1) // 2 + 2):
-        if 2 * m + 1 == p - 2:
-            # boundary pair handled by the -p^3/4 case below
-            continue
-        lhs = (h[2 * m - 1] - m * p * h[2 * m]) % pm
-        out.append((f"harmonic.pair_mod_p4[m={m}]", p, 4, lhs, 0, modulus))
-
-    if p >= 5:
-        lhs = (h[p - 4] - (p - 3) // 2 * p * h[p - 3]) % pm
-        rhs = residue_of_rational(-Fraction(p**3, 4), modulus)
-        out.append(("harmonic.pair_boundary", p, 4, lhs, rhs, modulus))
-    else:
-        out.append(("harmonic.pair_boundary", p, None, None, None, "needs index p-4 >= 1"))
-
-    rhs = residue_of_rational(Fraction(p, 2), modulus)
-    out.append(("harmonic.h_p_minus_2", p, 2, h[p - 2], rhs, modulus))
-    out.append(("harmonic.h_p_minus_1", p, 1, h[p - 1], -1, modulus))
-    return out
+    if table.modulus.p != p or table.modulus.m < 4:
+        raise ValueError(f"the harmonic suite reads {p}^4, not {table.modulus}")
+    return table
 
 
-def check_power_sum_congruences(p: int, table: HarmonicTable) -> list:
-    """Congruences satisfied by the inverse power sums S_m.
+def _harmonic(p: int) -> int:
+    return 4
 
-    Swept over 1 <= m <= 2(p-1) + 1 so both branches of every divisibility
-    condition occur:
+
+def _boundary_pair(record: LemmaRecord, k: int, modulus: PrimePowerModulus):
+    """The pair m = (p - 3)/2, H_{p-4} - ((p-3)/2) p H_{p-3}, against -p^3/4."""
+    p = modulus.p
+    if p < 5:
+        return "needs index p-4 >= 1"
+    rhs = residue_of_rational(-Fraction(p**3, 4), modulus)
+    return 4, _pair(record.table.h, (p - 3) // 2, p), rhs
+
+
+HARMONIC_ROWS = (
+    LemmaFamily(
+        "harmonic.h_mod_p[m={}]", _harmonic,
+        lambda r, k, mod: (1, r.table.h[k], 0), lambda p: range(1, p - 1),
+    ),
+    LemmaFamily(
+        "harmonic.h_mod_p2[m={}]", _harmonic,
+        lambda r, k, mod: (2, r.table.h[k], 0), lambda p: range(1, p - 2, 2),
+    ),
+    LemmaFamily(  # the pair with 2m + 1 = p - 2 is harmonic.pair_boundary
+        "harmonic.pair_mod_p4[m={}]", _harmonic,
+        lambda r, k, mod: (4, _pair(r.table.h, k, mod.p), 0),
+        lambda p: _RangeBut(range(1, (p + 1) // 2 + 2), (p - 3) // 2),
+    ),
+    LemmaFamily("harmonic.pair_boundary", _harmonic, _boundary_pair),
+    LemmaFamily(
+        "harmonic.h_p_minus_2", _harmonic,
+        lambda r, k, mod: (
+            2, r.table.h[mod.p - 2], residue_of_rational(Fraction(mod.p, 2), mod)
+        ),
+    ),
+    LemmaFamily(
+        "harmonic.h_p_minus_1", _harmonic, lambda r, k, mod: (1, r.table.h[mod.p - 1], -1)
+    ),
+)
+
+
+def check_power_sum_congruences(p: int, table: HarmonicTable) -> tuple:
+    """The power-sum suite's slice of a lemma record: S_1 .. S_{2p+1} mod p^6.
+
+    Its rows (`POWER_SUM_ROWS`) sweep 1 <= m <= 2(p-1) + 1, so both
+    branches of every divisibility condition occur:
 
     (1) S_m == 0 (mod p) unless (p-1) | m, in which case S_m == -1 (mod p)
     (2) for odd m, S_m == 0 (mod p^2) unless (p-1) | m+1, then S_m == mp/2
@@ -406,50 +496,65 @@ def check_power_sum_congruences(p: int, table: HarmonicTable) -> list:
         S_m + (m/2) p S_{m+1} + (m(m+1)/12) p^2 S_{m+2} == 0 (mod p^6)
 
     The sums are read off `table`, H_0 .. H_{p-1} modulo p^6 or a higher
-    power of p, reduced to p^6.
+    power of p, reduced to p^6.  The highest, which depends on every Newton
+    step, must equal sum_{k<p} k^-(2p+1) computed directly.
     """
     modulus = PrimePowerModulus(p, 6)
-    pm = modulus.pm
-    top = 2 * (p - 1) + 1
-    table = table.reduced(modulus)
-    s = (None,) + power_sums_from_harmonic(table, top + 2)  # s[m] is S_m
-    direct = sum(pow(k, -(top + 2), pm) for k in range(1, p)) % pm
-    if s[top + 2] != direct:
-        raise CongrlabError(f"power sum S_{top + 2} mismatch at p={p}")
-    inv2 = pow(2, -1, pm)
-    # 12 is a unit only for p >= 5, and at p = 3 every triple is skipped
-    inv12 = pow(12, -1, pm) if p >= 5 else None
-    out = []
+    pm, top = modulus.pm, 2 * p + 1
+    sums = power_sums_from_harmonic(table.reduced(modulus), top)
+    if sums[-1] != sum(pow(k, -top, pm) for k in range(1, p)) % pm:
+        raise CongrlabError(f"power sum S_{top} mismatch at p={p}")
+    return sums
 
-    for m in range(1, top + 1):
-        rhs = -1 % pm if m % (p - 1) == 0 else 0
-        out.append((f"power_sum.mod_p[m={m}]", p, 1, s[m], rhs, modulus))
 
-        if m % 2 == 0:
-            continue
+def _power_sum(p: int) -> int:
+    return 6
 
-        rhs = m * p * inv2 % pm if (m + 1) % (p - 1) == 0 else 0
-        out.append((f"power_sum.mod_p2[m={m}]", p, 2, s[m], rhs, modulus))
 
-        pair = (2 * s[m] + m * p * s[m + 1]) % pm
-        out.append((f"power_sum.pair_mod_p3[m={m}]", p, 3, pair, 0, modulus))
-        if (m + 3) % (p - 1) == 0:
-            rhs = residue_of_rational(
-                -Fraction(m * (m + 1) * (m + 2), 12) * p**3, modulus
-            )
-        else:
-            rhs = 0
-        out.append((f"power_sum.pair_mod_p4[m={m}]", p, 4, pair, rhs, modulus))
+def _odd(p: int) -> range:
+    return range(1, 2 * p, 2)
 
-        name = f"power_sum.triple_mod_p6[m={m}]"
-        if (m + 5) % (p - 1) == 0:
-            out.append((name, p, None, None, None, f"excluded: {p - 1} divides m+5"))
-        else:
-            triple = (
-                s[m]
-                + m * inv2 * p * s[m + 1]
-                + m * (m + 1) * inv12 * p * p * s[m + 2]
-            ) % pm
-            out.append((name, p, 6, triple, 0, modulus))
 
-    return out
+def _sum_pair(record: LemmaRecord, m: int, p: int) -> int:
+    """2 S_m + m p S_{m+1}, unreduced."""
+    return 2 * record.sums[m - 1] + m * p * record.sums[m]
+
+
+def _half_mp(record: LemmaRecord, m: int, modulus: PrimePowerModulus):
+    p = modulus.p
+    rhs = residue_of_rational(Fraction(m * p, 2), modulus) if (m + 1) % (p - 1) == 0 else 0
+    return 2, record.sums[m - 1], rhs
+
+
+def _pair_mod_p4(record: LemmaRecord, m: int, modulus: PrimePowerModulus):
+    p = modulus.p
+    rhs = 0
+    if (m + 3) % (p - 1) == 0:
+        rhs = residue_of_rational(-Fraction(m * (m + 1) * (m + 2), 12) * p**3, modulus)
+    return 4, _sum_pair(record, m, p), rhs
+
+
+def _triple(record: LemmaRecord, m: int, modulus: PrimePowerModulus):
+    p, s = modulus.p, record.sums
+    if (m + 5) % (p - 1) == 0:
+        return f"excluded: {p - 1} divides m+5"
+    # twelve times the triple; 12 is a unit from p = 5, and at p = 3 every
+    # triple is excluded
+    twelve = 12 * s[m - 1] + 6 * m * p * s[m] + m * (m + 1) * p * p * s[m + 1]
+    return 6, twelve * pow(12, -1, modulus.pm), 0
+
+
+POWER_SUM_ROWS = (
+    LemmaFamily(
+        "power_sum.mod_p[m={}]", _power_sum,
+        lambda r, m, mod: (1, r.sums[m - 1], 0 if m % (mod.p - 1) else -1),
+        lambda p: range(1, 2 * p),
+    ),
+    LemmaFamily("power_sum.mod_p2[m={}]", _power_sum, _half_mp, _odd),
+    LemmaFamily(
+        "power_sum.pair_mod_p3[m={}]", _power_sum,
+        lambda r, m, mod: (3, _sum_pair(r, m, mod.p), 0), _odd,
+    ),
+    LemmaFamily("power_sum.pair_mod_p4[m={}]", _power_sum, _pair_mod_p4, _odd),
+    LemmaFamily("power_sum.triple_mod_p6[m={}]", _power_sum, _triple, _odd),
+)

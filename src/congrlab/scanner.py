@@ -44,12 +44,14 @@ holds its records.  A report is therefore byte-identical no matter how many
 workers built the records, in what order, or under which start method.
 
 `lemmas` reports by lemma name, then p.  Each prime's suites run together,
-in a pool worker or not, and make every check then; they return plain
-rows, which pickle cheaply.  As each prime's rows come in, in ascending p,
-the parent judges them and folds them into one flat list per lemma name,
-which holds only what varies: p, m, both sides and the valuation.  The
-records are a generator over the sorted names that builds each verdict as
-it is read, so `lemmas` sorts names, not records, and holds no verdicts.
+in a pool worker or not, and make every internal check then; they return
+one lemma record per prime (`harmonic.LemmaRecord`): its harmonic table,
+S_1 .. S_{2p+1}, the reflection pairs' right sides, any mirror coefficient
+off the table and B_{p-3}.  The parent holds these and no rows.  Each
+family of lemma names is one rule beside its suite, and the records are a
+generator that walks the sorted names and, for each, the primes ascending,
+building each row from its prime's record and judging it as it is read.
+So `lemmas` sorts names, not records, and holds no row or verdict.
 
 Residues are serialized as decimal strings because they routinely exceed
 64 bits.  A report is written to its file a few hundred records at a time,
@@ -68,12 +70,16 @@ from operator import attrgetter
 from sys import intern
 from typing import NamedTuple, Optional
 
-from .bernoulli import check_bernoulli_power_sums
+from .bernoulli import LINK_ROWS, check_bernoulli_power_sums
 from .congruences import (
     CATALOG, FIXED_ALPHAS, ROUTED, SUMS, PrimeContext, ingredients, prime_record,
     verify_case,
 )
 from .harmonic import (
+    HARMONIC_ROWS,
+    POWER_SUM_ROWS,
+    REFLECTION_ROWS,
+    LemmaRecord,
     check_harmonic_congruences,
     check_power_sum_congruences,
     check_reflection_identity,
@@ -368,74 +374,68 @@ def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
             yield from verify_case(case, modulus.p, alphas, tightness, ctx, claimed)
 
 
-def run_lemma_suites(p: int) -> list:
-    """The rows of every harmonic-side suite for one prime, plus the
-    Bernoulli link's, each suite's internal checks run.
+def run_lemma_suites(p: int) -> LemmaRecord:
+    """One prime's lemma record, every suite's internal checks run.
 
     The suites share one harmonic table, built at the highest modulus any of
     them works in: p^(p+2) for the reflection suite, p^6 for the power sums.
-    Each reduces it to its own modulus.
+    Each reduces it to its own modulus as it builds its slice of the record.
     """
     table = harmonic_table(PrimePowerModulus(p, max(p + 2, 6)))
-    return (
-        check_reflection_identity(p, table)
-        + check_harmonic_congruences(p, table)
-        + check_power_sum_congruences(p, table)
-        + check_bernoulli_power_sums(p, table)
+    return LemmaRecord(
+        check_harmonic_congruences(p, table),
+        *check_reflection_identity(p, table),
+        sums=check_power_sum_congruences(p, table),
+        b=check_bernoulli_power_sums(p),
     )
 
 
-def _by_name(batches) -> dict:
-    """Each lemma name's rows, judged, from batches of suite rows that come
-    in ascending p: one flat list per name, five slots a row.  They are p
-    and m, then lhs, rhs and the valuation as `judged` gives them, or for a
-    skip None, None and its reason."""
-    columns = {}
-    for rows in batches:
-        for name, p, m, lhs, rhs, at in rows:
-            column = columns.get(name)
-            if column is None:
-                column = columns[name] = []
-            if m is None:  # a skip, whose reason is `at`
-                column += p, None, None, None, at
-            else:
-                lhs, rhs, val = judged(m, lhs, rhs, at)
-                column += p, m, lhs, rhs, val
-    return columns
+_LEMMA_FAMILIES = REFLECTION_ROWS + HARMONIC_ROWS + POWER_SUM_ROWS + LINK_ROWS
 
 
-def _lemma_records(columns: dict):
-    """The verdicts of `_by_name`'s rows in report order, lemma names sorted
-    and each name's primes ascending.  Each is built as it is read, with
-    its name interned once, and a name's rows are let go once written."""
-    for name in sorted(columns):
-        slots = iter(columns.pop(name))
-        name = intern(name)
-        for p, m, lhs, rhs, val in zip(slots, slots, slots, slots, slots):
-            if m is None:
-                yield skip(name, p, None, val)  # `val` holds the reason
-            else:
+def _lemma_records(records: list, families=_LEMMA_FAMILIES):
+    """The verdicts of every row `families` make of `records`, lemma records
+    in ascending p, in report order: names sorted, and each name's primes
+    ascending.  Each row is built from its prime's record, judged and let go
+    as it is read, and each name is interned once.
+
+    No family's text before its field is a prefix of another's, so sorting
+    the families by that text, and each family's names, sorts every name.
+    """
+    for family in sorted(families, key=lambda f: f.name.partition("{")[0]):
+        at = [
+            (record, family.ks(record.p), record.table.modulus.with_exponent(
+                family.exponent(record.p)
+            ))
+            for record in records
+        ]
+        ks = set().union(*(covered for _, covered, _ in at))
+        for name, k in sorted((family.name.format(k), k) for k in ks):
+            name = intern(name)
+            for record, covered, modulus in at:
+                if k not in covered:
+                    continue
+                row = family.row(record, k, modulus)
+                if isinstance(row, str):  # the reason it is skipped
+                    yield skip(name, modulus.p, None, row)
+                    continue
+                m, lhs, rhs = row
+                lhs, rhs, val = judged(m, lhs, rhs, modulus)
                 status = PASS if val.value >= m else FAIL
-                yield Verdict(name, p, None, m, lhs, rhs, status, val)
+                yield Verdict(name, modulus.p, None, m, lhs, rhs, status, val)
 
 
-def _run_tasks(worker, tasks, workers: int, fold=None):
+def _run_tasks(worker, tasks, workers: int) -> list:
     """`worker(task)` for every task, in the order of `tasks`, from a pool
-    of `workers` processes if that is more than one: as a list, or read by
-    `fold` as each comes in, and then what `fold` returns."""
+    of `workers` processes if that is more than one."""
     if workers <= 1:
-        results = map(worker, tasks)
-        return list(results) if fold is None else fold(results)
+        return list(map(worker, tasks))
     import multiprocessing  # only a pool needs it, so a serial run skips it
 
     with multiprocessing.Pool(workers) as pool:
-        if fold is None:
-            # tasks arrive in ascending p from the sieve and cost grows with
-            # p, so hand out the dearest first and put the results back after
-            return pool.map(worker, tasks[::-1])[::-1]
-        # one task at a time and in order, so `fold` reads each result as it
-        # comes in and no batch waits for the rest
-        return fold(pool.imap(worker, tasks))
+        # tasks arrive in ascending p from the sieve and cost grows with p,
+        # so hand out the dearest first and put the results back after
+        return pool.map(worker, tasks[::-1])[::-1]
 
 
 def _tallied(records, summary: dict, anomalies: list, tightness: bool):
@@ -466,10 +466,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
     if config.command == "lemmas":
         per_p, per_p3 = _LEMMA_FACTORS
         workers = _pool_size(config, primes, sum(per_p * p + per_p3 * p**3 for p in primes))
-        # every suite's checks run, and its rows are judged, before this
-        # returns; each verdict is built as the emitter reads it
-        columns = _run_tasks(run_lemma_suites, primes, workers, _by_name)
-        records = _lemma_records(columns)
+        # every suite's checks run before this returns; each row is built,
+        # judged and written as the emitter reads it
+        records = _lemma_records(_run_tasks(run_lemma_suites, primes, workers))
     else:
         alphas = tuple(sorted(config.alphas))
         cases = [CATALOG[cid] for cid in config.case_ids()]

@@ -16,8 +16,8 @@ table.  `skip_reason_exact` states where a catalog case applies.
 json.JSONEncoder, `csv_report` through csv.writer and `text_report` with
 str.ljust, the routes the scanner's templates replaced.  `emitted` catches
 the bytes `emit_report` writes in memory, and `collected` reads a streamed
-report's records into a list.  `verdicts_of` judges a lemma suite's rows
-as `lemmas` does.
+report's records into a list.  `verdicts_of` judges a lemma record's rows
+as `lemmas` does, and `suite_verdicts` one suite's rows on a table.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from fractions import Fraction
 from typing import Optional
 
 from congrlab import PrimePowerModulus, emit_report, residue_of_rational, scanner
+from congrlab import bernoulli, harmonic
 from congrlab.bernoulli import bernoulli_exact
-from congrlab.harmonic import HarmonicTable
+from congrlab.harmonic import HarmonicTable, LemmaRecord
 from congrlab.residues import NotPInteger, is_prime
 
 
@@ -357,7 +358,35 @@ def emitted(report, fmt: str) -> bytes:
     return buf.getvalue()
 
 
-def verdicts_of(rows) -> list:
-    """The verdicts `lemmas` makes of one prime's suite rows, in its order:
-    sorted by name."""
-    return list(scanner._lemma_records(scanner._by_name([rows])))
+def verdicts_of(record, families=scanner._LEMMA_FAMILIES) -> list:
+    """The verdicts `lemmas` makes of the rows `families` make of one
+    prime's lemma record, by the walk its report takes: sorted by name."""
+    return list(scanner._lemma_records([record], families))
+
+
+# each lemma suite's slice of a record on a table, and the families that read it
+_SUITES = {
+    "reflection": (
+        lambda p, t: LemmaRecord(t, *harmonic.check_reflection_identity(p, t)),
+        harmonic.REFLECTION_ROWS,
+    ),
+    "harmonic": (
+        lambda p, t: LemmaRecord(harmonic.check_harmonic_congruences(p, t)),
+        harmonic.HARMONIC_ROWS,
+    ),
+    "power_sum": (
+        lambda p, t: LemmaRecord(t, sums=harmonic.check_power_sum_congruences(p, t)),
+        harmonic.POWER_SUM_ROWS,
+    ),
+    "bernoulli": (
+        lambda p, t: LemmaRecord(t, b=bernoulli.check_bernoulli_power_sums(p)),
+        bernoulli.LINK_ROWS,
+    ),
+}
+
+
+def suite_verdicts(suite: str, p: int, table) -> list:
+    """One lemma suite's verdicts at p, sorted by name: its families' rows of
+    a record that holds `table` and that suite's slice of it alone."""
+    build, families = _SUITES[suite]
+    return verdicts_of(build(p, table), families)

@@ -15,7 +15,6 @@ from congrlab.bernoulli import (
     NonPIntegerBernoulli,
     bernoulli_exact,
     bernoulli_pm3,
-    check_bernoulli_power_sums,
 )
 from congrlab.congruences import prime_record
 from congrlab.harmonic import harmonic_table
@@ -23,7 +22,7 @@ from congrlab.residues import is_prime
 from congrlab.scanner import ScanConfig, odd_primes_between, run_scan
 from congrlab.verdicts import PASS, SKIP
 from oracles import (
-    bernoulli_recurrence, collected, power_sum_exact, verdicts_of,
+    bernoulli_recurrence, collected, power_sum_exact, suite_verdicts,
     von_staudt_clausen_defect,
 )
 
@@ -178,26 +177,25 @@ class TestPowerSumLinks:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_suite_all_pass(self, p):
-        verdicts = verdicts_of(check_bernoulli_power_sums(p, own_table(p)))
+        verdicts = suite_verdicts("bernoulli", p, own_table(p))
         assert all(v.status == PASS for v in verdicts), verdicts
 
     def test_fresh_list_gives_the_same_verdicts(self, monkeypatch):
         # a spawned pool worker starts from B_0 and B_1, and the links read
         # Faulhaber's B_{p-3}, so the list stays as it was
-        warm = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
+        warm = suite_verdicts("bernoulli", 199, own_table(199))
         monkeypatch.setattr(bernoulli, "_BERNOULLI", [Fraction(1), Fraction(-1, 2)])
-        fresh = verdicts_of(check_bernoulli_power_sums(199, own_table(199)))
+        fresh = suite_verdicts("bernoulli", 199, own_table(199))
         assert len(bernoulli._BERNOULLI) == 2
         assert fresh == warm
         assert all(v.status == PASS for v in fresh), fresh
 
     def test_skipped_below_p5(self):
-        verdicts = verdicts_of(check_bernoulli_power_sums(3, own_table(3)))
+        verdicts = suite_verdicts("bernoulli", 3, own_table(3))
         assert all(v.status == SKIP for v in verdicts)
 
     def test_rhs_recorded_exactly(self):
-        rows = check_bernoulli_power_sums(7, own_table(7))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("bernoulli", 7, own_table(7))}
         m3 = PrimePowerModulus(7, 3)
         expected = residue_of_rational(-Fraction(49, 3) * bernoulli_exact(4), m3)
         assert verdicts["bernoulli.s1_link"].rhs == expected

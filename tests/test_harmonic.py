@@ -8,6 +8,7 @@ and reduced afterwards.
 import math
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -18,13 +19,11 @@ from congrlab import (
     residue_of_rational,
 )
 from congrlab import harmonic, scanner
-from congrlab.bernoulli import check_bernoulli_power_sums
+from congrlab.bernoulli import bernoulli_pm3
 from congrlab.cli import main
 from congrlab.harmonic import (
     HarmonicTable,
     check_harmonic_congruences,
-    check_power_sum_congruences,
-    check_reflection_identity,
     harmonic_table,
     harmonic_vectors,
     power_sum_table,
@@ -33,7 +32,8 @@ from congrlab.harmonic import (
 from congrlab.scanner import odd_primes_between, run_lemma_suites
 from congrlab.verdicts import FAIL, PASS, SKIP
 from oracles import (
-    harmonic_numbers_exact, power_sum_exact, reflection_pair_sum, verdicts_of
+    harmonic_numbers_exact, power_sum_exact, reflection_pair_sum, suite_verdicts,
+    verdicts_of,
 )
 
 SMALL_PRIMES = odd_primes_between(3, 31)
@@ -63,36 +63,28 @@ def own_table(p, m):
     return harmonic_table(PrimePowerModulus(p, m))
 
 
-LEMMA_SUITES = (
-    "check_reflection_identity",
-    "check_harmonic_congruences",
-    "check_power_sum_congruences",
-    "check_bernoulli_power_sums",
-)
+def corrupted(table, index):
+    """`table` with H_index raised by one."""
+    h = list(table.h)
+    h[index] = (h[index] + 1) % table.modulus.pm
+    return HarmonicTable(table.modulus, tuple(h))
 
 
 def corrupt_table(monkeypatch, index):
     """Make the table run_lemma_suites shares its true one with H_index raised by one."""
     true_table = scanner.harmonic_table
-
-    def corrupted(modulus):
-        h = list(true_table(modulus).h)
-        h[index] = (h[index] + 1) % modulus.pm
-        return HarmonicTable(modulus, tuple(h))
-
-    monkeypatch.setattr(scanner, "harmonic_table", corrupted)
+    monkeypatch.setattr(scanner, "harmonic_table", lambda m: corrupted(true_table(m), index))
 
 
-def suite_verdicts(monkeypatch, p, suite):
-    """run_lemma_suites(p)'s verdicts by case, with every suite but `suite` left out.
+def corrupted_verdicts(p, index, suite):
+    """One suite's verdicts by case at p, on the table run_lemma_suites shares
+    with H_index raised by one.
 
-    A corrupted table also trips the power-sum suite's internal cross-check,
-    which would raise before the other suites' verdicts came back.
+    With every suite run, the power-sum suite's internal cross-check would
+    raise on such a table before any row was read.
     """
-    for name in LEMMA_SUITES:
-        if name != suite:
-            monkeypatch.setattr(scanner, name, lambda p, table: [])
-    return {v.case: v for v in verdicts_of(run_lemma_suites(p))}
+    table = corrupted(own_table(p, max(p + 2, 6)), index)
+    return {v.case: v for v in suite_verdicts(suite, p, table)}
 
 
 class TestHarmonicTable:
@@ -115,8 +107,8 @@ class TestHarmonicTable:
         # every pair H_{2m-1} - m p H_{2m} with 2m - 1 >= p is 0 on both sides
         for p in (3, 5, 7, 13):
             assert len(harmonic_table(PrimePowerModulus(p, 2)).h) == p
-            suites = verdicts_of(check_reflection_identity(p, own_table(p, p + 2)))
-            suites += verdicts_of(check_harmonic_congruences(p, own_table(p, 4)))
+            suites = suite_verdicts("reflection", p, own_table(p, p + 2))
+            suites += suite_verdicts("harmonic", p, own_table(p, 4))
             verdicts = {v.case: v for v in suites}
             top = [
                 verdicts[f"{family}[m={m}]"]
@@ -300,7 +292,7 @@ class TestReflectionIdentity:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        verdicts = verdicts_of(check_reflection_identity(p, own_table(p, p + 2)))
+        verdicts = suite_verdicts("reflection", p, own_table(p, p + 2))
         assert_all_pass(verdicts)
         names = {v.case for v in verdicts}
         assert "reflection.pair[m=1]" in names
@@ -312,8 +304,8 @@ class TestReflectionIdentity:
         # against one math.comb per term
         pm = p ** (p + 2)
         h = recurrence_table(p, pm)
-        rows = check_reflection_identity(p, own_table(p, p + 2))
-        rhs = {v.case: v.rhs for v in verdicts_of(rows)}
+        verdicts = suite_verdicts("reflection", p, own_table(p, p + 2))
+        rhs = {v.case: v.rhs for v in verdicts}
         for j in range(p):
             direct = sum(
                 (-1) ** k * math.comb(k, j) * p ** (k - j) * h[k] for k in range(j, p)
@@ -336,8 +328,8 @@ class TestReflectionIdentity:
         h = harmonic_table(modulus).h
         _, sums = harmonic._shifted_sums(h, p, pm)
         half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
-        rows = check_reflection_identity(p, own_table(p, p + 2))
-        rhs = {v.case: v.rhs for v in verdicts_of(rows)}
+        verdicts = suite_verdicts("reflection", p, own_table(p, p + 2))
+        rhs = {v.case: v.rhs for v in verdicts}
         for m in range(1, (p - 1) // 2 + 3):
             r = 2 * m - 1
             oracle = reflection_pair_sum(h, p, r)
@@ -347,7 +339,7 @@ class TestReflectionIdentity:
 
     def test_trivial_branch_past_the_table(self):
         # indices at or past p make both sides vanish
-        verdicts = verdicts_of(check_reflection_identity(5, own_table(5, 7)))
+        verdicts = suite_verdicts("reflection", 5, own_table(5, 7))
         boundary = [v for v in verdicts if v.case == "reflection.pair[m=4]"]
         assert boundary and boundary[0].status == PASS
         assert boundary[0].lhs == 0 and boundary[0].rhs == 0
@@ -357,31 +349,27 @@ class TestReflectionChecksCanFail:
     """A table with one wrong entry must fail the checks that read it."""
 
     @pytest.mark.parametrize("p,j", [(5, 1), (13, 7), (31, 29), (61, 3)])
-    def test_mirror_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
+    def test_mirror_fails_at_a_corrupted_odd_index(self, p, j):
         # for odd j the k = j term enters the shifted sum as -H_j, so the
         # two sides of mirror[j] move in opposite directions
-        corrupt_table(monkeypatch, j)
-        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
+        verdicts = corrupted_verdicts(p, j, "reflection")
         assert verdicts[f"reflection.mirror[j={j}]"].status == FAIL
 
     @pytest.mark.parametrize("p,j", [(5, 2), (13, 8), (31, 30), (61, 40)])
-    def test_mirror_fails_below_a_corrupted_even_index(self, monkeypatch, p, j):
+    def test_mirror_fails_below_a_corrupted_even_index(self, p, j):
         # H_j enters mirror[j-1] as j p H_j, which p^(p+2) does not absorb
-        corrupt_table(monkeypatch, j)
-        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
+        verdicts = corrupted_verdicts(p, j, "reflection")
         assert verdicts[f"reflection.mirror[j={j - 1}]"].status == FAIL
 
     @pytest.mark.parametrize("p,j", [(7, 3), (13, 5), (31, 11), (61, 59)])
-    def test_pair_fails_at_a_corrupted_odd_index(self, monkeypatch, p, j):
-        corrupt_table(monkeypatch, j)
-        verdicts = suite_verdicts(monkeypatch, p, "check_reflection_identity")
+    def test_pair_fails_at_a_corrupted_odd_index(self, p, j):
+        verdicts = corrupted_verdicts(p, j, "reflection")
         failed = {case for case, v in verdicts.items() if v.status == FAIL}
         assert f"reflection.pair[m={(j + 1) // 2}]" in failed
 
     @pytest.mark.parametrize("p", [5, 13, 31])
-    def test_harmonic_congruences_flag_a_corrupted_last_entry(self, monkeypatch, p):
-        corrupt_table(monkeypatch, p - 1)
-        verdicts = suite_verdicts(monkeypatch, p, "check_harmonic_congruences")
+    def test_harmonic_congruences_flag_a_corrupted_last_entry(self, p):
+        verdicts = corrupted_verdicts(p, p - 1, "harmonic")
         assert verdicts["harmonic.h_p_minus_1"].status == FAIL
 
     @pytest.mark.parametrize(
@@ -393,10 +381,9 @@ class TestReflectionChecksCanFail:
             (31, 2, "bernoulli.s2_link"),
         ],
     )
-    def test_bernoulli_links_flag_a_corrupted_h1_or_h2(self, monkeypatch, p, j, case):
+    def test_bernoulli_links_flag_a_corrupted_h1_or_h2(self, p, j, case):
         # S_1 = H_1 and S_2 = H_1^2 - 2 H_2 are read off the shared table
-        corrupt_table(monkeypatch, j)
-        verdicts = suite_verdicts(monkeypatch, p, "check_bernoulli_power_sums")
+        verdicts = corrupted_verdicts(p, j, "bernoulli")
         assert verdicts[case].status == FAIL
 
     def test_corrupted_shared_table_is_an_internal_error(self, monkeypatch, capsys):
@@ -470,12 +457,32 @@ class TestSharedTable:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_shared_table_gives_each_suites_own_verdicts(self, p):
         own = (
-            check_reflection_identity(p, own_table(p, p + 2))
-            + check_harmonic_congruences(p, own_table(p, 4))
-            + check_power_sum_congruences(p, own_table(p, 6))
-            + check_bernoulli_power_sums(p, own_table(p, 3))
+            suite_verdicts("reflection", p, own_table(p, p + 2))
+            + suite_verdicts("harmonic", p, own_table(p, 4))
+            + suite_verdicts("power_sum", p, own_table(p, 6))
+            + suite_verdicts("bernoulli", p, own_table(p, 3))
         )
-        assert run_lemma_suites(p) == own
+        assert verdicts_of(run_lemma_suites(p)) == sorted(own, key=attrgetter("case"))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 61])
+    def test_record_holds_each_suites_slice(self, p):
+        record = run_lemma_suites(p)
+        assert record.p == p
+        assert record.table == harmonic_table(PrimePowerModulus(p, max(p + 2, 6)))
+        # the pairs' right sides, one per reflection.pair row, and no
+        # coefficient of P(x + p) off the table
+        assert len(record.pairs) == (p - 1) // 2 + 2 and record.pairs[-2:] == (0, 0)
+        assert record.mirror == ()
+        assert record.sums == power_sum_table(PrimePowerModulus(p, 6), 2 * p + 1)
+        assert record.b == (bernoulli_pm3(p) if p >= 5 else None)
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_harmonic_suite_refuses_a_table_below_p4(self, p):
+        with pytest.raises(ValueError):
+            check_harmonic_congruences(p, own_table(p, 3))
+        with pytest.raises(ValueError):
+            check_harmonic_congruences(p, own_table(7, 4))
+        assert check_harmonic_congruences(p, own_table(p, 4)) == own_table(p, 4)
 
 
 class TestHarmonicCongruences:
@@ -484,8 +491,7 @@ class TestHarmonicCongruences:
         assert table.h[3] == 0
 
     def test_p5_penultimate_value(self):
-        rows = check_harmonic_congruences(5, own_table(5, 4))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("harmonic", 5, own_table(5, 4))}
         v = verdicts["harmonic.h_p_minus_2"]
         assert v.status == PASS and v.lhs == 15
 
@@ -494,25 +500,22 @@ class TestHarmonicCongruences:
         h = harmonic_numbers_exact(7)
         diff = h[3] - 2 * 7 * h[4] + Fraction(343, 4)
         assert diff.numerator % 7**4 == 0
-        rows = check_harmonic_congruences(7, own_table(7, 4))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("harmonic", 7, own_table(7, 4))}
         v = verdicts["harmonic.pair_boundary"]
         assert v.status == PASS
         assert v.rhs == residue_of_rational(-Fraction(343, 4), PrimePowerModulus(7, 4))
 
     def test_boundary_pair_also_holds_at_p5(self):
-        rows = check_harmonic_congruences(5, own_table(5, 4))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("harmonic", 5, own_table(5, 4))}
         assert verdicts["harmonic.pair_boundary"].status == PASS
 
     def test_boundary_pair_skipped_at_p3(self):
-        rows = check_harmonic_congruences(3, own_table(3, 4))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("harmonic", 3, own_table(3, 4))}
         assert verdicts["harmonic.pair_boundary"].status == SKIP
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(verdicts_of(check_harmonic_congruences(p, own_table(p, 4))))
+        assert_all_pass(suite_verdicts("harmonic", p, own_table(p, 4)))
 
 
 class TestPowerSumCongruences:
@@ -540,19 +543,17 @@ class TestPowerSumCongruences:
     def test_triple_also_holds_at_p5(self):
         # p = 5 satisfies the divisibility condition (4 does not divide 6)
         # even though it sits below the usual application range
-        rows = check_power_sum_congruences(5, own_table(5, 6))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("power_sum", 5, own_table(5, 6))}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == PASS
 
     def test_triple_skip_reason_recorded(self):
-        rows = check_power_sum_congruences(7, own_table(7, 6))
-        verdicts = {v.case: v for v in verdicts_of(rows)}
+        verdicts = {v.case: v for v in suite_verdicts("power_sum", 7, own_table(7, 6))}
         v = verdicts["power_sum.triple_mod_p6[m=1]"]
         assert v.status == SKIP and "divides m+5" in v.reason
 
     def test_divisibility_branches_both_hit(self):
-        verdicts = verdicts_of(check_power_sum_congruences(7, own_table(7, 6)))
+        verdicts = suite_verdicts("power_sum", 7, own_table(7, 6))
         minus_one = [
             v for v in verdicts if v.case.startswith("power_sum.mod_p[") and v.rhs != 0
         ]
@@ -563,4 +564,4 @@ class TestPowerSumCongruences:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_suite_all_pass(self, p):
-        assert_all_pass(verdicts_of(check_power_sum_congruences(p, own_table(p, 6))))
+        assert_all_pass(suite_verdicts("power_sum", p, own_table(p, 6)))

@@ -41,7 +41,9 @@ from congrlab.scanner import (
     sieve_primes,
 )
 from congrlab.verdicts import FAIL, PASS, SKIP
-from oracles import collected, csv_report, emitted, json_records, record_dict, text_report
+from oracles import (
+    collected, csv_report, emitted, json_records, record_dict, text_report, verdicts_of,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -471,7 +473,7 @@ def test_small_runs_stay_in_one_process(monkeypatch, capsysbinary, command):
     two_cpus(monkeypatch)
     calls = []
     monkeypatch.setattr(
-        scanner, "_run_tasks", lambda worker, tasks, w, fold=list: calls.append(w) or fold([])
+        scanner, "_run_tasks", lambda worker, tasks, w: calls.append(w) or []
     )
     assert main([command, "--primes", "3..47", "--workers", "2"]) == 0
     assert calls == [1]
@@ -548,7 +550,7 @@ def test_pool_decided_from_the_work(monkeypatch, capsysbinary, argv, workers):
         scanner, "harmonic_vectors", lambda primes, exponents: [None] * len(primes)
     )
     monkeypatch.setattr(
-        scanner, "_run_tasks", lambda worker, tasks, w, fold=list: calls.append(w) or fold([])
+        scanner, "_run_tasks", lambda worker, tasks, w: calls.append(w) or []
     )
     assert main(argv + ["--workers", "2"]) == 0
     assert calls == [workers]
@@ -993,7 +995,7 @@ class TestEmission:
         # csv module writes for text with no comma, quote or line break
         names = set(congruences.CATALOG) | {PASS, FAIL, SKIP}
         for p in (3, 5, 7, 11, 13, 31):
-            names.update(name for name, *_ in scanner.run_lemma_suites(p))
+            names.update(v.case for v in verdicts_of(scanner.run_lemma_suites(p)))
         for name in names:
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerow([name, None])
@@ -1128,7 +1130,7 @@ class TestEmission:
                 ScanConfig(command="lemmas", prime_min=3, prime_max=199),
                 "csv",
                 5_442_609,
-                5 << 20,
+                5 << 19,
             ),
         ],
         ids=["default-scan-json", "scan-to-997-json", "lemmas-csv"],
@@ -1137,9 +1139,10 @@ class TestEmission:
         # a few hundred records at a time, never the whole report at once,
         # and the peak counts `run_scan` too.  A scan's records are evaluated
         # as they are written, case by case from one record per prime, so no
-        # record list is held.  `lemmas` holds each lemma name's rows, judged,
-        # in one flat list and builds each verdict as it is written: 3.7 MB,
-        # where its 40,251 verdicts sorted by name took 7.0 MB
+        # record list is held.  `lemmas` holds one lemma record per prime and
+        # builds and judges each of its 40,251 rows as it is written: 2.0 MiB,
+        # where holding every row judged took 3.7 MiB, and its verdicts
+        # sorted by name 7.0 MB
         discard = SimpleNamespace(write=len)
         tracemalloc.start()
         try:
@@ -1343,8 +1346,8 @@ class TestCliContract:
         self, monkeypatch, capsys, tmp_path, argv, corrupt, error
     ):
         # each check runs while the records are filled, before -o opens; a
-        # lemma suite's checks run while its rows are built, and the rows of
-        # every smaller prime are held by then
+        # lemma suite's checks run while it builds its slice of the prime's
+        # lemma record, and no row of any prime is built before -o opens
         if corrupt == "vector":  # one leaf of the remainder tree
             rising = harmonic._rising
 
@@ -1494,14 +1497,14 @@ _UNBUFFERED = [
 ]
 
 
-def unbuffered_cli() -> subprocess.Popen:
+def unbuffered_cli(stderr=subprocess.PIPE) -> subprocess.Popen:
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, *_UNBUFFERED],
         env=env,
         stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
     )
 
 
@@ -1527,15 +1530,39 @@ def test_raw_stdout_gets_every_byte(monkeypatch, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_JSON_3_47["scan"]
 
 
-def test_unbuffered_stdout_closed_early_exits_two():
-    # the report (about 500 KB) is far more than a pipe holds
-    child = unbuffered_cli()
+@pytest.mark.parametrize("stderr", ["own-pipe", "stdout-pipe"])
+def test_unbuffered_stdout_closed_early_exits_two(stderr):
+    # the report (about 500 KB) is far more than a pipe holds.  Where stderr
+    # is the same closed pipe, the diagnostic cannot be written either, and
+    # the run still exits 2: not 1, a failed congruence, nor the
+    # interpreter's 120 for a stream it could not flush at exit
+    own = stderr == "own-pipe"
+    child = unbuffered_cli(subprocess.PIPE if own else subprocess.STDOUT)
     assert child.stdout.read(20) == b'{\n  "config": {\n    '
     child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
+    if own:
+        err = child.stderr.read()
+        child.stderr.close()
+        assert err == b"congrlab: cannot write report: [Errno 32] Broken pipe\n"
     assert child.wait(timeout=120) == 2
-    assert err == b"congrlab: cannot write report: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stderr_leaves_the_exit_status():
+    # a usage error whose diagnostic cannot be written still exits 2: not 1,
+    # a failed congruence, nor the 120 the interpreter gives when its last
+    # flush of a buffered stderr fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "congrlab", "scan", "--primes", "9..3"],
+            env=env, stdout=subprocess.DEVNULL, stderr=write_end, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
 
 
 # The report digests that the CI workflow pins and no other test checks,
