@@ -6,33 +6,35 @@ in p whose coefficients are harmonic numbers, inverse power sums or
 B_{p-3}.  Each prime gets one ingredient record, `prime_record`: a dict
 from each name X a request reads (`ingredients`) to its residue at one
 working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3} modulo
-p^2 (`bernoulli_pm3`), C(2p-1, p-1), the central binomial and the binomial
-at each alpha.  It is computed in full, inside Z/p^m, before any case is
-evaluated, on one of two routes that differ in two helpers only.  Given the
-vector H_0 .. H_{m-1} (which a range scan builds for all its primes at
-once, see `harmonic.harmonic_vectors`), it reads C(alpha*p - 1, p - 1) =
-sum_{j<m} (-alpha*p)^j H_j off it by Horner's rule, in O(m) per alpha, and
-S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's identities.  Without one, it
-takes the product route, prod_{k=1}^{p-1} (alpha*p - k) / k (every k is a
-unit), numerator and factorial each multiplied in runs of 64 factors and
-reduced once per run, and one `power_sum_table` pass for the sums;
-`binom_alpha_mod` is that route's binomial.  The record runs its checks as
-it goes: the central binomial against its 4^(p-1) transfer, and B_{p-3}
-against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2) wherever the record
-holds S_2.  The scanner compares the two routes at a range's largest prime,
-name by name over `ROUTED`.  Their independent oracle, the exact-rational
-product formula, lives with the tests, in tests/oracles.py.
+p^2 (`bernoulli_pm3`), C(2p-1, p-1), the central binomial and the
+polynomial f in alpha with f(alpha) == C(alpha*p - 1, p - 1), so no record
+depends on the alphas.  It is computed in full, inside Z/p^m, before any
+case is evaluated, on one of two routes that differ in two helpers only.
+Given the vector H_0 .. H_{m-1} (which a range scan builds for all its
+primes at once, see `harmonic.harmonic_vectors`), f = sum_{j<m}
+(-alpha*p)^j H_j is read off it, and S_1, S_2, S_3 off H_1, H_2, H_3 by
+Newton's identities.  Without one, it takes the product route: f is
+interpolated from prod_{k=1}^{p-1} (alpha*p - k) / k at alpha < min(m, p)
+(every k is a unit), numerator and factorial each multiplied in runs of 64
+factors and reduced once per run, and one `power_sum_table` pass gives the
+sums; `binom_alpha_mod` is that route's binomial.  The record runs its
+checks as it goes: the central binomial against its 4^(p-1) transfer, and
+B_{p-3} against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2) wherever the
+record holds S_2.  The scanner compares the two routes at a range's largest
+prime, name by name over `ROUTED`, all of f included.  Their independent
+oracle, the exact-rational product formula, lives with the tests, in
+tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
 Whether a case is evaluated at (p, alpha) is one rule,
 `CongruenceCase.skip_reason` (the prime range, an integer-only domain, a
-p-integral alpha), which `verify_case`, `ingredients` and the scanner's
-plans share.  `verify_case` folds each side once into polynomials in alpha
-and evaluates them at every alpha it is given, against a `PrimeContext`
-over one prime's record.  The context only reads the record: a name the
-record lacks is an error, never a computation.  Each case reduces to its
-own modulus, and a record never changes once built, so the cases of a prime
-may share one, in any order.
+p-integral alpha), which `verify_case` and the scanner's plans share.
+`verify_case` folds each side once into one polynomial in alpha and
+evaluates it at every alpha it is given, against a `PrimeContext` over one
+prime's record.  The context only reads
+the record: a name the record lacks is an error, never a computation.  Each
+case reduces to its own modulus, and a record never changes once built, so
+the cases of a prime may share one, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -52,7 +54,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_pm3
-from .harmonic import power_sum_table
+from .harmonic import _times_mod_t, power_sum_table
 from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
 
@@ -130,12 +132,9 @@ def signed_central_binomial(p: int) -> int:
 # the ingredient record
 # ---------------------------------------------------------------------------
 
-_TWO = Fraction(2)
-_HALF = Fraction(1, 2)
-
-# The alpha at which each fixed left side reads C(alpha*p - 1, p - 1); the
-# central binomial is 4^(p-1) C(p/2 - 1, p - 1).
-FIXED_ALPHAS = {"binom2": _TWO, "central": _HALF}
+# The names read off the polynomial f(alpha) == C(alpha*p - 1, p - 1): f,
+# f(2), and the central binomial, which is 4^(p-1) f(1/2).
+BINOMIALS = frozenset({"binom", "binom2", "central"})
 
 # The sums, which one route computes together: S_1, S_2, S_3 and H_2.
 SUMS = ("S1", "S2", "S3", "H2")
@@ -147,20 +146,32 @@ ROUTED = frozenset(SUMS) | {"binom", "binom2"}
 _NAMES = ROUTED | {"one", "four", "B", "central"}
 
 
-def _binomials(modulus: PrimePowerModulus, alphas: dict, h: Optional[tuple]) -> dict:
-    """C(alpha*p - 1, p - 1) modulo p^m by alpha's residue, which is all it
-    depends on, for `alphas`, a dict from that residue to alpha.
+def _binomial(modulus: PrimePowerModulus, h: Optional[tuple]) -> tuple:
+    """c_0 .. c_{m-1}, lowest degree first, with sum_j c_j alpha^j ==
+    C(alpha*p - 1, p - 1) (mod p^m) at every p-integral alpha.
 
-    Given `h`, C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) is
-    sum_j (-alpha*p)^j H_j, and the terms j >= m vanish.  Without it, every
-    alpha's product shares one 1/(p-1)!.
+    C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) = sum_j
+    (-alpha*p)^j H_j, whose terms j >= m vanish, and H_j = 0 for j >= p: so
+    c_j = (-p)^j H_j, of degree below n = min(m, p).  Without `h`, that
+    polynomial is interpolated from its values at alpha = 0 .. n-1 by
+    Newton's forward differences: f(0) = f(1) = 1, and each other value is
+    one product, all sharing one 1/(p-1)!.  It divides only by k < n, units.
     """
-    p, pm = modulus.p, modulus.pm
+    p, pm, m = modulus.p, modulus.pm, modulus.m
     if h is not None:
-        poly = h[::-1]
-        return {a: _horner(poly, -a * p) % pm for a in alphas}
-    fact_inv = _factorial_inverse(modulus) if alphas else None
-    return {a: binom_alpha_mod(alpha, modulus, fact_inv) for a, alpha in alphas.items()}
+        return tuple((-p) ** j * hj % pm for j, hj in enumerate(h))
+    n = min(m, p)
+    fact_inv = _factorial_inverse(modulus) if n > 2 else None
+    d = [1, 1][:n] + [binom_alpha_mod(a, modulus, fact_inv) for a in range(2, n)]
+    for k in range(1, n):  # d_i <- the i-th forward difference at 0
+        d[k:] = [x - y for x, y in zip(d[k:], d[k - 1 :])]
+    # f = d_0 + a (d_1 + (a - 1)/2 (d_2 + (a - 2)/3 (...))), inside out
+    poly = d[-1:]
+    for k in range(n - 2, -1, -1):
+        inv = pow(k + 1, -1, pm)
+        poly = [(c - k * nxt) * inv % pm for c, nxt in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + d[k]) % pm
+    return tuple(poly) + (0,) * (m - n)
 
 
 def _sums(modulus: PrimePowerModulus, h: Optional[tuple]) -> tuple:
@@ -233,33 +244,37 @@ class PrimeContext:
             raise ValueError(message) from None
 
     def side(self, side: tuple) -> tuple:
-        """(P, Q): the side as P(a) + Q(a) * C(alpha*p - 1, p - 1) in a,
-        alpha's residue, with residue coefficients highest degree first."""
-        polys = ([], [])
+        """The side as one polynomial in a, alpha's residue, with residue
+        coefficients highest degree first; "binom" is the record's f(a)."""
+        poly = []
         for coef, k, x, four in side:
             binom = x == "binom"
             factor = self.p**k * (1 if binom else self.ingredient(x))
             if four:
                 factor *= self.ingredient("four")
-            poly = polys[binom]
+            coef = [self.rat(q) * factor for q in coef]
+            if binom:
+                f = self.ingredient("binom") + (0,) * (len(coef) - 1)
+                coef = _times_mod_t(coef, f, len(f))
             poly.extend([0] * (len(coef) - len(poly)))
-            for j, q in enumerate(coef):
-                poly[j] = (poly[j] + self.rat(q) * factor) % self.pm
-        return tuple(reversed(polys[0])), tuple(reversed(polys[1]))
+            for j, c in enumerate(coef):
+                poly[j] = (poly[j] + c) % self.pm
+        return tuple(reversed(poly))
 
 
-def prime_record(modulus: PrimePowerModulus, names, alphas=(), h=None) -> dict:
+def prime_record(modulus: PrimePowerModulus, names, h=None) -> dict:
     """One prime's ingredient record modulo p^m: each name in `names`, in full.
 
     The record maps each name (see `Term`) to its residue, and "binom" to
-    a dict from the residue of each alpha in `alphas`, which must be
-    p-integral, to C(alpha*p - 1, p - 1).  Given `h`, (H_0, .., H_{m-1})
-    modulo p^m, the binomials and sums come off it (the tree route);
-    without, off products and one `power_sum_table` pass (the product
-    route).  Its checks run here, so a bad ingredient stops a scan before
-    any verdict: the central binomial's transfer and, wherever the record
-    holds S_2 (always on the tree route), Glaisher's S_2 == (2/3) p B_{p-3}
-    (mod p^2), which ties Faulhaber's B_{p-3} modulo p to the sums.
+    the coefficients of f, f(alpha) == C(alpha*p - 1, p - 1) (`_binomial`);
+    "binom2" is f(2), and the central binomial's transfer reads f(1/2).
+    Given `h`, (H_0, .., H_{m-1}) modulo p^m, the binomials and sums come
+    off it (the tree route); without, off products and one
+    `power_sum_table` pass (the product route).  Its checks run here, so a
+    bad ingredient stops a scan before any verdict: the central binomial's
+    transfer and, wherever the record holds S_2 (always on the tree route),
+    Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2), which ties Faulhaber's
+    B_{p-3} modulo p to the sums.
     """
     if not _NAMES.issuperset(names):
         raise ValueError(f"unknown catalog ingredient {min(set(names) - _NAMES)!r}")
@@ -267,16 +282,15 @@ def prime_record(modulus: PrimePowerModulus, names, alphas=(), h=None) -> dict:
         raise ValueError(f"harmonic vector of length {len(h)}, need {modulus.m}")
     p, pm = modulus.p, modulus.pm
     record = {"one": 1}
-    rat = PrimeContext(modulus, record).rat
-    read = list(alphas) if "binom" in names else []
-    read += [FIXED_ALPHAS[x] for x in FIXED_ALPHAS.keys() & names]
-    binoms = _binomials(modulus, {rat(a): a for a in read}, h)
-    if "binom" in names:
-        record["binom"] = {a: binoms[a] for a in map(rat, alphas)}
-    if "binom2" in names:
-        record["binom2"] = binoms[rat(_TWO)]
-    if "central" in names:
-        record["central"] = PrimeContext.central_binomial(modulus, binoms[rat(_HALF)])
+    if not BINOMIALS.isdisjoint(names):
+        f = _binomial(modulus, h)
+        if "binom" in names:
+            record["binom"] = f
+        if "binom2" in names:
+            record["binom2"] = _horner(f[::-1], 2) % pm
+        if "central" in names:
+            half = _horner(f[::-1], pow(2, -1, pm)) % pm
+            record["central"] = PrimeContext.central_binomial(modulus, half)
     if "four" in names:
         record["four"] = pow(4, p - 1, pm)
     if any(x in names for x in SUMS) or ("B" in names and h is not None):
@@ -352,20 +366,13 @@ class CongruenceCase(NamedTuple):
         return f"alpha is not a {p}-integer" if alpha.denominator % p == 0 else None
 
 
-def ingredients(cases, p: int, alphas=()) -> tuple:
-    """(names, alphas): what `prime_record` computes for `cases`, which apply at p.
-
-    The names are every ingredient the cases read; the alphas, in the order
-    given, are those at which some case reads C(alpha*p - 1, p - 1), by
-    `CongruenceCase.skip_reason` under claimed ranges (`claimed_min_p <= min_p`).
-    """
-    names = frozenset().union(*(case.reads() for case in cases))
-    binom = [case for case in cases if "binom" in case.reads()]
-    return names, tuple(
-        a for a in alphas if any(c.skip_reason(p, a, True) is None for c in binom)
-    )
+def ingredients(cases) -> frozenset:
+    """The names `prime_record` computes for `cases`: every ingredient they read."""
+    return frozenset().union(*(case.reads() for case in cases))
 
 
+_TWO = Fraction(2)
+_HALF = Fraction(1, 2)
 _ONE = (Term((1,), 0, "one"),)
 _ZERO = ()
 _FOUR = (Term((1,), 0, "one", True),)
@@ -607,7 +614,7 @@ CATALOG = _catalog(_CASES)
 def thm1_rhs(alpha, modulus: PrimePowerModulus) -> int:
     """1 - a(a-1)(a^2-a-1) p H_1 + a^2 (a-1)^2 p^2 H_2 in Z/p^m (H_1 = S_1)."""
     ctx = PrimeContext(modulus, prime_record(modulus, {"S1", "H2"}))
-    return _horner(ctx.side(CATALOG["thm1"].rhs)[0], ctx.rat(Fraction(alpha))) % ctx.pm
+    return _horner(ctx.side(CATALOG["thm1"].rhs), ctx.rat(Fraction(alpha))) % ctx.pm
 
 
 def verify_case(
@@ -620,11 +627,12 @@ def verify_case(
     a parametric case raises ValueError on a None alpha, and an int
     alpha becomes a Fraction.  Where the case does not apply, the verdict
     is a skip with `CongruenceCase.skip_reason`'s reason.  Each side is
-    folded once per call.  With `tightness` the sides are compared at
-    exponent m + 1, so the valuation can reveal a congruence that holds
+    folded once per call into one polynomial in alpha, and evaluated by
+    Horner's rule at each alpha.  With `tightness` the sides are compared
+    at exponent m + 1, so the valuation can reveal a congruence that holds
     one power higher than stated.  `ctx` must hold every ingredient the
-    case reads at p, at every alpha it takes; without it the call builds
-    the product route's record for itself.
+    case reads; without it the call builds the product route's record for
+    itself.
     """
     if isinstance(case, str):
         try:
@@ -637,16 +645,12 @@ def verify_case(
         m_eval = m + 1 if tightness else m
         if ctx is None:
             modulus = PrimePowerModulus(p, m_eval)
-            given = [Fraction(a) for a in alphas if a is not None] if parametric else ()
-            record = prime_record(modulus, *ingredients([case], p, given))
-            ctx = PrimeContext(modulus, record)
+            ctx = PrimeContext(modulus, prime_record(modulus, ingredients([case])))
         if ctx.exponent < m_eval:
             raise ValueError(f"context exponent {ctx.exponent} below required {m_eval}")
         modulus = ctx.modulus_at(m_eval)
-        (lhs_p, lhs_q), (rhs_p, rhs_q) = ctx.side(case.lhs), ctx.side(case.rhs)
-        if lhs_q or rhs_q:
-            binoms = ctx.ingredient("binom")
-    verdicts, a, binom = [], 0, 0
+        lhs_poly, rhs_poly = ctx.side(case.lhs), ctx.side(case.rhs)
+    verdicts, a = [], 0
     for alpha in alphas if parametric else (None,):
         if parametric:
             if alpha is None:
@@ -658,11 +662,6 @@ def verify_case(
             continue
         if parametric:
             a = ctx.rat(alpha)
-        if lhs_q or rhs_q:
-            binom = binoms.get(a)
-            if binom is None:
-                raise ValueError(f"no binomial at alpha = {alpha} in the record at p={p}")
-        lhs = (_horner(lhs_p, a) + _horner(lhs_q, a) * binom) % modulus.pm
-        rhs = (_horner(rhs_p, a) + _horner(rhs_q, a) * binom) % modulus.pm
+        lhs, rhs = _horner(lhs_poly, a) % modulus.pm, _horner(rhs_poly, a) % modulus.pm
         verdicts.append(judge(case.id, p, alpha, m, lhs, rhs, modulus))
     return verdicts

@@ -276,7 +276,7 @@ class LemmaRecord(NamedTuple):
     """
 
     table: HarmonicTable
-    pairs: tuple = ()  # each reflection pair's right side, m = 1, 2, .., mod p^(p+2)
+    pairs: tuple = ()  # (m, right side) where it is not pair m's left side, mod p^(p+2)
     mirror: tuple = ()  # (j, [x^j] P(x + p)) where that is not H_j mod p^(p+2)
     sums: tuple = ()  # S_1 .. S_{2p+1} modulo p^6, S_m at index m - 1
     b: Optional[int] = None  # B_{p-3} modulo p^2, from p = 5
@@ -389,8 +389,9 @@ def check_reflection_identity(p: int, table: HarmonicTable) -> tuple:
     truncated away entirely.  The Taylor shift is one Horner pass, and each
     pair sum is read off one slot of it before that slot is reduced; the
     sum for m = 1 is also summed on its own and must agree (`_shifted_sums`).
-    This returns each pair's right side, and the coefficients of P(x + p)
-    that differ from H_j (normally none), for `REFLECTION_ROWS` to read.
+    This returns, with their indices, each pair's right side that is not
+    its left side (`_pair`) and each coefficient of P(x + p) that is not
+    H_j (normally none of either), for `REFLECTION_ROWS` to read.
     The suite reduces `table`, H_0 .. H_{p-1} modulo p^(p+2) or a higher
     power of p, to p^(p+2).
     """
@@ -400,7 +401,8 @@ def check_reflection_identity(p: int, table: HarmonicTable) -> tuple:
     half_p2 = residue_of_rational(Fraction(p * p, 2), modulus)
     mirror, sums = _shifted_sums(h, p, pm)
     # m = 1 .. (p-1)/2 read T_1, T_3, .., T_{p-2}; both pairs past them are 0
-    pairs = tuple(half_p2 * t % pm for t in sums[1::2]) + (0, 0)
+    rights = [half_p2 * t % pm for t in sums[1::2]] + [0, 0]
+    pairs = tuple((m, x) for m, x in enumerate(rights, 1) if x != _pair(h, m, p) % pm)
     return pairs, tuple((j, x) for j, (x, hj) in enumerate(zip(mirror, h)) if x != hj)
 
 
@@ -408,10 +410,15 @@ def _reflection(p: int) -> int:
     return p + 2
 
 
+def _reflection_pair(record: LemmaRecord, k: int, modulus: PrimePowerModulus):
+    """Pair k, whose right side the record holds where it is not the left."""
+    left = _pair(record.table.h, k, modulus.p)
+    return modulus.m, left, dict(record.pairs).get(k, left)
+
+
 REFLECTION_ROWS = (
     LemmaFamily(
-        "reflection.pair[m={}]", _reflection,
-        lambda r, k, mod: (mod.m, _pair(r.table.h, k, mod.p), r.pairs[k - 1]),
+        "reflection.pair[m={}]", _reflection, _reflection_pair,
         lambda p: range(1, (p - 1) // 2 + 3),
     ),
     LemmaFamily(

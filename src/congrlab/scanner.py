@@ -1,29 +1,31 @@
 """Prime-range sweeps, parallel orchestration and report emission.
 
 A scan runs in two phases.  First each prime gets a plan read off the
-request alone: its working exponent, the ingredient names its cases read
-and the alphas at which they read C(alpha*p - 1, p - 1).  One cost model, in
-factors of the product route, prices the plans and makes two choices up
-front: the route of every record, and whether a pool runs the O(p) work.
-Then each prime's ingredient record (`congruences.prime_record`) is built
-in full, before any case is evaluated.
+request alone: its working exponent and the ingredient names its cases
+read.  A record holds C(alpha*p - 1, p - 1) as one polynomial in alpha, so
+no plan depends on the alphas.  One cost model, in factors of the product
+route, prices the plans and makes two choices up front: the route of every
+record, and whether a pool runs the O(p) work.  Then each prime's
+ingredient record (`congruences.prime_record`) is built in full, before
+any case is evaluated.
 
 A record takes one of two routes.  On a wide enough range the parent builds
 every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one remainder
-tree, and the record reads the binomials (by Horner's rule) and S_1, S_2,
-S_3 and H_2 (by Newton's identities) off it in O(D).  Otherwise (a single
-prime, say) it multiplies an O(p) product per binomial and runs one
-`power_sum_table` pass.  The tree pays where the binomials and sums passes
-it saves cost more than it does, so a request that reads only sums takes it
-too.  What is left per prime is O(p) work outside the tree: B_{p-3} and the
-exact central binomial.
+tree, and the record reads the binomial polynomial and S_1, S_2, S_3 and
+H_2 (by Newton's identities) off it in O(D).  Otherwise (a single prime,
+say) it interpolates the polynomial from min(D, p) - 2 O(p) products and
+runs one `power_sum_table` pass.  The tree pays where the binomial and sums
+passes it saves cost more than it does, so a request that reads only sums
+takes it too.  What is left per prime is O(p) work outside the tree:
+B_{p-3} and the exact central binomial.
 
 Every check that can stop a scan runs in the first phase, so the CLI has
 not opened its output when one fails.  Each record checks its own central
 binomial and its B_{p-3} as it is built.  The largest prime reads whatever
 any prime reads, and its vector depends on every product along the tree's
 right spine: there the tree's record is compared with the product route's,
-name by name, every alpha's binomial included (`_harmonic_vectors`).
+name by name, the whole binomial polynomial included, so every alpha and
+not only those requested (`_harmonic_vectors`).
 
 The worker count is an upper bound: a pool of up to that many processes
 starts only when the records' O(p) work outside the tree is above one
@@ -72,8 +74,7 @@ from typing import NamedTuple, Optional
 
 from .bernoulli import LINK_ROWS, check_bernoulli_power_sums
 from .congruences import (
-    CATALOG, FIXED_ALPHAS, ROUTED, SUMS, PrimeContext, ingredients, prime_record,
-    verify_case,
+    BINOMIALS, CATALOG, ROUTED, SUMS, PrimeContext, ingredients, prime_record, verify_case,
 )
 from .harmonic import (
     HARMONIC_ROWS,
@@ -244,9 +245,9 @@ class ScanReport:
 # Route.  The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors,
 # whatever the range's lower end: `harmonic_vectors` for every prime
 # 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8,
-# about 2e-10 s * D^2 * p_max^1.8.  It saves each prime the product-route
-# binomials, (binomials read + 1) * p factors, the one being its 1/(p-1)!,
-# and the sums pass.
+# about 2e-10 s * D^2 * p_max^1.8.  It saves each prime that reads a
+# binomial the product route's polynomial, about (n - 1) * p factors for
+# n = min(D, p) (n - 2 values and their 1/(p-1)!), and the sums pass.
 _TREE_FACTORS = 2.5e-3
 
 # A prime's record runs each other O(p) pass its cases read once, at so
@@ -259,7 +260,7 @@ _TREE_FACTORS = 2.5e-3
 #   B        B_{p-3}, a pow of exponent p - 3 mod p^3 per k: b * d for b
 #            bits of p and d 30-bit digits of p^3 (measured 5, 8, 24, 30
 #            and 33 at p = 101, 499, 1999, 10007 and 100003).
-# On the tree route a binomial is a few Horner steps.
+# On the tree route the binomial polynomial is D products.
 _PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
 
 # The lemma suites at one prime took about 60 us * p + 4.5 ns * p^3 (0.5 ms
@@ -282,37 +283,28 @@ class _Plan(NamedTuple):
     p: int
     exponent: int  # the working exponent of p's record
     names: frozenset  # the ingredients its cases read
-    alphas: tuple  # the alphas at which they read C(alpha*p - 1, p - 1)
-
-    @property
-    def reads(self) -> int:
-        """The alphas at which it reads a binomial, the fixed ones included."""
-        fixed = {FIXED_ALPHAS[x] for x in self.names & FIXED_ALPHAS.keys()}
-        return len(fixed.union(self.alphas))
 
 
-def _plans(primes, cases, alphas, tightness: bool, claimed: bool) -> list:
+def _plans(primes, cases, tightness: bool, claimed: bool) -> list:
     """Each prime's plan.  Its record works at the most any applicable case
-    needs, and primes that the same cases apply to share their names and
-    alphas, so a long range holds one copy of each."""
+    needs, and primes that the same cases apply to share their names, so a
+    long range holds one copy of them."""
     extra = 1 if tightness else 0
     shared, plans = {}, []
     for p in primes:
         applicable = [c for c in cases if c.skip_reason(p, claimed=claimed) is None]
-        not_p_integral = tuple(a for a in alphas if a.denominator % p == 0)
-        key = tuple(c.id for c in applicable), not_p_integral
+        key = tuple(c.id for c in applicable)
         if key not in shared:
-            shared[key] = ingredients(applicable, p, alphas)
+            shared[key] = ingredients(applicable)
         exponent = max((c.modulus_exponent(p) + extra for c in applicable), default=1)
-        plans.append(_Plan(p, exponent, *shared[key]))
+        plans.append(_Plan(p, exponent, shared[key]))
     return plans
 
 
 def _vector_work(plan: _Plan) -> float:
     """p's O(p) work that its harmonic vector saves, in product-route
-    factors: the binomials with their 1/(p-1)!, and the sums pass."""
-    reads = plan.reads
-    factors = reads + 1 if reads else 0
+    factors: the binomial polynomial's values and 1/(p-1)!, and the sums pass."""
+    factors = min(plan.exponent, plan.p) - 1 if not plan.names.isdisjoint(BINOMIALS) else 0
     if not plan.names.isdisjoint(SUMS):
         factors += _PASS_FACTORS["sums"]
     return factors * plan.p
@@ -340,17 +332,18 @@ def _harmonic_vectors(plans) -> list:
     prime reads whatever any prime reads.  Its vector depends on every
     product along the tree's right spine, so there the record the vector
     gives is compared with the product route's, name by name, over every
-    name the route computes (`ROUTED`) that the range reads: the binomial at
-    every alpha, C(2p - 1, p - 1), and S_1, S_2, S_3 and H_2 (one O(p)
-    pass).  A mismatch is an internal error.
+    name the route computes (`ROUTED`) that the range reads: the whole
+    polynomial for C(alpha*p - 1, p - 1), so every alpha, C(2p - 1, p - 1),
+    and S_1, S_2, S_3 and H_2 (one O(p) pass).  A mismatch is an internal
+    error.
     """
     primes, exponents = [plan.p for plan in plans], [plan.exponent for plan in plans]
     vectors = harmonic_vectors(primes, exponents)
     last = plans[-1]
     modulus = PrimePowerModulus(last.p, last.exponent)
     names = last.names & ROUTED
-    tree = prime_record(modulus, names, last.alphas, vectors[-1])
-    for name, value in prime_record(modulus, names, last.alphas).items():
+    tree = prime_record(modulus, names, vectors[-1])
+    for name, value in prime_record(modulus, names).items():
         if tree[name] != value:
             sums = "power sums off the " if name in SUMS else ""
             raise CongrlabError(f"{sums}harmonic vector mismatch at p={last.p}")
@@ -362,7 +355,7 @@ def _prime_record(task) -> tuple:
     work in a scan."""
     plan, h = task
     modulus = PrimePowerModulus(plan.p, plan.exponent)
-    return modulus, prime_record(modulus, plan.names, plan.alphas, h)
+    return modulus, prime_record(modulus, plan.names, h)
 
 
 def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
@@ -472,7 +465,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     else:
         alphas = tuple(sorted(config.alphas))
         cases = [CATALOG[cid] for cid in config.case_ids()]
-        plans = _plans(primes, cases, alphas, config.tightness, config.claimed_ranges)
+        plans = _plans(primes, cases, config.tightness, config.claimed_ranges)
         tree = bool(plans) and _tree_pays(plans)
         vectors = _harmonic_vectors(plans) if tree else [None] * len(plans)
         tasks = list(zip(plans, vectors))

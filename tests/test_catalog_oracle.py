@@ -73,7 +73,7 @@ def context(p: int) -> PrimeContext:
     # exercised: one record for every case that applies at p, claimed or not
     cases = [case for case in CATALOG.values() if p >= case.claimed_min_p]
     modulus = PrimePowerModulus(p, 8)
-    record = prime_record(modulus, *ingredients(cases, p, DEFAULT_ALPHA_SWEEP))
+    record = prime_record(modulus, ingredients(cases))
     return PrimeContext(modulus, record)
 
 

@@ -1,6 +1,7 @@
 """The congruence catalog, binomial evaluation paths and proof machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,15 +43,20 @@ from oracles import (
 )
 
 
-def record(p: int, exponent: int, names, alphas=(), h=None) -> dict:
-    return prime_record(PrimePowerModulus(p, exponent), names, alphas, h)
+def record(p: int, exponent: int, names, h=None) -> dict:
+    return prime_record(PrimePowerModulus(p, exponent), names, h)
 
 
 def binomials(p: int, exponent: int, alphas, h=None) -> list:
-    """C(alpha*p - 1, p - 1) at each alpha, read off one record."""
+    """C(alpha*p - 1, p - 1) at each alpha: one record's polynomial, evaluated."""
     modulus = PrimePowerModulus(p, exponent)
-    binom = prime_record(modulus, {"binom"}, alphas, h)["binom"]
-    return [binom[residue_of_rational(a, modulus)] for a in alphas]
+    poly = prime_record(modulus, {"binom"}, h)["binom"]
+    assert len(poly) == exponent
+    values = []
+    for alpha in alphas:
+        a = residue_of_rational(alpha, modulus)
+        values.append(sum(c * a**j for j, c in enumerate(poly)) % modulus.pm)
+    return values
 
 
 class TestBinomialPaths:
@@ -401,13 +407,6 @@ class TestApplicabilityRule:
             expected = [skip_reason_exact(case, p, a, claimed) for a in alphas]
             assert [v.reason if v.status == SKIP else None for v in got] == expected
 
-    def test_ingredients_read_only_the_alphas_some_case_takes(self):
-        cases = [CATALOG["glaisher_rel74"], CATALOG["coro_rel5"]]
-        assert congruences.ingredients(cases[:1], 7, RULE_ALPHAS)[1] == (
-            Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(5), Fraction(6)
-        )
-        assert congruences.ingredients(cases, 11, RULE_ALPHAS)[1] == RULE_ALPHAS[:-1]
-
 
 class TestAlphaLoop:
     # the default sweep, plus an alpha that is no 7-integer
@@ -459,19 +458,33 @@ class TestAlphaLoop:
 
 
 class TestPrimeContext:
-    def test_binomials_cached_per_alpha(self, monkeypatch):
-        # one product per alpha residue, the fixed alpha 2 included
+    @pytest.mark.parametrize(
+        "case, tightness, products",
+        [("coro_rel5b", True, 4), ("coro_rel5b", False, 3), ("babbage", False, 0)],
+    )
+    def test_binomial_products_do_not_depend_on_the_alphas(
+        self, monkeypatch, case, tightness, products
+    ):
+        # the product route interpolates C(alpha*p - 1, p - 1) from its values
+        # at alpha = 0 .. n-1, n = min(m, p): f(0) = f(1) = 1, and one product
+        # for each other value, whatever alphas are asked for
         calls = []
         real = congruences.binom_alpha_mod
         monkeypatch.setattr(
             congruences, "binom_alpha_mod",
             lambda alpha, *rest: calls.append(alpha) or real(alpha, *rest),
         )
-        alphas = [Fraction(2), Fraction(2 + 7**6), Fraction(3)]
-        got = record(7, 6, {"binom", "binom2"}, alphas)
-        assert got["binom"] == {2: 1716 % 7**6, 3: math.comb(20, 6) % 7**6}
-        assert got["binom2"] == 1716 % 7**6
-        assert len(calls) == 2
+        for alphas in ([], [2], DEFAULT_ALPHA_SWEEP):
+            calls.clear()
+            verify_case(case, 7, alphas, tightness)
+            assert calls == list(range(2, 2 + products)), alphas
+
+    def test_polynomial_gives_the_fixed_binomials(self):
+        got = record(7, 6, {"binom", "binom2"})
+        assert got["binom"][0] == 1 and len(got["binom"]) == 6
+        assert got["binom2"] == 1716 % 7**6  # C(13, 6)
+        assert binomials(7, 6, [3, 2 + 7**6]) == [math.comb(20, 6) % 7**6, 1716 % 7**6]
+        assert record(7, 2, {"binom"})["binom"] == (1, 0)  # Babbage's theorem
 
     def test_bernoulli_residue(self):
         # B_4 = -1/30; the exact route reduces it to any power, the record
@@ -535,6 +548,31 @@ class TestPrimeContext:
         ]
         for alpha, got in zip(alphas, binomials(p, exponent, alphas, h)):
             assert got == residue_of_rational(binom_exact(alpha, p), modulus), alpha
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_product_polynomial_equals_the_tree_polynomial(self, m):
+        # for every odd prime <= 199, p < m and p = m = 7 among them
+        primes = odd_primes_between(3, 199)
+        for p, h in zip(primes, harmonic_vectors(primes, [m] * len(primes))):
+            tree = record(p, m, {"binom"}, h)["binom"]
+            assert record(p, m, {"binom"})["binom"] == tree, p
+            assert len(tree) == m and tree[min(m, p):] == (0,) * (m - min(m, p)), p
+
+    @pytest.mark.parametrize("p", odd_primes_between(3, 47))
+    def test_one_record_serves_every_alpha(self, p):
+        # 50 random p-integral alphas against the exact product, off one
+        # record per route
+        rng = random.Random(p)
+        alphas = []
+        while len(alphas) < 50:
+            alpha = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+            if alpha.denominator % p:
+                alphas.append(alpha)
+        modulus = PrimePowerModulus(p, 8)
+        expected = [residue_of_rational(binom_exact(a, p), modulus) for a in alphas]
+        h = harmonic_vectors([p], [8])[0]
+        assert binomials(p, 8, alphas) == expected
+        assert binomials(p, 8, alphas, h) == expected
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):

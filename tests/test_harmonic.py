@@ -469,9 +469,9 @@ class TestSharedTable:
         record = run_lemma_suites(p)
         assert record.p == p
         assert record.table == harmonic_table(PrimePowerModulus(p, max(p + 2, 6)))
-        # the pairs' right sides, one per reflection.pair row, and no
-        # coefficient of P(x + p) off the table
-        assert len(record.pairs) == (p - 1) // 2 + 2 and record.pairs[-2:] == (0, 0)
+        # no pair's right side off its left side, and no coefficient of
+        # P(x + p) off the table
+        assert record.pairs == ()
         assert record.mirror == ()
         assert record.sums == power_sum_table(PrimePowerModulus(p, 6), 2 * p + 1)
         assert record.b == (bernoulli_pm3(p) if p >= 5 else None)

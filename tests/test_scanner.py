@@ -654,7 +654,7 @@ class TestPoolRecords:
             if v.p not in contexts:
                 cases = [c for c in congruences.CATALOG.values() if v.p >= c.claimed_min_p]
                 modulus = PrimePowerModulus(v.p, 8)
-                record = prime_record(modulus, *ingredients(cases, v.p, DEFAULT_ALPHA_SWEEP))
+                record = prime_record(modulus, ingredients(cases))
                 contexts[v.p] = PrimeContext(modulus, record)
             assert verify_case(v.case, v.p, [v.alpha], True, contexts[v.p], True)[0] == v
 
@@ -1172,7 +1172,16 @@ class TestCliContract:
         out = capsysbinary.readouterr().out
         assert b"summary:" in out
 
-    def test_exit_one_on_failure(self, capsysbinary):
+    def test_exit_one_on_failure(self, monkeypatch, capsysbinary):
+        # one prime on the tree route, where n = min(m, p) = 3 < m = 6: the
+        # record's polynomial is m long on both routes, so the cross-check
+        # passes and the failure is the congruence's
+        vectors = []
+        build = scanner.harmonic_vectors
+        monkeypatch.setattr(
+            scanner, "harmonic_vectors",
+            lambda primes, exponents: vectors.append(primes) or build(primes, exponents),
+        )
         code = main(
             [
                 "scan",
@@ -1186,6 +1195,9 @@ class TestCliContract:
             ]
         )
         assert code == 1
+        assert vectors == [[3]]
+        out = capsysbinary.readouterr().out
+        assert b"rel38 p=3 alpha=2 status=fail m=6 valuation=4\n" in out
 
     def test_exit_two_on_usage_error(self, capsys):
         assert main(["scan", "--primes", "banana"]) == 2
@@ -1391,31 +1403,47 @@ class TestCliContract:
         assert target.read_bytes() == b"an earlier report\n"
 
     @pytest.mark.parametrize(
-        "name, alpha",
-        [("binom", a) for a in DEFAULT_ALPHA_SWEEP] + [(x, None) for x in ("binom2", *SUMS)],
-        ids=[f"binom-{a}" for a in DEFAULT_ALPHA_SWEEP] + ["binom2", *SUMS],
+        "name, alpha, j",
+        [("binom", a, None) for a in DEFAULT_ALPHA_SWEEP]
+        + [("binom", None, j) for j in range(7)]
+        + [(x, None, None) for x in ("binom2", *SUMS)],
+        ids=[f"binom-{a}" for a in DEFAULT_ALPHA_SWEEP]
+        + [f"binom-c{j}" for j in range(7)]
+        + ["binom2", *SUMS],
     )
     def test_each_name_of_the_tree_record_is_cross_checked(
-        self, monkeypatch, capsys, tmp_path, name, alpha
+        self, monkeypatch, capsys, tmp_path, name, alpha, j
     ):
-        # one name of the largest prime's tree record off by one: the check
-        # against its product record compares every name the route computes,
-        # each alpha's binomial included, not C(2p - 1, p - 1) alone
+        # one name of the largest prime's tree record off: the check against
+        # its product record compares every name the route computes, and the
+        # polynomial for C(alpha*p - 1, p - 1) whole, not C(2p - 1, p - 1)
+        # alone.  binom-c{j} moves coefficient j of the polynomial (m = 7 at
+        # p = 199).  binom-{alpha} asks for that alpha alone and moves the
+        # polynomial by alpha' - alpha, which leaves its value at the one
+        # alpha asked for as it was: the check covers every alpha.
         build = scanner.prime_record
 
-        def corrupted(modulus, names, alphas=(), h=None):
-            record = build(modulus, names, alphas, h)
+        def corrupted(modulus, names, h=None):
+            record = build(modulus, names, h)
             if h is not None and modulus.p == 199:
-                if alpha is None:
+                if name != "binom":
                     record[name] += 1
+                elif j is not None:
+                    poly = list(record["binom"])
+                    poly[j] = (poly[j] + 1) % modulus.pm
+                    record["binom"] = tuple(poly)
                 else:
-                    record[name][residue_of_rational(alpha, modulus)] += 1
+                    c0, c1, *rest = record["binom"]
+                    a = residue_of_rational(alpha, modulus)
+                    record["binom"] = ((c0 - a) % modulus.pm, (c1 + 1) % modulus.pm, *rest)
             return record
 
         monkeypatch.setattr(scanner, "prime_record", corrupted)
         target = tmp_path / "report.txt"
         target.write_bytes(b"an earlier report\n")
         argv = ["scan", "--primes", "3..200", "--workers", "1", "-o", str(target)]
+        if alpha is not None:
+            argv += [f"--alpha={alpha}"]
         assert main(argv) == 3
         sums = "power sums off the " if name in SUMS else ""
         error = f"{sums}harmonic vector mismatch at p=199"
