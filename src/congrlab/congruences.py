@@ -34,7 +34,7 @@ evaluates it at every alpha it is given, against a `PrimeContext` over one
 prime's record.  The context only reads
 the record: a name the record lacks is an error, never a computation.  Each
 case reduces to its own modulus, and a record never changes once built, so
-the cases of a prime may share one, in any order.
+the cases of a prime share one context, and its inverses, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -198,8 +198,9 @@ class PrimeContext:
     arithmetic that evaluates a catalog side against it.
 
     `record` is what `prime_record` returns.  A context only reads it:
-    reading a name the record lacks is an error, never a computation, so a
-    scan keeps each prime's record and modulus alone.
+    reading a name the record lacks is an error, never a computation.  A
+    scan keeps one context per prime, which every case reads in turn, so
+    the inverses of the catalog's denominators are computed once per prime.
     """
 
     __slots__ = ("modulus", "p", "exponent", "pm", "record", "_inverses")
@@ -209,10 +210,6 @@ class PrimeContext:
         self.p, self.exponent, self.pm = modulus.p, modulus.m, modulus.pm
         self.record = record
         self._inverses: dict = {}
-
-    def modulus_at(self, m: int) -> PrimePowerModulus:
-        """The ring Z/p^m, for the same p."""
-        return self.modulus if m == self.exponent else self.modulus.with_exponent(m)
 
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
@@ -648,7 +645,7 @@ def verify_case(
             ctx = PrimeContext(modulus, prime_record(modulus, ingredients([case])))
         if ctx.exponent < m_eval:
             raise ValueError(f"context exponent {ctx.exponent} below required {m_eval}")
-        modulus = ctx.modulus_at(m_eval)
+        modulus = ctx.modulus.with_exponent(m_eval)
         lhs_poly, rhs_poly = ctx.side(case.lhs), ctx.side(case.rhs)
     verdicts, a = [], 0
     for alpha in alphas if parametric else (None,):

@@ -32,10 +32,10 @@ own, and runs the suite's internal checks, which raise, as it does;
 four suites (`scanner.run_lemma_suites`).  No row is built then.  Each
 family of lemma names is one rule kept beside its suite, a `LemmaFamily` in
 `REFLECTION_ROWS`, `HARMONIC_ROWS`, `POWER_SUM_ROWS` or
-`bernoulli.LINK_ROWS`, that makes its row at k from a record:
-`verdicts.judged`'s arguments, or a skip's reason.  `lemmas` holds the
-records, and builds, judges and writes each row as its report reads it
-(`scanner._lemma_records`).
+`bernoulli.LINK_ROWS`, that makes its row at k from a record: the (m, lhs,
+rhs) that `verdicts.judge` judges, as it judges every catalog case, or a
+skip's reason.  `lemmas` holds the records, and builds, judges and writes
+each row as its report reads it (`scanner._lemma_records`).
 """
 
 from __future__ import annotations
@@ -156,7 +156,10 @@ def harmonic_vectors(primes, exponents) -> list:
     times its left sibling's product, reduced by its own.  Leaf i then holds
     the product of the leaves before it modulo p_i^(D_i), and one more
     product gives c.  No product on the right spine is ever needed, the
-    root's included.
+    root's included.  By Fermat's little theorem c(t) == t^(p-1) - 1
+    (mod p): a leaf whose c_0 is not -1, or whose c_j is not 0 for some
+    0 < j < min(D, p - 1), modulo p raises.  A fault that is a multiple of p
+    passes, so the scanner also checks the largest prime by products.
     """
     primes, exponents = list(primes), list(exponents)
     if len(primes) != len(exponents):
@@ -191,8 +194,10 @@ def harmonic_vectors(primes, exponents) -> list:
     def down(lo: int, hi: int, prefix: list) -> None:
         """`prefix` is the product of the leaves before lo, reduced."""
         if hi - lo == 1:
-            m, e = mods[lo], exponents[lo]
+            m, e, p = mods[lo], exponents[lo], primes[lo]
             c = [x % m for x in _times_mod_t(prefix, leaves[lo], e)]
+            if (c[0] + 1) % p or any(x % p for x in c[1 : min(e, p - 1)]):
+                raise CongrlabError(f"Fermat check fails at p={p}")
             inv_c0 = pow(c[0], -1, m)  # c_0 = (p-1)!
             out[lo] = tuple(x * inv_c0 % m for x in c)
             return
@@ -296,7 +301,7 @@ class LemmaFamily(NamedTuple):
     Its row at k is named `name.format(k)`; a fixed name has no field and
     covers k = 0 alone.  The row at k of a prime's record is judged in
     Z/p^exponent(p), its suite's working modulus, which `row(record, k,
-    modulus)` is given: it returns `verdicts.judged`'s (m, lhs, rhs), whose
+    modulus)` is given: it returns `verdicts.judge`'s (m, lhs, rhs), whose
     sides need only be congruent to the residues modulo p^exponent(p), or
     the reason the row is skipped.  `ks(p)` holds the k it covers at p.
     """
@@ -305,21 +310,6 @@ class LemmaFamily(NamedTuple):
     exponent: Callable
     row: Callable
     ks: Callable = _once
-
-
-class _RangeBut:
-    """The k of `span` but `gap`, where a family leaves one to another name."""
-
-    __slots__ = ("span", "gap")
-
-    def __init__(self, span: range, gap: int):
-        self.span, self.gap = span, gap
-
-    def __contains__(self, k) -> bool:
-        return k != self.gap and k in self.span
-
-    def __iter__(self):
-        return (k for k in self.span if k != self.gap)
 
 
 def _pair(h: tuple, k: int, p: int) -> int:
@@ -474,7 +464,7 @@ HARMONIC_ROWS = (
     LemmaFamily(  # the pair with 2m + 1 = p - 2 is harmonic.pair_boundary
         "harmonic.pair_mod_p4[m={}]", _harmonic,
         lambda r, k, mod: (4, _pair(r.table.h, k, mod.p), 0),
-        lambda p: _RangeBut(range(1, (p + 1) // 2 + 2), (p - 3) // 2),
+        lambda p: set(range(1, (p + 1) // 2 + 2)) - {(p - 3) // 2},
     ),
     LemmaFamily("harmonic.pair_boundary", _harmonic, _boundary_pair),
     LemmaFamily(

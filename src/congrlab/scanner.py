@@ -21,7 +21,8 @@ B_{p-3} and the exact central binomial.
 
 Every check that can stop a scan runs in the first phase, so the CLI has
 not opened its output when one fails.  Each record checks its own central
-binomial and its B_{p-3} as it is built.  The largest prime reads whatever
+binomial and its B_{p-3} as it is built, and the tree checks each prime's
+product modulo p (`harmonic_vectors`).  The largest prime reads whatever
 any prime reads, and its vector depends on every product along the tree's
 right spine: there the tree's record is compared with the product route's,
 name by name, the whole binomial polynomial included, so every alpha and
@@ -32,18 +33,19 @@ starts only when the records' O(p) work outside the tree is above one
 measured threshold, and otherwise the parent builds every record itself
 and never imports `multiprocessing`.  A range served by the tree leaves
 each record little of it, so such a sweep mostly runs in one process.  A
-pool worker builds one prime's record; the pool takes the primes largest
+pool worker builds one prime's context; the pool takes the primes largest
 first, because a record's cost grows with p and the last chunk should be a
 cheap one.  Workers only read immutable inputs and inherit nothing from the
 parent.
 
 The second phase evaluates case-major: cases in id order, primes
-ascending, alphas ascending, each (case, p) by `verify_case` over a context
-built on that prime's record.  That is the report's order, so a scan sorts
-nothing, and its records go straight to `emit_report` from a generator that
-counts the summary and collects the anomalies as they pass; a scan never
-holds its records.  A report is therefore byte-identical no matter how many
-workers built the records, in what order, or under which start method.
+ascending, alphas ascending, each (case, p) by `verify_case` over that
+prime's one context, which holds its record and serves every case.  That is
+the report's order, so a scan sorts nothing, and its records go straight to
+`emit_report` from a generator that counts the summary and collects the
+anomalies as they pass; a scan never holds its records.  A report is
+therefore byte-identical no matter how many workers built the records, in
+what order, or under which start method.
 
 `lemmas` reports by lemma name, then p.  Each prime's suites run together,
 in a pool worker or not, and make every internal check then; they return
@@ -69,7 +71,6 @@ from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
-from sys import intern
 from typing import NamedTuple, Optional
 
 from .bernoulli import LINK_ROWS, check_bernoulli_power_sums
@@ -88,7 +89,7 @@ from .harmonic import (
     harmonic_vectors,
 )
 from .residues import CongrlabError, PrimePowerModulus
-from .verdicts import FAIL, PASS, Verdict, judged, skip
+from .verdicts import FAIL, PASS, Verdict, judge, skip
 
 __all__ = [
     "DEFAULT_ALPHA_SWEEP",
@@ -350,21 +351,20 @@ def _harmonic_vectors(plans) -> list:
     return vectors
 
 
-def _prime_record(task) -> tuple:
-    """One prime's modulus and ingredient record, built in full: its O(p)
-    work in a scan."""
+def _prime_record(task) -> PrimeContext:
+    """One prime's context over its ingredient record, built in full: its
+    O(p) work in a scan."""
     plan, h = task
     modulus = PrimePowerModulus(plan.p, plan.exponent)
-    return modulus, prime_record(modulus, plan.names, h)
+    return PrimeContext(modulus, prime_record(modulus, plan.names, h))
 
 
-def _case_major(cases, records, alphas, tightness: bool, claimed: bool):
+def _case_major(cases, contexts, alphas, tightness: bool, claimed: bool):
     """Every verdict of the scan: cases in id order, then primes ascending,
-    then alphas ascending, each prime's context built over its record."""
+    then alphas ascending, each prime's one context shared by every case."""
     for case in sorted(cases, key=attrgetter("id")):
-        for modulus, record in records:
-            ctx = PrimeContext(modulus, record)
-            yield from verify_case(case, modulus.p, alphas, tightness, ctx, claimed)
+        for ctx in contexts:
+            yield from verify_case(case, ctx.p, alphas, tightness, ctx, claimed)
 
 
 def run_lemma_suites(p: int) -> LemmaRecord:
@@ -389,8 +389,8 @@ _LEMMA_FAMILIES = REFLECTION_ROWS + HARMONIC_ROWS + POWER_SUM_ROWS + LINK_ROWS
 def _lemma_records(records: list, families=_LEMMA_FAMILIES):
     """The verdicts of every row `families` make of `records`, lemma records
     in ascending p, in report order: names sorted, and each name's primes
-    ascending.  Each row is built from its prime's record, judged and let go
-    as it is read, and each name is interned once.
+    ascending.  Each row is built from its prime's record, judged by
+    `judge`, as every catalog verdict is, and let go as it is read.
 
     No family's text before its field is a prefix of another's, so sorting
     the families by that text, and each family's names, sorts every name.
@@ -404,7 +404,6 @@ def _lemma_records(records: list, families=_LEMMA_FAMILIES):
         ]
         ks = set().union(*(covered for _, covered, _ in at))
         for name, k in sorted((family.name.format(k), k) for k in ks):
-            name = intern(name)
             for record, covered, modulus in at:
                 if k not in covered:
                     continue
@@ -412,10 +411,7 @@ def _lemma_records(records: list, families=_LEMMA_FAMILIES):
                 if isinstance(row, str):  # the reason it is skipped
                     yield skip(name, modulus.p, None, row)
                     continue
-                m, lhs, rhs = row
-                lhs, rhs, val = judged(m, lhs, rhs, modulus)
-                status = PASS if val.value >= m else FAIL
-                yield Verdict(name, modulus.p, None, m, lhs, rhs, status, val)
+                yield judge(name, modulus.p, None, *row, modulus)
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
@@ -470,9 +466,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
         vectors = _harmonic_vectors(plans) if tree else [None] * len(plans)
         tasks = list(zip(plans, vectors))
         workers = _pool_size(config, tasks, sum(_factors(plan, tree) for plan in plans))
-        filled = _run_tasks(_prime_record, tasks, workers)
+        contexts = _run_tasks(_prime_record, tasks, workers)
         records = _case_major(
-            cases, filled, alphas, config.tightness, config.claimed_ranges
+            cases, contexts, alphas, config.tightness, config.claimed_ranges
         )
 
     summary, anomalies = {"pass": 0, "fail": 0, "skip": 0}, []
@@ -527,18 +523,18 @@ _JSON_RECORD = "    {\n" + ",\n".join(
 
 
 def _json_records(records):
-    """A record list as the report lays it out, in pieces.  An rhs that is
-    its lhs (every passing record) reuses the lhs's string."""
+    """A record list as the report lays it out, in pieces, from `_cells`:
+    an empty cell is null, an rhs that is its lhs reuses the lhs's string,
+    and case, status and reason are escaped."""
     pieces = _joined((
         _JSON_RECORD % (
-            _escape(case), p, "null" if alpha is None else f'"{alpha!s}"',
-            "null" if m is None else m, left,
-            left if rhs is lhs else "null" if rhs is None else f'"{rhs}"',
-            _escape(status), "null" if val is None else f'"{val!s}"',
+            _escape(case), p, f'"{alpha}"' if alpha else "null", m or "null",
+            left, left if rhs is lhs else f'"{rhs}"' if rhs else "null",
+            _escape(status), f'"{val}"' if val else "null",
             _escape(reason) if reason else "null",
         )
-        for case, p, alpha, m, lhs, rhs, status, val, reason in records
-        for left in ["null" if lhs is None else f'"{lhs}"']
+        for case, p, alpha, m, lhs, rhs, status, val, reason in _cells(records)
+        for left in [f'"{lhs}"' if lhs else "null"]
     ), ",\n")
     first = next(pieces, None)
     if first is None:
@@ -561,7 +557,8 @@ def _emit_json(report: ScanReport):
 
 
 def _cells(records):
-    """Each record's cells as strings, "" for None, in `_COLUMNS` order.
+    """Each record's cells as strings, "" for None, in `_COLUMNS` order:
+    the one cell formatter of JSON, CSV and text.
 
     An rhs equal to its lhs (every passing record) reuses the lhs's decimal
     string, and each distinct valuation is formatted once.

@@ -1,4 +1,5 @@
-"""The verdict record shared by the congruence catalog and the lemma suites."""
+"""The verdict record, and the one rule that judges it, shared by the
+congruence catalog and the lemma suites."""
 
 from __future__ import annotations
 
@@ -39,20 +40,6 @@ def skip(case: str, p: int, alpha: Optional[Fraction], reason: str) -> Verdict:
     return Verdict(intern(case), p, alpha, None, None, None, SKIP, None, reason)
 
 
-def judged(m: int, lhs: int, rhs: int, eval_modulus: PrimePowerModulus) -> tuple:
-    """What a verdict records of two working residues judged against p^m.
-
-    lhs and rhs live in `eval_modulus` (exponent >= m).  They come back
-    reduced modulo p^m, one residue for both where they agree there (a
-    pass), with the valuation of their difference as seen at the evaluation
-    exponent: (lhs, rhs, valuation).
-    """
-    val = valuation_of_difference(lhs, rhs, eval_modulus)
-    pm = eval_modulus.pm if m == eval_modulus.m else eval_modulus.p**m
-    lhs %= pm
-    return lhs, lhs if val.value >= m else rhs % pm, val
-
-
 def judge(
     case: str,
     p: int,
@@ -64,9 +51,14 @@ def judge(
 ) -> Verdict:
     """Judge two working residues against the target modulus p^m.
 
-    The verdict records what `judged` makes of them; pass means the sides
-    agree modulo p^m.
+    lhs and rhs live in `eval_modulus` (exponent >= m).  The verdict holds
+    them reduced modulo p^m, one residue for both where they agree there (a
+    pass), with the valuation of their difference as seen at the evaluation
+    exponent.  Every catalog case and every lemma row is judged here.
     """
-    lhs, rhs, val = judged(m, lhs, rhs, eval_modulus)
-    status = PASS if val.value >= m else FAIL
-    return Verdict(intern(case), p, alpha, m, lhs, rhs, status, val)
+    val = valuation_of_difference(lhs, rhs, eval_modulus)
+    pm = eval_modulus.pm if m == eval_modulus.m else eval_modulus.p**m
+    lhs %= pm
+    if val.value >= m:
+        return Verdict(intern(case), p, alpha, m, lhs, lhs, PASS, val)
+    return Verdict(intern(case), p, alpha, m, lhs, rhs % pm, FAIL, val)

@@ -83,6 +83,8 @@ def test_package_root_exports_the_documented_names():
         (congrlab.PrimeContext, "_binoms"),
         (congrlab.PrimeContext, "_fact_inv"),
         (congrlab.congruences.CongruenceCase, "takes"),
+        (congrlab.verdicts, "judged"),
+        (congrlab.PrimeContext, "modulus_at"),
     ],
     ids=[
         "DomainTooSmall", "HarmonicTable.value", "PowerSumTable",
@@ -90,7 +92,7 @@ def test_package_root_exports_the_documented_names():
         "bernoulli_pm3_faulhaber", "PrimeContext.power_sums",
         "PrimeContext.fill", "PrimeContext.binom_w", "PrimeContext.sums",
         "PrimeContext._h", "PrimeContext._binoms", "PrimeContext._fact_inv",
-        "CongruenceCase.takes",
+        "CongruenceCase.takes", "verdicts.judged", "PrimeContext.modulus_at",
     ],
 )
 def test_deleted_api_stays_deleted(owner, name):
@@ -99,7 +101,9 @@ def test_deleted_api_stays_deleted(owner, name):
     # query or wrapper class is left to export; a verdict's `status` is
     # compared with PASS, FAIL and SKIP, and a context's ingredients are
     # read through its one record, which `prime_record` builds: a context
-    # holds no route state; where a case applies is `skip_reason`'s to say
+    # holds no route state; where a case applies is `skip_reason`'s to say;
+    # `judge` is the one judging function, and each case reduces its own
+    # modulus off the prime's one context
     assert not hasattr(owner, name)
     assert not hasattr(congrlab, name)
 

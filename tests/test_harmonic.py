@@ -13,6 +13,7 @@ from operator import attrgetter
 import pytest
 
 from congrlab import (
+    CongrlabError,
     PrimePowerModulus,
     binom_alpha_mod,
     prime_record,
@@ -196,6 +197,47 @@ class TestHarmonicVectors:
         assert [len(h) for h in vectors] == exponents
         for p, d, h in zip(primes, exponents, vectors):
             assert h == table_prefix(p, d), (p, d)
+
+    @pytest.mark.parametrize("d, j", [(d, j) for d in (2, 4, 9) for j in range(d)])
+    def test_fermat_check_reads_each_coefficient_below_p_minus_1(
+        self, monkeypatch, d, j
+    ):
+        # the first leaf is c itself at p = 13, prod_{1 <= k < 13} (k + t)
+        # (its halves recurse through `_rising` too); 2 t^j more there moves
+        # c_j alone by a unit, leaves c_0 a unit, and 0 <= j < min(D, p - 1)
+        rising = harmonic._rising
+
+        def moved(lo, hi, d):
+            c = rising(lo, hi, d)
+            if (lo, hi) == (1, 13):
+                c[j] += 2
+            return c
+
+        monkeypatch.setattr(harmonic, "_rising", moved)
+        with pytest.raises(CongrlabError, match=r"^Fermat check fails at p=13$"):
+            harmonic_vectors([13, 17], [d] * 2)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_fermat_check_stops_at_p_minus_1(self, p):
+        # c_{p-1} = 1 (mod p), and the vector is longer than p - 1 here
+        assert harmonic_vectors([p], [9]) == [table_prefix(p, 9)]
+
+    def test_fermat_check_passes_a_multiple_of_p(self, monkeypatch):
+        # the check's limit: leaf 11 off by 13 t leaves c modulo 13 as it
+        # was, so p = 13 gets a wrong vector that the scanner's cross-check
+        # at the largest prime must catch
+        rising = harmonic._rising
+
+        def moved(lo, hi, d):
+            c = rising(lo, hi, d)
+            if lo == 11:
+                c[1] += 13
+            return c
+
+        monkeypatch.setattr(harmonic, "_rising", moved)
+        vectors = harmonic_vectors([7, 11, 13], [4] * 3)
+        assert vectors[:2] == [table_prefix(7, 4), table_prefix(11, 4)]
+        assert vectors[2] != table_prefix(13, 4)
 
     def test_empty_range(self):
         assert harmonic_vectors([], []) == []

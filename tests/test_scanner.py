@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import congrlab.cli
-from congrlab import congruences, harmonic, scanner
+from congrlab import congruences, harmonic, scanner, verdicts
 from congrlab import (
     CongrlabError,
     PrimePowerModulus,
@@ -734,6 +734,54 @@ class TestIngredientRecord:
             monkeypatch.undo()
 
 
+class TestOnePath:
+    """One context per prime serves every case, and `verdicts.judge` judges
+    every row that is not skipped, catalog and lemma alike."""
+
+    def test_default_scan_builds_one_context_per_prime(self, monkeypatch):
+        contexts, inverses = [], []
+        init, rat = PrimeContext.__init__, PrimeContext.rat
+
+        def counted_init(self, modulus, record):
+            contexts.append(modulus.p)
+            init(self, modulus, record)
+
+        def counted_rat(self, q):
+            known = len(self._inverses)
+            residue = rat(self, q)
+            inverses.append(len(self._inverses) - known)
+            return residue
+
+        monkeypatch.setattr(PrimeContext, "__init__", counted_init)
+        monkeypatch.setattr(PrimeContext, "rat", counted_rat)
+        report = collected(run_scan(ScanConfig()))
+        assert report.summary == {"pass": 14626, "fail": 0, "skip": 2482}
+        # a context per (case, p) built 2,726 and computed 5,914 inverses
+        assert contexts == odd_primes_between(3, 499)
+        assert sum(inverses) == 929  # one per (p, denominator)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScanConfig(prime_min=3, prime_max=47, tightness=True),
+            ScanConfig(command="lemmas", prime_min=3, prime_max=47),
+        ],
+        ids=["scan", "lemmas"],
+    )
+    def test_judge_judges_each_row_not_skipped(self, monkeypatch, config):
+        judged, judge = [], verdicts.judge
+
+        def counted(*args):
+            judged.append(args[0])
+            return judge(*args)
+
+        monkeypatch.setattr(congruences, "judge", counted)
+        monkeypatch.setattr(scanner, "judge", counted)
+        report = collected(run_scan(config))
+        assert report.summary["skip"] > 0
+        assert judged == [v.case for v in report.records if v.status != SKIP]
+
+
 class TestWolstenholmePrime:
     """Known answers at 16843, the first Wolstenholme prime (McIntosh 1995)."""
 
@@ -898,20 +946,36 @@ class TestBinomialRoutes:
 
     @pytest.mark.parametrize("leaf_start", [1, 499, 991])
     def test_corrupted_leaf_fails_the_cross_check(self, monkeypatch, capsys, leaf_start):
-        # each of 1, 499 and 991 opens one leaf of the tree over 5..1000
-        rising = harmonic._rising
+        # each of 1, 499 and 991 opens one leaf of the tree over 5..1000, the
+        # leaf of 5, 503 and 997; one t more there moves c_1 by a unit at
+        # that prime, which its Fermat check sees
+        self.corrupt_leaf(monkeypatch, leaf_start, 1)
+        argv = ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"]
+        assert main(argv + ["--workers", "1"]) == 3
+        p = {1: 5, 499: 503, 991: 997}[leaf_start]
+        err = capsys.readouterr().err
+        assert err == f"congrlab: internal error: Fermat check fails at p={p}\n"
 
-        def off_by_one(lo, hi, d):
-            c = rising(lo, hi, d)
-            if lo == leaf_start:
-                c[1] += 1
-            return c
-
-        monkeypatch.setattr(harmonic, "_rising", off_by_one)
+    def test_fault_of_a_multiple_of_p_fails_the_cross_check(self, monkeypatch, capsys):
+        # 997 t more in the largest prime's leaf leaves its c modulo 997 as
+        # it was; the comparison with the product route sees it
+        self.corrupt_leaf(monkeypatch, 991, 997)
         argv = ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"]
         assert main(argv + ["--workers", "1"]) == 3
         err = capsys.readouterr().err
         assert err == "congrlab: internal error: harmonic vector mismatch at p=997\n"
+
+    @staticmethod
+    def corrupt_leaf(monkeypatch, leaf_start, offset):
+        rising = harmonic._rising
+
+        def moved(lo, hi, d):
+            c = rising(lo, hi, d)
+            if lo == leaf_start:
+                c[1] += offset
+            return c
+
+        monkeypatch.setattr(harmonic, "_rising", moved)
 
 
 RECORD_KEYS = ["case", "p", "alpha", "m", "lhs", "rhs", "status", "valuation", "reason"]
@@ -1329,7 +1393,7 @@ class TestCliContract:
             (
                 ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"],
                 "vector",
-                "harmonic vector mismatch at p=997",
+                "Fermat check fails at p=503",
             ),
             (
                 ["scan", "--primes", "3..1000", "--case", "rel34,rel63"],
