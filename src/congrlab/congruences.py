@@ -9,21 +9,16 @@ working exponent: S_1, S_2, S_3 and H_2 (`SUMS`), 4^(p-1), B_{p-3} modulo
 p^2 (`bernoulli_pm3`), C(2p-1, p-1), the central binomial and the
 polynomial f in alpha with f(alpha) == C(alpha*p - 1, p - 1), so no record
 depends on the alphas.  It is computed in full, inside Z/p^m, before any
-case is evaluated, on one of two routes that differ in two helpers only.
-Given the vector H_0 .. H_{m-1} (which a range scan builds for all its
-primes at once, see `harmonic.harmonic_vectors`), f = sum_{j<m}
-(-alpha*p)^j H_j is read off it, and S_1, S_2, S_3 off H_1, H_2, H_3 by
-Newton's identities.  Without one, it takes the product route: f is
-interpolated from prod_{k=1}^{p-1} (alpha*p - k) / k at alpha < min(m, p)
-(every k is a unit), numerator and factorial each multiplied in runs of 64
-factors and reduced once per run, and one `power_sum_table` pass gives the
-sums; `binom_alpha_mod` is that route's binomial.  The record runs its
-checks as it goes: the central binomial against its 4^(p-1) transfer, and
-B_{p-3} against Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2) wherever the
-record holds S_2.  The scanner compares the two routes at a range's largest
-prime, name by name over `ROUTED`, all of f included.  Their independent
-oracle, the exact-rational product formula, lives with the tests, in
-tests/oracles.py.
+case is evaluated, off one harmonic vector H_0, H_1, ..: f = sum_j
+(-alpha*p)^j H_j, and S_1, S_2, S_3 off H_1, H_2, H_3 by Newton's
+identities.  A range scan builds the vectors of all its primes at once
+(`harmonic.harmonic_vectors`); otherwise the record interpolates f from
+O(p) products (`binom_alpha_mod`) and divides its coefficients by powers of
+-p (`_product_vector`).  The record runs its checks as it goes.  The
+scanner compares the two routes at a range's largest prime, name by name
+over `ROUTED`, and their sums with one `harmonic.power_sum_table` pass.
+The independent oracle, the exact-rational product formula, lives with the
+tests, in tests/oracles.py.
 
 Each side of a case is data: a tuple of `Term`s c(alpha) * p^k * X.
 Whether a case is evaluated at (p, alpha) is one rule,
@@ -31,10 +26,10 @@ Whether a case is evaluated at (p, alpha) is one rule,
 p-integral alpha), which `verify_case` and the scanner's plans share.
 `verify_case` folds each side once into one polynomial in alpha and
 evaluates it at every alpha it is given, against a `PrimeContext` over one
-prime's record.  The context only reads
-the record: a name the record lacks is an error, never a computation.  Each
-case reduces to its own modulus, and a record never changes once built, so
-the cases of a prime share one context, and its inverses, in any order.
+prime's record.  The context only reads the record: a name the record lacks
+is an error, never a computation.  Each case reduces to its own modulus,
+and a record never changes once built, so the cases of a prime share one
+context, and its inverses, in any order.
 
 The catalog writes each alpha-polynomial once.  Seven parametric cases
 (rel26, coro_rel2, coro_rel5b, coro_rel5, thm1, rel38, coro_63_alpha) hold
@@ -54,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .bernoulli import bernoulli_pm3
-from .harmonic import _times_mod_t, power_sum_table
+from .harmonic import _times_mod_t
 from .residues import CongrlabError, NotPInteger, PrimePowerModulus, residue_of_rational
 from .verdicts import judge, skip
 
@@ -136,61 +131,55 @@ def signed_central_binomial(p: int) -> int:
 # f(2), and the central binomial, which is 4^(p-1) f(1/2).
 BINOMIALS = frozenset({"binom", "binom2", "central"})
 
-# The sums, which one route computes together: S_1, S_2, S_3 and H_2.
+# The sums, which a record computes together: S_1, S_2, S_3 and H_2.
 SUMS = ("S1", "S2", "S3", "H2")
 
-# The names whose values depend on the route: the binomials and the sums.
+# The names read off the vector, which the scanner compares across routes.
 ROUTED = frozenset(SUMS) | {"binom", "binom2"}
 
 # Every name a catalog term may read (see `Term`).
 _NAMES = ROUTED | {"one", "four", "B", "central"}
 
 
-def _binomial(modulus: PrimePowerModulus, h: Optional[tuple]) -> tuple:
-    """c_0 .. c_{m-1}, lowest degree first, with sum_j c_j alpha^j ==
-    C(alpha*p - 1, p - 1) (mod p^m) at every p-integral alpha.
+def _vector_exponent(names: frozenset, m: int) -> int:
+    """The exponent e of the product route's vector for a record of `names`
+    modulo p^m, 0 for none: e = m for f, m + 3 for H_1 .. H_3 modulo p^m
+    (the sums), and at least 4 for S_2 modulo p^2 (Glaisher's check on B)."""
+    if names <= {"one", "four"}:
+        return 0
+    return m + 3 if not names.isdisjoint(SUMS) else max(m, 4) if "B" in names else m
+
+
+def _product_vector(modulus: PrimePowerModulus, e: int) -> tuple:
+    """H_0 .. H_{e-1}, each H_j modulo p^(e-j), reduced mod p^m.
 
     C(alpha*p - 1, p - 1) = prod_{k<p} (1 - alpha*p/k) = sum_j
-    (-alpha*p)^j H_j, whose terms j >= m vanish, and H_j = 0 for j >= p: so
-    c_j = (-p)^j H_j, of degree below n = min(m, p).  Without `h`, that
-    polynomial is interpolated from its values at alpha = 0 .. n-1 by
-    Newton's forward differences: f(0) = f(1) = 1, and each other value is
-    one product, all sharing one 1/(p-1)!.  It divides only by k < n, units.
+    (-alpha*p)^j H_j, and H_j = 0 for j >= p: so mod p^e it is a polynomial
+    f = sum_j c_j alpha^j of degree below n = min(e, p), c_j = (-p)^j H_j.
+    f is interpolated from its values at alpha = 0 .. n-1 by Newton's
+    forward differences: f(0) = f(1) = 1, and each other value is one
+    product, all sharing one 1/(p-1)!.  It divides only by k < n, units.  A
+    c_j that is not a multiple of p^j means a wrong product.
     """
-    p, pm, m = modulus.p, modulus.pm, modulus.m
-    if h is not None:
-        return tuple((-p) ** j * hj % pm for j, hj in enumerate(h))
-    n = min(m, p)
-    fact_inv = _factorial_inverse(modulus) if n > 2 else None
-    d = [1, 1][:n] + [binom_alpha_mod(a, modulus, fact_inv) for a in range(2, n)]
+    p, wide = modulus.p, modulus.with_exponent(e)
+    pe, n = wide.pm, min(e, p)
+    fact_inv = _factorial_inverse(wide) if n > 2 else None
+    d = [1, 1][:n] + [binom_alpha_mod(a, wide, fact_inv) for a in range(2, n)]
     for k in range(1, n):  # d_i <- the i-th forward difference at 0
         d[k:] = [x - y for x, y in zip(d[k:], d[k - 1 :])]
     # f = d_0 + a (d_1 + (a - 1)/2 (d_2 + (a - 2)/3 (...))), inside out
     poly = d[-1:]
     for k in range(n - 2, -1, -1):
-        inv = pow(k + 1, -1, pm)
-        poly = [(c - k * nxt) * inv % pm for c, nxt in zip([0] + poly, poly + [0])]
-        poly[0] = (poly[0] + d[k]) % pm
-    return tuple(poly) + (0,) * (m - n)
-
-
-def _sums(modulus: PrimePowerModulus, h: Optional[tuple]) -> tuple:
-    """(S_1, S_2, S_3, H_2) modulo p^m.
-
-    Newton's identities have integer coefficients, so off the vector
-    S_1 = H_1, S_2 = H_1^2 - 2 H_2 and S_3 = H_1^3 - 3 H_1 H_2 + 3 H_3
-    hold exactly mod p^m; they read H_3, so the vector must be at least 4
-    long.  Without it, one `power_sum_table` pass and
-    H_2 = sum_{i<j} 1/(ij) = (S_1^2 - S_2)/2.
-    """
-    pm = modulus.pm
-    if h is None:
-        s1, s2, s3 = power_sum_table(modulus, 3)
-        return s1, s2, s3, (s1 * s1 - s2) * pow(2, -1, pm) % pm
-    if modulus.m < 4:
-        raise ValueError(f"S_3 reads H_3, past a vector of length {modulus.m}")
-    _, h1, h2, h3 = h[:4]
-    return h1, (h1 * h1 - 2 * h2) % pm, (h1**3 - 3 * h1 * h2 + 3 * h3) % pm, h2
+        inv = pow(k + 1, -1, pe)
+        poly = [(c - k * nxt) * inv % pe for c, nxt in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + d[k]) % pe
+    h = []
+    for j, c in enumerate(poly):
+        hj, rest = divmod(c, (-p) ** j)
+        if rest:
+            raise CongrlabError(f"binomial's c_{j} is not a multiple of p^{j} at p={p}")
+        h.append(hj % modulus.pm)
+    return tuple(h) + (0,) * (e - n)
 
 
 class PrimeContext:
@@ -214,6 +203,8 @@ class PrimeContext:
     def rat(self, q) -> int:
         """Residue of a p-integral int or Fraction; builds no Fraction."""
         d = q.denominator
+        if d == 1:
+            return q.numerator % self.pm
         if d not in self._inverses:
             if d % self.p == 0:
                 raise NotPInteger(f"{q} is not a {self.p}-integer")
@@ -262,25 +253,28 @@ class PrimeContext:
 def prime_record(modulus: PrimePowerModulus, names, h=None) -> dict:
     """One prime's ingredient record modulo p^m: each name in `names`, in full.
 
-    The record maps each name (see `Term`) to its residue, and "binom" to
-    the coefficients of f, f(alpha) == C(alpha*p - 1, p - 1) (`_binomial`);
-    "binom2" is f(2), and the central binomial's transfer reads f(1/2).
-    Given `h`, (H_0, .., H_{m-1}) modulo p^m, the binomials and sums come
-    off it (the tree route); without, off products and one
-    `power_sum_table` pass (the product route).  Its checks run here, so a
-    bad ingredient stops a scan before any verdict: the central binomial's
-    transfer and, wherever the record holds S_2 (always on the tree route),
-    Glaisher's S_2 == (2/3) p B_{p-3} (mod p^2), which ties Faulhaber's
-    B_{p-3} modulo p to the sums.
+    Every binomial and sum comes off one harmonic vector: `h`, (H_0, ..,
+    H_{m-1}) modulo p^m off the remainder tree, or else the product route's
+    (`_product_vector`).  "binom" maps to the coefficients c_j = (-p)^j H_j
+    of f, f(alpha) == C(alpha*p - 1, p - 1); "binom2" is f(2), and the
+    central binomial's transfer reads f(1/2).  Newton's identities, with
+    integer coefficients, give S_1 = H_1, S_2 = H_1^2 - 2 H_2 and S_3 =
+    H_1^3 - 3 H_1 H_2 + 3 H_3 exactly.  Every check runs here, so a bad
+    ingredient stops a scan before any verdict: the product route's
+    coefficients, the central binomial's transfer, and Glaisher's S_2 ==
+    (2/3) p B_{p-3} (mod p^2), which ties Faulhaber's B_{p-3} to the vector.
     """
+    names = frozenset(names)
     if not _NAMES.issuperset(names):
-        raise ValueError(f"unknown catalog ingredient {min(set(names) - _NAMES)!r}")
+        raise ValueError(f"unknown catalog ingredient {min(names - _NAMES)!r}")
     if h is not None and len(h) != modulus.m:
         raise ValueError(f"harmonic vector of length {len(h)}, need {modulus.m}")
-    p, pm = modulus.p, modulus.pm
+    p, pm, m = modulus.p, modulus.pm, modulus.m
+    if h is None and (e := _vector_exponent(names, m)):
+        h = _product_vector(modulus, e)
     record = {"one": 1}
     if not BINOMIALS.isdisjoint(names):
-        f = _binomial(modulus, h)
+        f = tuple((-p) ** j * hj % pm for j, hj in enumerate(h[:m]))
         if "binom" in names:
             record["binom"] = f
         if "binom2" in names:
@@ -290,11 +284,16 @@ def prime_record(modulus: PrimePowerModulus, names, h=None) -> dict:
             record["central"] = PrimeContext.central_binomial(modulus, half)
     if "four" in names:
         record["four"] = pow(4, p - 1, pm)
-    if any(x in names for x in SUMS) or ("B" in names and h is not None):
-        record.update(zip(SUMS, _sums(modulus, h)))
+    if "B" in names or not names.isdisjoint(SUMS):
+        if len(h) < 4:
+            raise ValueError(f"S_3 reads H_3, past a vector of length {len(h)}")
+        _, h1, h2, h3 = h[:4]
+        sums = h1, (h1 * h1 - 2 * h2) % pm, (h1**3 - 3 * h1 * h2 + 3 * h3) % pm, h2
+        if not names.isdisjoint(SUMS):
+            record.update(zip(SUMS, sums))
     if "B" in names:
         b = record["B"] = bernoulli_pm3(p)
-        if "S2" in record and (3 * record["S2"] - 2 * p * b) % min(p * p, pm):
+        if (3 * sums[1] - 2 * p * b) % min(p * p, pm):
             raise CongrlabError(f"B_{p - 3} fails Glaisher's S_2 congruence at p={p}")
     return record
 

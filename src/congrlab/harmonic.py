@@ -13,9 +13,9 @@ prime pays an O(p) loop of its own; the catalog's S_1, S_2 and S_3 follow
 from H_1, H_2 and H_3 by Newton's identities.
 
 Power sums S_m = sum_{k<p} 1/k^m take one of two routes.  The first few,
-which the catalog reads where a prime has no vector and the scanner reads
-once to check the tree, come straight from a table of inverses, one mulmod
-per k and m (`power_sum_table`).  The power-sum suite
+which the scanner reads once, at a range's largest prime, to check the
+sums the catalog reads off the vectors, come straight from a table of
+inverses, one mulmod per k and m (`power_sum_table`).  The power-sum suite
 reads S_1 .. S_{2p+1}, which that route would pay O(p^2) for, so it reads
 them off the harmonic table instead: prod_{k<p} (1 - x/k) is
 Q(x) = sum_j (-1)^j H_j x^j, and -x Q'(x) / Q(x) = sum_{m>=1} S_m x^m.  Q is

@@ -9,15 +9,16 @@ record, and whether a pool runs the O(p) work.  Then each prime's
 ingredient record (`congruences.prime_record`) is built in full, before
 any case is evaluated.
 
-A record takes one of two routes.  On a wide enough range the parent builds
-every prime's harmonic vector H_0 .. H_{D-1} mod p^D from one remainder
-tree, and the record reads the binomial polynomial and S_1, S_2, S_3 and
-H_2 (by Newton's identities) off it in O(D).  Otherwise (a single prime,
-say) it interpolates the polynomial from min(D, p) - 2 O(p) products and
-runs one `power_sum_table` pass.  The tree pays where the binomial and sums
-passes it saves cost more than it does, so a request that reads only sums
-takes it too.  What is left per prime is O(p) work outside the tree:
-B_{p-3} and the exact central binomial.
+Every record reads the binomial polynomial and S_1, S_2, S_3 and H_2 (by
+Newton's identities) off a harmonic vector, which takes one of two routes.
+On a wide enough range the parent builds every prime's vector H_0 ..
+H_{D-1} mod p^D from one remainder tree, and the record reads it in O(D).
+Otherwise (a single prime, say) the record interpolates the polynomial
+modulo p^e from min(e, p) - 2 O(p) products, with e = D + 3 where it reads
+a sum and D otherwise, and divides its coefficients by powers of -p.  The
+tree pays where the products it saves cost more than it does, so a request
+that reads only sums takes it too.  What is left per prime is O(p) work
+outside the tree: B_{p-3} and the exact central binomial.
 
 Every check that can stop a scan runs in the first phase, so the CLI has
 not opened its output when one fails.  Each record checks its own central
@@ -26,7 +27,8 @@ product modulo p (`harmonic_vectors`).  The largest prime reads whatever
 any prime reads, and its vector depends on every product along the tree's
 right spine: there the tree's record is compared with the product route's,
 name by name, the whole binomial polynomial included, so every alpha and
-not only those requested (`_harmonic_vectors`).
+not only those requested, and its sums with one `power_sum_table` pass, the
+one route to them that reads no vector (`_harmonic_vectors`).
 
 The worker count is an upper bound: a pool of up to that many processes
 starts only when the records' O(p) work outside the tree is above one
@@ -75,7 +77,8 @@ from typing import NamedTuple, Optional
 
 from .bernoulli import LINK_ROWS, check_bernoulli_power_sums
 from .congruences import (
-    BINOMIALS, CATALOG, ROUTED, SUMS, PrimeContext, ingredients, prime_record, verify_case,
+    CATALOG, ROUTED, SUMS, PrimeContext, _vector_exponent, ingredients, prime_record,
+    verify_case,
 )
 from .harmonic import (
     HARMONIC_ROWS,
@@ -87,6 +90,7 @@ from .harmonic import (
     check_reflection_identity,
     harmonic_table,
     harmonic_vectors,
+    power_sum_table,
 )
 from .residues import CongrlabError, PrimePowerModulus
 from .verdicts import FAIL, PASS, Verdict, judge, skip
@@ -246,23 +250,19 @@ class ScanReport:
 # Route.  The tree costs about _TREE_FACTORS * D^2 * p_max^1.8 factors,
 # whatever the range's lower end: `harmonic_vectors` for every prime
 # 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8,
-# about 2e-10 s * D^2 * p_max^1.8.  It saves each prime that reads a
-# binomial the product route's polynomial, about (n - 1) * p factors for
-# n = min(D, p) (n - 2 values and their 1/(p-1)!), and the sums pass.
+# about 2e-10 s * D^2 * p_max^1.8.  It saves each prime the product route's
+# vector, about (n - 1) * p factors for n = min(e, p) (n - 2 values and
+# their 1/(p-1)!), where e is m + 3 if the prime reads a sum.
 _TREE_FACTORS = 2.5e-3
 
 # A prime's record runs each other O(p) pass its cases read once, at so
 # many factors per k < p:
-#   sums     the names in `congruences.SUMS`, one `power_sum_table` pass on
-#            the product route: 15 (2.3 us per k over the primes 3..2999);
-#            on the tree route they are read off the vector;
 #   central  the exact central binomial: 1 below p = 2000 (math.comb grows
 #            past it: 18 at p = 10^5);
 #   B        B_{p-3}, a pow of exponent p - 3 mod p^3 per k: b * d for b
 #            bits of p and d 30-bit digits of p^3 (measured 5, 8, 24, 30
 #            and 33 at p = 101, 499, 1999, 10007 and 100003).
-# On the tree route the binomial polynomial is D products.
-_PASS_FACTORS = {"sums": 15, "central": 1}  # B's depends on p
+_CENTRAL_FACTORS = 1  # B's depends on p
 
 # The lemma suites at one prime took about 60 us * p + 4.5 ns * p^3 (0.5 ms
 # at p = 3, 12 ms at 101, 47 ms at 199, 0.58 s at 499, best of three): so
@@ -303,12 +303,9 @@ def _plans(primes, cases, tightness: bool, claimed: bool) -> list:
 
 
 def _vector_work(plan: _Plan) -> float:
-    """p's O(p) work that its harmonic vector saves, in product-route
-    factors: the binomial polynomial's values and 1/(p-1)!, and the sums pass."""
-    factors = min(plan.exponent, plan.p) - 1 if not plan.names.isdisjoint(BINOMIALS) else 0
-    if not plan.names.isdisjoint(SUMS):
-        factors += _PASS_FACTORS["sums"]
-    return factors * plan.p
+    """p's O(p) work that its harmonic vector saves: the product route's."""
+    e = _vector_exponent(plan.names, plan.exponent)
+    return (min(e, plan.p) - 1) * plan.p if e else 0
 
 
 def _tree_pays(plans) -> bool:
@@ -319,7 +316,7 @@ def _tree_pays(plans) -> bool:
 
 def _factors(plan: _Plan, tree: bool) -> float:
     """One prime's O(p) record work outside the tree, in product-route factors."""
-    factors = _PASS_FACTORS["central"] if "central" in plan.names else 0
+    factors = _CENTRAL_FACTORS if "central" in plan.names else 0
     if "B" in plan.names:
         bits = plan.p.bit_length()
         factors += bits * -(-3 * bits // 30)
@@ -335,8 +332,9 @@ def _harmonic_vectors(plans) -> list:
     gives is compared with the product route's, name by name, over every
     name the route computes (`ROUTED`) that the range reads: the whole
     polynomial for C(alpha*p - 1, p - 1), so every alpha, C(2p - 1, p - 1),
-    and S_1, S_2, S_3 and H_2 (one O(p) pass).  A mismatch is an internal
-    error.
+    and S_1, S_2, S_3 and H_2.  Both read the sums off a vector by Newton's
+    identities, so S_1, S_2 and S_3 are also compared with one
+    `power_sum_table` pass.  A mismatch is an internal error.
     """
     primes, exponents = [plan.p for plan in plans], [plan.exponent for plan in plans]
     vectors = harmonic_vectors(primes, exponents)
@@ -348,6 +346,9 @@ def _harmonic_vectors(plans) -> list:
         if tree[name] != value:
             sums = "power sums off the " if name in SUMS else ""
             raise CongrlabError(f"{sums}harmonic vector mismatch at p={last.p}")
+    sums = tuple(tree[x] for x in SUMS[:3] if x in tree)
+    if sums and power_sum_table(modulus, 3) != sums:
+        raise CongrlabError(f"power sums off the harmonic vector mismatch at p={last.p}")
     return vectors
 
 

@@ -460,14 +460,20 @@ class TestAlphaLoop:
 class TestPrimeContext:
     @pytest.mark.parametrize(
         "case, tightness, products",
-        [("coro_rel5b", True, 4), ("coro_rel5b", False, 3), ("babbage", False, 0)],
+        [
+            ("coro_rel5b", True, 5), ("coro_rel5b", False, 5), ("babbage", False, 0),
+            ("glaisher_rel3", False, 2), ("glaisher_rel3", True, 3),
+        ],
     )
     def test_binomial_products_do_not_depend_on_the_alphas(
         self, monkeypatch, case, tightness, products
     ):
-        # the product route interpolates C(alpha*p - 1, p - 1) from its values
-        # at alpha = 0 .. n-1, n = min(m, p): f(0) = f(1) = 1, and one product
-        # for each other value, whatever alphas are asked for
+        # the product route interpolates C(alpha*p - 1, p - 1) modulo p^e
+        # from its values at alpha = 0 .. n-1, n = min(e, p): f(0) = f(1) =
+        # 1, and one product for each other value, whatever alphas are asked
+        # for.  e = m + 3 where the record reads a sum (coro_rel5b's S_1, so
+        # n = p = 7), and m otherwise: Glaisher's check on glaisher_rel3's B
+        # reads S_2 mod p^2, which m = 4 already gives
         calls = []
         real = congruences.binom_alpha_mod
         monkeypatch.setattr(
@@ -551,12 +557,33 @@ class TestPrimeContext:
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_product_polynomial_equals_the_tree_polynomial(self, m):
-        # for every odd prime <= 199, p < m and p = m = 7 among them
+        # for every odd prime <= 199, p < m and p = m = 7 among them: the
+        # product route's vector, three powers up where the record reads a
+        # sum, gives the tree's record, name by name
         primes = odd_primes_between(3, 199)
+        name_sets = [{"binom"}, {"binom2", "central"}]
+        if m >= 4:  # S_3 reads H_3
+            name_sets.append(set(SUMS) | {"binom", "B"})
         for p, h in zip(primes, harmonic_vectors(primes, [m] * len(primes))):
+            for names in name_sets:
+                names = names - {"B"} if p < 5 else names  # B_{p-3} needs p >= 5
+                assert record(p, m, names) == record(p, m, names, h), (p, names)
             tree = record(p, m, {"binom"}, h)["binom"]
-            assert record(p, m, {"binom"})["binom"] == tree, p
             assert len(tree) == m and tree[min(m, p):] == (0,) * (m - min(m, p)), p
+
+    @pytest.mark.parametrize("p", [11, 101, 10007])
+    @pytest.mark.parametrize("m, names", [(3, {"binom"}), (4, set(SUMS)), (6, {"central"})])
+    def test_wrong_product_fails_the_divisibility_check(self, monkeypatch, p, m, names):
+        # one more at alpha = 2 moves the interpolated coefficient of
+        # alpha^j by a unit for some j >= 1, where it must be a multiple of p^j
+        real = congruences.binom_alpha_mod
+
+        def off_by_one(alpha, modulus, *rest):
+            return (real(alpha, modulus, *rest) + (alpha == 2)) % modulus.pm
+
+        monkeypatch.setattr(congruences, "binom_alpha_mod", off_by_one)
+        with pytest.raises(CongrlabError, match=rf"is not a multiple of p\^\d+ at p={p}$"):
+            record(p, m, names)
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 47))
     def test_one_record_serves_every_alpha(self, p):
@@ -576,13 +603,16 @@ class TestPrimeContext:
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 199))
     def test_sums_match_the_tables(self, p):
-        # H_2 by Newton's identity against the product recurrence's table
-        modulus = PrimePowerModulus(p, 8)
-        got = prime_record(modulus, SUMS)
-        sums = power_sum_table(modulus, 3)
-        for e in (1, 2, 3):
-            assert got[f"S{e}"] == sums[e - 1]
-        assert got["H2"] == harmonic_table(modulus).h[2]
+        # the product route's vector, three powers up, against one pass over
+        # the inverses and the product recurrence's table; below m = 4 too,
+        # where a tree vector is too short for S_3
+        for m in (1, 3, 8):
+            modulus = PrimePowerModulus(p, m)
+            got = prime_record(modulus, SUMS)
+            sums = power_sum_table(modulus, 3)
+            for e in (1, 2, 3):
+                assert got[f"S{e}"] == sums[e - 1], m
+            assert got["H2"] == harmonic_table(modulus).h[2], m
 
     @pytest.mark.parametrize("d", range(4, 10))
     def test_vector_sums_match_the_table(self, d):
@@ -603,16 +633,17 @@ class TestPrimeContext:
 
     @pytest.mark.parametrize("route", ["product", "tree"])
     def test_corrupted_bernoulli_fails_glaisher(self, monkeypatch, route):
-        # S_2 == (2/3) p B_{p-3} (mod p^2) ties B to the sums, wherever the
-        # record holds both: always on the tree route
+        # S_2 == (2/3) p B_{p-3} (mod p^2) ties B to the record's vector, on
+        # either route, whether or not the record holds the sums
         p = 13
         h = harmonic_vectors([p], [5])[0] if route == "tree" else None
-        names = {"B"} if route == "tree" else {"B", "S2"}
-        assert record(p, 5, names, h=h)["B"] == congruences.bernoulli_pm3(p)
+        for names in ({"B"}, {"B", "S2"}, {"B", "binom"}):
+            assert record(p, 5, names, h=h)["B"] == congruences.bernoulli_pm3(p)
         real = congruences.bernoulli_pm3
         monkeypatch.setattr(congruences, "bernoulli_pm3", lambda q: (real(q) + 1) % q**2)
-        with pytest.raises(CongrlabError, match="B_10 fails Glaisher's S_2 congruence at p=13"):
-            record(p, 5, names, h=h)
+        for names in ({"B"}, {"B", "S2"}, {"B", "binom"}):
+            with pytest.raises(CongrlabError, match="B_10 fails Glaisher's S_2 congruence at p=13"):
+                record(p, 5, names, h=h)
 
     def test_corrupted_half_binomial_fails_the_central_check(self):
         p, d = 13, 4

@@ -239,6 +239,27 @@ class TestHarmonicVectors:
         assert vectors[:2] == [table_prefix(7, 4), table_prefix(11, 4)]
         assert vectors[2] != table_prefix(13, 4)
 
+    def test_wilson_primes_off_the_leaves(self, monkeypatch):
+        # a known answer for the tree: each leaf's c_0 is (p - 1)! mod p^D,
+        # which it inverts through the module's `pow`, and the Wilson primes,
+        # (p - 1)! == -1 (mod p^2), are exactly 5, 13 and 563 below 2*10^13
+        # (Costa, Gerbicz & Harvey, "A search for Wilson primes", 2014)
+        factorials = {}
+
+        def spy(base, exp, mod):
+            if exp == -1:
+                factorials[mod] = base
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(harmonic, "pow", spy, raising=False)
+        primes = odd_primes_between(5, 10_000)
+        harmonic_vectors(primes, [2] * len(primes))
+        assert sorted(factorials) == [p * p for p in primes]
+        for p in primes[:25]:
+            assert factorials[p * p] == math.factorial(p - 1) % (p * p), p
+        wilson = [p for p in primes if (factorials[p * p] + 1) % (p * p) == 0]
+        assert wilson == [5, 13, 563]
+
     def test_empty_range(self):
         assert harmonic_vectors([], []) == []
 

@@ -712,22 +712,25 @@ class TestIngredientRecord:
         for tree in (False, True):
             force_route(monkeypatch, tree)
             calls = {}
-            for name in ("power_sum_table", "bernoulli_pm3", "signed_central_binomial"):
-                real, seen = getattr(congruences, name), calls.setdefault(name, [])
+            for module, name in (
+                (scanner, "power_sum_table"),
+                (congruences, "bernoulli_pm3"),
+                (congruences, "signed_central_binomial"),
+            ):
+                real, seen = getattr(module, name), calls.setdefault(name, [])
 
                 def spy(arg, *rest, real=real, seen=seen):
                     seen.append(getattr(arg, "p", arg))  # a modulus or a prime
                     return real(arg, *rest)
 
-                monkeypatch.setattr(congruences, name, spy)
+                monkeypatch.setattr(module, name, spy)
             report = run_scan(ScanConfig(prime_min=3, prime_max=47, workers=1))
             evaluated = {name: list(seen) for name, seen in calls.items()}
             emitted(report, "csv")
             assert calls == evaluated, tree  # reading the records computes nothing
-            # the tree route reads the sums off each vector and checks them
-            # against one pass at the largest prime
-            sums = [47] if tree else readers(set(congruences.SUMS))
-            assert calls["power_sum_table"] == sums, tree
+            # both routes read the sums off a vector; the tree route checks
+            # them against one pass at the largest prime
+            assert calls["power_sum_table"] == ([47] if tree else []), tree
             assert calls["bernoulli_pm3"] == readers({"B"}), tree
             assert calls["signed_central_binomial"] == readers({"central"}), tree
             assert 3 not in calls["bernoulli_pm3"] and 47 in calls["bernoulli_pm3"]
@@ -756,9 +759,10 @@ class TestOnePath:
         monkeypatch.setattr(PrimeContext, "rat", counted_rat)
         report = collected(run_scan(ScanConfig()))
         assert report.summary == {"pass": 14626, "fail": 0, "skip": 2482}
-        # a context per (case, p) built 2,726 and computed 5,914 inverses
+        # a context per (case, p) built 2,726 and computed 5,914 inverses;
+        # 929 when the denominator 1 of every integer coefficient took one
         assert contexts == odd_primes_between(3, 499)
-        assert sum(inverses) == 929  # one per (p, denominator)
+        assert sum(inverses) == 835  # one per (p, denominator > 1)
 
     @pytest.mark.parametrize(
         "config",
@@ -912,10 +916,11 @@ class TestBinomialRoutes:
         assert calls == [9973]  # the cross-check at the largest prime
 
     def test_sums_only_scan_takes_the_tree(self, monkeypatch, capsysbinary):
-        # rel34 and rel63 read no binomial, but the tree saves each prime its
-        # sums pass; one pass is left, the check at the largest prime
+        # rel34 and rel63 read no binomial, but the tree saves each prime the
+        # products of its vector; one power_sum_table pass is left, the check
+        # at the largest prime
         built, sums = [], []
-        vectors, table = scanner.harmonic_vectors, congruences.power_sum_table
+        vectors, table = scanner.harmonic_vectors, scanner.power_sum_table
 
         def tree(primes, exponents):
             built.append(len(primes))
@@ -926,7 +931,7 @@ class TestBinomialRoutes:
             return table(modulus, n)
 
         monkeypatch.setattr(scanner, "harmonic_vectors", tree)
-        monkeypatch.setattr(congruences, "power_sum_table", sums_pass)
+        monkeypatch.setattr(scanner, "power_sum_table", sums_pass)
         argv = ["scan", "--primes", "3..3000", "--case", "rel34,rel63", "--tightness"]
         assert main(argv + ["--format", "csv", "--workers", "1"]) == 0
         assert built == [429] and sums == [2999]
@@ -1401,6 +1406,11 @@ class TestCliContract:
                 "power sums off the harmonic vector mismatch at p=997",
             ),
             (
+                ["scan", "--primes", "3..1000", "--case", "rel34,rel63"],
+                "table",
+                "power sums off the harmonic vector mismatch at p=997",
+            ),
+            (
                 ["scan", "--primes", "5..200", "--case", "coro_rel2"],
                 "B",
                 "B_98 fails Glaisher's S_2 congruence at p=101",
@@ -1416,7 +1426,7 @@ class TestCliContract:
                 "Taylor shift slot 3 is not exact at p=47",
             ),
         ],
-        ids=["vector", "sums", "glaisher", "central", "lemma-shift"],
+        ids=["vector", "sums", "sums-table", "glaisher", "central", "lemma-shift"],
     )
     def test_failed_check_leaves_output_untouched(
         self, monkeypatch, capsys, tmp_path, argv, corrupt, error
@@ -1444,6 +1454,14 @@ class TestCliContract:
                 return vectors
 
             monkeypatch.setattr(scanner, "harmonic_vectors", corrupted)
+        elif corrupt == "table":  # the one route to the sums off no vector
+            table = scanner.power_sum_table
+
+            def s1_off(modulus, n):
+                s1, *rest = table(modulus, n)
+                return (s1 + 1, *rest)
+
+            monkeypatch.setattr(scanner, "power_sum_table", s1_off)
         elif corrupt == "shift":  # the reflection suite's, at the largest prime
             shift = harmonic._shift_by_p
 
@@ -1463,6 +1481,20 @@ class TestCliContract:
         target = tmp_path / "report.txt"
         target.write_bytes(b"an earlier report\n")
         assert main(argv + ["--workers", "1", "-o", str(target)]) == 3
+        assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
+        assert target.read_bytes() == b"an earlier report\n"
+
+    def test_product_route_runs_glaisher(self, monkeypatch, capsys, tmp_path):
+        # one prime takes the product route, whose vector gives S_2 mod p^2
+        # at carlitz's m = 4, so a B_{p-3} off by one is an internal error,
+        # not a failed congruence (which exited 1)
+        real = congruences.bernoulli_pm3
+        monkeypatch.setattr(congruences, "bernoulli_pm3", lambda p: (real(p) + 1) % p**2)
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["verify", "--case", "carlitz", "--p", "10007", "-o", str(target)]
+        assert main(argv) == 3
+        error = "B_10004 fails Glaisher's S_2 congruence at p=10007"
         assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
         assert target.read_bytes() == b"an earlier report\n"
 
