@@ -157,14 +157,13 @@ def _product_vector(modulus: PrimePowerModulus, e: int) -> tuple:
     (-alpha*p)^j H_j, and H_j = 0 for j >= p: so mod p^e it is a polynomial
     f = sum_j c_j alpha^j of degree below n = min(e, p), c_j = (-p)^j H_j.
     f is interpolated from its values at alpha = 0 .. n-1 by Newton's
-    forward differences: f(0) = f(1) = 1, and each other value is one
-    product, all sharing one 1/(p-1)!.  It divides only by k < n, units.  A
-    c_j that is not a multiple of p^j means a wrong product.
+    forward differences (f(0) = f(1) = 1, each other value one product, all
+    sharing one 1/(p-1)!), dividing only by units k < n.  A c_j that is not
+    a multiple of p^j, or an f(n) other than one more product's, raises.
     """
     p, wide = modulus.p, modulus.with_exponent(e)
-    pe, n = wide.pm, min(e, p)
-    fact_inv = _factorial_inverse(wide) if n > 2 else None
-    d = [1, 1][:n] + [binom_alpha_mod(a, wide, fact_inv) for a in range(2, n)]
+    pe, n, fact_inv = wide.pm, min(e, p), _factorial_inverse(wide)
+    *d, top = [1, 1] + [binom_alpha_mod(a, wide, fact_inv) for a in range(2, n + 1)]
     for k in range(1, n):  # d_i <- the i-th forward difference at 0
         d[k:] = [x - y for x, y in zip(d[k:], d[k - 1 :])]
     # f = d_0 + a (d_1 + (a - 1)/2 (d_2 + (a - 2)/3 (...))), inside out
@@ -179,6 +178,8 @@ def _product_vector(modulus: PrimePowerModulus, e: int) -> tuple:
         if rest:
             raise CongrlabError(f"binomial's c_{j} is not a multiple of p^{j} at p={p}")
         h.append(hj % modulus.pm)
+    if _horner(poly[::-1], n) % pe != top:
+        raise CongrlabError(f"binomial's interpolation misses alpha={n} at p={p}")
     return tuple(h) + (0,) * (e - n)
 
 

@@ -1,16 +1,12 @@
 """Generalized harmonic numbers and inverse power sums modulo p^m.
 
 H_k is the k-th elementary symmetric function of 1/1, 1/2, ..., 1/(p-1),
-with H_0 = 1 and H_k = 0 for k >= p.  The coefficient of x^j in
-prod_{k<p} (x + k), an unsigned Stirling number of the first kind, is
-(p-1)! H_j; the table multiplies that product out exactly in one
-Kronecker-packed int, one fixed-width slot per coefficient.
-
-A range scan needs only H_0 .. H_{D-1} modulo p^D at each prime, the
-coefficients of that product modulo t^D.  `harmonic_vectors` gets them for
-every prime of a range at once from one accumulating remainder tree, so no
-prime pays an O(p) loop of its own; the catalog's S_1, S_2 and S_3 follow
-from H_1, H_2 and H_3 by Newton's identities.
+with H_0 = 1 and H_k = 0 for k >= p; c(t) = prod_{k<p} (k + t) has
+c_j = (p-1)! H_j.  `_rising` is the one loop that multiplies such products
+out, and `_harmonic_from` checks c by Fermat's little theorem and divides
+by c_0: on all of c for the lemma table (`harmonic_table`), and modulo t^D
+for a range scan, whose H_0 .. H_{D-1} modulo p^D `harmonic_vectors` gets
+for every prime at once from one accumulating remainder tree.
 
 Power sums S_m = sum_{k<p} 1/k^m take one of two routes.  The first few,
 which the scanner reads once, at a range's largest prime, to check the
@@ -108,19 +104,6 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
-    p, pm = modulus.p, modulus.pm
-    # the coefficients of prod (x + k) are positive and sum to p!, so a slot
-    # one bit wider than p! never carries into the next
-    width = math.factorial(p).bit_length() // 8 + 1
-    packed = 1
-    for k in range(1, p):
-        packed = (packed << 8 * width) + k * packed
-    c = _unpack(packed, p, width)
-    inv_c0 = pow(c[0], -1, pm)  # c_0 = (p-1)!
-    return HarmonicTable(modulus, tuple(cj * inv_c0 % pm for cj in c))
-
-
 def _times_mod_t(a: list, b: list, d: int) -> list:
     """a(t) * b(t) mod t^d, for coefficient lists lowest degree first."""
     out = [0] * d
@@ -132,14 +115,38 @@ def _times_mod_t(a: list, b: list, d: int) -> list:
 
 
 def _rising(lo: int, hi: int, d: int) -> list:
-    """prod_{lo <= k < hi} (k + t) mod t^d, exactly, by binary splitting."""
-    if hi - lo <= 8:
-        c = [1] + [0] * (d - 1)
-        for k in range(lo, hi):
-            c = [k * c[0]] + [k * c[j] + c[j - 1] for j in range(1, d)]
-        return c
-    mid = (lo + hi) // 2
-    return _times_mod_t(_rising(lo, mid, d), _rising(mid, hi, d), d)
+    """prod_{lo <= k < hi} (k + t) mod t^d, exactly.  Up to max(d, 64) factors
+    by Horner on one Kronecker-packed int, slots wider than the coefficients'
+    sum prod (k + 1), masked to d once it has more; longer ones split in two."""
+    if hi - lo > max(d, 64):
+        mid = (lo + hi) // 2
+        return _times_mod_t(_rising(lo, mid, d), _rising(mid, hi, d), d)
+    width = math.prod(range(lo + 1, hi + 1)).bit_length() // 8 + 1
+    packed, slot = 1, 8 * width
+    mask = (1 << slot * d) - 1 if hi - lo >= d else math.inf  # no product-sized mask
+    for k in range(lo, hi):
+        packed = (packed << slot) + k * packed
+        if packed > mask:
+            packed &= mask
+    return _unpack(packed, d, width)
+
+
+def _harmonic_from(c: list, p: int, pm: int) -> tuple:
+    """H_0 .. H_{D-1} mod pm, a power of p, from c = prod_{k<p} (k + t) mod
+    t^D, c_j = (p-1)! H_j.  By Fermat, c(t) == t^(p-1) - 1 (mod p): a c_0
+    other than -1, or a c_j other than 0 for 0 < j < min(D, p - 1), raises;
+    a multiple of p passes (the scanner checks a range's largest prime)."""
+    c0 = c[0] % pm  # (p-1)!
+    if (c0 + 1) % p or any(x % p for x in c[1 : min(len(c), p - 1)]):
+        raise CongrlabError(f"Fermat check fails at p={p}")
+    inv_c0 = pow(c0, -1, pm)
+    return tuple(x * inv_c0 % pm for x in c)
+
+
+def harmonic_table(modulus: PrimePowerModulus) -> HarmonicTable:
+    """H_0 .. H_{p-1} modulo p^m, off the exact prod_{k<p} (k + t)."""
+    p = modulus.p
+    return HarmonicTable(modulus, _harmonic_from(_rising(1, p, p), p, modulus.pm))
 
 
 def harmonic_vectors(primes, exponents) -> list:
@@ -155,11 +162,8 @@ def harmonic_vectors(primes, exponents) -> list:
     its own subtree's modulus, and a right child takes the parent's prefix
     times its left sibling's product, reduced by its own.  Leaf i then holds
     the product of the leaves before it modulo p_i^(D_i), and one more
-    product gives c.  No product on the right spine is ever needed, the
-    root's included.  By Fermat's little theorem c(t) == t^(p-1) - 1
-    (mod p): a leaf whose c_0 is not -1, or whose c_j is not 0 for some
-    0 < j < min(D, p - 1), modulo p raises.  A fault that is a multiple of p
-    passes, so the scanner also checks the largest prime by products.
+    product gives c, for `_harmonic_from`.  No product on the right spine
+    is ever needed, the root's included.
     """
     primes, exponents = list(primes), list(exponents)
     if len(primes) != len(exponents):
@@ -194,12 +198,8 @@ def harmonic_vectors(primes, exponents) -> list:
     def down(lo: int, hi: int, prefix: list) -> None:
         """`prefix` is the product of the leaves before lo, reduced."""
         if hi - lo == 1:
-            m, e, p = mods[lo], exponents[lo], primes[lo]
-            c = [x % m for x in _times_mod_t(prefix, leaves[lo], e)]
-            if (c[0] + 1) % p or any(x % p for x in c[1 : min(e, p - 1)]):
-                raise CongrlabError(f"Fermat check fails at p={p}")
-            inv_c0 = pow(c[0], -1, m)  # c_0 = (p-1)!
-            out[lo] = tuple(x * inv_c0 % m for x in c)
+            c = _times_mod_t(prefix, leaves[lo], exponents[lo])
+            out[lo] = _harmonic_from(c, primes[lo], mods[lo])
             return
         mid = (lo + hi) // 2
         left, m_left, m_right = below.pop((lo, hi))

@@ -251,8 +251,7 @@ class ScanReport:
 # whatever the range's lower end: `harmonic_vectors` for every prime
 # 5..10^4 / 5..10^5 took 0.05 s / 3.0 s at D = 4 and 0.18 s / 12 s at D = 8,
 # about 2e-10 s * D^2 * p_max^1.8.  It saves each prime the product route's
-# vector, about (n - 1) * p factors for n = min(e, p) (n - 2 values and
-# their 1/(p-1)!), where e is m + 3 if the prime reads a sum.
+# vector, n = min(e, p) products of p factors (e = m + 3 if it reads a sum).
 _TREE_FACTORS = 2.5e-3
 
 # A prime's record runs each other O(p) pass its cases read once, at so
@@ -305,7 +304,7 @@ def _plans(primes, cases, tightness: bool, claimed: bool) -> list:
 def _vector_work(plan: _Plan) -> float:
     """p's O(p) work that its harmonic vector saves: the product route's."""
     e = _vector_exponent(plan.names, plan.exponent)
-    return (min(e, plan.p) - 1) * plan.p if e else 0
+    return min(e, plan.p) * plan.p if e else 0
 
 
 def _tree_pays(plans) -> bool:

@@ -1,5 +1,6 @@
 """The congruence catalog, binomial evaluation paths and proof machinery."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -470,10 +471,11 @@ class TestPrimeContext:
     ):
         # the product route interpolates C(alpha*p - 1, p - 1) modulo p^e
         # from its values at alpha = 0 .. n-1, n = min(e, p): f(0) = f(1) =
-        # 1, and one product for each other value, whatever alphas are asked
-        # for.  e = m + 3 where the record reads a sum (coro_rel5b's S_1, so
-        # n = p = 7), and m otherwise: Glaisher's check on glaisher_rel3's B
-        # reads S_2 mod p^2, which m = 4 already gives
+        # 1, and one product for each other value (`products` of them),
+        # whatever alphas are asked for; one more, at alpha = n, checks the
+        # interpolation.  e = m + 3 where the record reads a sum (coro_rel5b's
+        # S_1, so n = p = 7), and m otherwise: Glaisher's check on
+        # glaisher_rel3's B reads S_2 mod p^2, which m = 4 already gives
         calls = []
         real = congruences.binom_alpha_mod
         monkeypatch.setattr(
@@ -483,7 +485,7 @@ class TestPrimeContext:
         for alphas in ([], [2], DEFAULT_ALPHA_SWEEP):
             calls.clear()
             verify_case(case, 7, alphas, tightness)
-            assert calls == list(range(2, 2 + products)), alphas
+            assert calls == list(range(2, 3 + products)), alphas
 
     def test_polynomial_gives_the_fixed_binomials(self):
         got = record(7, 6, {"binom", "binom2"})
@@ -584,6 +586,40 @@ class TestPrimeContext:
         monkeypatch.setattr(congruences, "binom_alpha_mod", off_by_one)
         with pytest.raises(CongrlabError, match=rf"is not a multiple of p\^\d+ at p={p}$"):
             record(p, m, names)
+
+    @pytest.mark.parametrize("p", [11, 13, 101, 10007])
+    def test_each_wrong_product_is_caught(self, monkeypatch, p):
+        # every product the route computes, at alpha = 2 .. n, moved by +1,
+        # +p, +p^2 or +p^(e-1) (where that is not 0 mod p^e), for m = 1..9
+        # and a record of binom, binom2, S1 or B.  The divisibility check
+        # misses +p^(e-1); the value at alpha = n catches it, but where
+        # n = p its weight C(p, alpha) for an interpolation point is a
+        # multiple of p: only S1 at p = 11 reaches n = p, at m = 8 and 9
+        real = functools.cache(congruences.binom_alpha_mod)
+        fault = {}
+
+        def moved(alpha, modulus, *rest):
+            return (real(alpha, modulus, *rest) + fault.get(alpha, 0)) % modulus.pm
+
+        monkeypatch.setattr(congruences, "binom_alpha_mod", moved)
+        missed, blind = [], []
+        for m in range(1, 10):
+            for names in ({"binom"}, {"binom2"}, {"S1"}, {"B"}):
+                e = congruences._vector_exponent(frozenset(names), m)
+                n = min(e, p)
+                for alpha in range(2, n + 1):
+                    for delta in sorted({1, p, p * p, p ** (e - 1)}):
+                        if delta % p**e == 0:
+                            continue
+                        fault = {alpha: delta}
+                        try:
+                            record(p, m, names)
+                        except CongrlabError:
+                            continue
+                        missed.append((m, min(names), alpha, delta))
+                    if n == p and alpha < n:
+                        blind.append((m, min(names), alpha, p ** (e - 1)))
+        assert missed == blind and len(blind) == (18 if p == 11 else 0)
 
     @pytest.mark.parametrize("p", odd_primes_between(3, 47))
     def test_one_record_serves_every_alpha(self, p):

@@ -141,10 +141,10 @@ class TestHarmonicTable:
             Fraction(1, 24),
         )
 
-    @pytest.mark.parametrize("p", SMALL_PRIMES)
-    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("p", odd_primes_between(3, 61))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, "p", "p+2"])
     def test_table_matches_exact_oracle(self, p, m):
-        modulus = PrimePowerModulus(p, m)
+        modulus = PrimePowerModulus(p, {"p": p, "p+2": p + 2}.get(m, m))
         table = harmonic_table(modulus)
         exact = harmonic_numbers_exact(p)
         for k in range(p):
@@ -202,9 +202,9 @@ class TestHarmonicVectors:
     def test_fermat_check_reads_each_coefficient_below_p_minus_1(
         self, monkeypatch, d, j
     ):
-        # the first leaf is c itself at p = 13, prod_{1 <= k < 13} (k + t)
-        # (its halves recurse through `_rising` too); 2 t^j more there moves
-        # c_j alone by a unit, leaves c_0 a unit, and 0 <= j < min(D, p - 1)
+        # the first leaf is c itself at p = 13, prod_{1 <= k < 13} (k + t);
+        # 2 t^j more there moves c_j alone by a unit, leaves c_0 a unit, and
+        # 0 <= j < min(D, p - 1)
         rising = harmonic._rising
 
         def moved(lo, hi, d):
@@ -252,13 +252,27 @@ class TestHarmonicVectors:
             return pow(base, exp, mod)
 
         monkeypatch.setattr(harmonic, "pow", spy, raising=False)
-        primes = odd_primes_between(5, 10_000)
+        primes = odd_primes_between(5, 100_000)
         harmonic_vectors(primes, [2] * len(primes))
         assert sorted(factorials) == [p * p for p in primes]
         for p in primes[:25]:
             assert factorials[p * p] == math.factorial(p - 1) % (p * p), p
         wilson = [p for p in primes if (factorials[p * p] + 1) % (p * p) == 0]
         assert wilson == [5, 13, 563]
+
+    def test_rising_equals_the_naive_product(self):
+        # Horner on one packed int up to max(d, 64) factors, halves beyond:
+        # empty ranges, ranges shorter than d, truncated ones, split ones
+        rng = random.Random(35)
+        cases = [(1, 1, 3), (5, 6, 1), (1, 13, 13), (1, 13, 20), (1, 200, 4)]
+        cases += [(1000, 1130, 70), (1000, 1200, 70)]
+        for lo in rng.sample(range(1, 10**6), 40):
+            cases.append((lo, lo + rng.randint(0, 300), rng.randint(1, 80)))
+        for lo, hi, d in cases:
+            naive = [1] + [0] * (d - 1)
+            for k in range(lo, hi):
+                naive = [k * naive[0]] + [k * naive[j] + naive[j - 1] for j in range(1, d)]
+            assert harmonic._rising(lo, hi, d) == naive, (lo, hi, d)
 
     def test_empty_range(self):
         assert harmonic_vectors([], []) == []

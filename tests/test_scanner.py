@@ -913,7 +913,9 @@ class TestBinomialRoutes:
         calls = count_product_route(monkeypatch)
         argv = ["scan", "--primes", "5..10000", "--case", "wolstenholme_rel70"]
         assert main(argv + ["--workers", "1"]) == 0
-        assert calls == [9973]  # the cross-check at the largest prime
+        # the cross-check at the largest prime: f(2) for the interpolation
+        # modulo p^3, and f(3), which checks it
+        assert calls == [9973, 9973]
 
     def test_sums_only_scan_takes_the_tree(self, monkeypatch, capsysbinary):
         # rel34 and rel63 read no binomial, but the tree saves each prime the
@@ -969,6 +971,60 @@ class TestBinomialRoutes:
         assert main(argv + ["--workers", "1"]) == 3
         err = capsys.readouterr().err
         assert err == "congrlab: internal error: harmonic vector mismatch at p=997\n"
+
+    @pytest.mark.parametrize(
+        "node, p",
+        [("leaf", 79), ("up", 83), ("left", 193), ("right", 577), ("hand-off", 883)],
+    )
+    def test_fault_at_each_kind_of_tree_node(self, monkeypatch, capsys, tmp_path, node, p):
+        # one t more at one node of the tree over the 166 primes 5..1000, off
+        # its right spine, so the product route at 997 cannot see it: leaf
+        # (73, 79); the up pass's product of leaves 0..19, which leaf 20's
+        # prefix reads; node (41, 83)'s prefix for its left child (leaf 41
+        # first); node (83, 124)'s for its right child (leaf 103 first); and
+        # leaf 150's prefix times its leaf.  The first prime it reaches fails
+        # its Fermat check
+        def frame_of(name):
+            frame = sys._getframe(2)
+            while frame is not None and frame.f_code.co_name != name:
+                frame = frame.f_back
+            return {} if frame is None else frame.f_locals
+
+        def at(name, lo, hi):
+            f = frame_of(name)
+            return (f.get("lo"), f.get("hi")) == (lo, hi)
+
+        rising, times, real_divmod = harmonic._rising, harmonic._times_mod_t, divmod
+
+        def moved_rising(lo, hi, d):
+            c = rising(lo, hi, d)
+            c[1] += (lo, hi) == (73, 79)
+            return c
+
+        nodes = {"up": ("up", 0, 20), "right": ("down", 83, 124), "hand-off": ("down", 150, 151)}
+
+        def moved_times(a, b, d):
+            c = times(a, b, d)
+            c[1] += at(*nodes[node])
+            return c
+
+        def moved_divmod(x, m):
+            q, r = real_divmod(x, m)
+            return q, r + (at("down", 41, 83) and m == frame_of("down")["m_left"])
+
+        if node == "leaf":
+            monkeypatch.setattr(harmonic, "_rising", moved_rising)
+        elif node == "left":
+            monkeypatch.setattr(harmonic, "divmod", moved_divmod, raising=False)
+        else:
+            monkeypatch.setattr(harmonic, "_times_mod_t", moved_times)
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["scan", "--primes", "5..1000", "--case", "wolstenholme_rel70"]
+        assert main(argv + ["--workers", "1", "-o", str(target)]) == 3
+        error = f"Fermat check fails at p={p}"
+        assert capsys.readouterr().err == f"congrlab: internal error: {error}\n"
+        assert target.read_bytes() == b"an earlier report\n"
 
     @staticmethod
     def corrupt_leaf(monkeypatch, leaf_start, offset):
@@ -1425,8 +1481,16 @@ class TestCliContract:
                 "shift",
                 "Taylor shift slot 3 is not exact at p=47",
             ),
+            (
+                ["lemmas", "--primes", "97..101"],
+                "lemma-table",
+                "Fermat check fails at p=101",
+            ),
         ],
-        ids=["vector", "sums", "sums-table", "glaisher", "central", "lemma-shift"],
+        ids=[
+            "vector", "sums", "sums-table", "glaisher", "central", "lemma-shift",
+            "lemma-table",
+        ],
     )
     def test_failed_check_leaves_output_untouched(
         self, monkeypatch, capsys, tmp_path, argv, corrupt, error
@@ -1434,12 +1498,13 @@ class TestCliContract:
         # each check runs while the records are filled, before -o opens; a
         # lemma suite's checks run while it builds its slice of the prime's
         # lemma record, and no row of any prime is built before -o opens
-        if corrupt == "vector":  # one leaf of the remainder tree
+        if corrupt in ("vector", "lemma-table"):  # a tree leaf; the table's product
             rising = harmonic._rising
+            where = (499, 503) if corrupt == "vector" else (1, 101)
 
             def off_by_one(lo, hi, d):
                 c = rising(lo, hi, d)
-                if lo == 499:
+                if (lo, hi) == where:
                     c[1] += 1
                 return c
 
